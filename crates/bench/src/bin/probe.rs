@@ -441,7 +441,7 @@ fn cluster_mode() {
 /// run must beat both the hash deal and the fault-aware static router by
 /// the issue's >= 1.3x bar.
 fn migrate_mode() {
-    use seqio_cluster::{ClusterResult, RebalanceConfig, Scenario, ShardPolicy};
+    use seqio_cluster::{ClusterExperiment, ClusterResult, RebalanceConfig, ShardPolicy};
     use seqio_node::FaultPlan;
 
     let spd: usize =
@@ -451,12 +451,15 @@ fn migrate_mode() {
                fault: Option<FaultPlan>,
                rebalance: Option<RebalanceConfig>|
      -> ClusterResult {
-        let mut b = Scenario::builder()
+        let template = Experiment::builder()
             .streams_per_disk(spd)
             .request_size(64 * KIB)
             .requests_per_stream(requests)
             .warmup(SimDuration::ZERO)
             .duration(SimDuration::from_secs(300))
+            .build();
+        let mut b = ClusterExperiment::builder()
+            .template(template)
             .nodes(2)
             .policy(policy)
             .base_seed(19)
@@ -467,7 +470,7 @@ fn migrate_mode() {
         if let Some(r) = rebalance {
             b = b.rebalance(r);
         }
-        b.build().expect("valid migrate scenario").run().expect("migrate probe point")
+        b.run().expect("migrate probe point")
     };
 
     // Calibrate the straggler onset off the healthy makespan so the fault

@@ -11,13 +11,13 @@
 //!
 //! The last two tests re-derive one cell of each figure through the wider
 //! drivers — the shared-clock cluster driver (a 1-node identity
-//! [`Scenario`]) and the client front end's closed-loop identity mode —
-//! the committed figure data must be reachable through those paths too,
-//! bit for bit, pinning the layer-equivalence guarantees to the same
+//! [`ClusterExperiment`]) and the client front end's closed-loop identity
+//! mode — the committed figure data must be reachable through those paths
+//! too, bit for bit, pinning the layer-equivalence guarantees to the same
 //! goldens the figures use.
 
 use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig};
-use seqio_cluster::Scenario;
+use seqio_cluster::ClusterExperiment;
 use seqio_node::{Experiment, Frontend, NodeShape};
 use seqio_scenario::{run_row, MatrixScale, ScenarioKind};
 use seqio_simcore::units::{KIB, MIB};
@@ -195,15 +195,13 @@ fn scenario_matrix_committed_csv_matches_current_build() {
 }
 
 /// Runs a figure template through the shared-clock cluster driver as a
-/// 1-node identity scenario and renders the aggregate the way
+/// 1-node identity cluster and renders the aggregate the way
 /// `Figure::report` does.
 fn cluster_cell(template: Experiment) -> String {
-    let c = Scenario::builder()
+    let c = ClusterExperiment::builder()
         .template(template)
-        .build()
-        .expect("figure templates are valid scenarios")
         .run()
-        .expect("1-node scenario runs");
+        .expect("figure templates are valid 1-node clusters");
     cell(c.total_throughput_mbs())
 }
 

@@ -84,7 +84,7 @@ impl Args {
     pub fn duration_or(&self, key: &str, default: SimDuration) -> Result<SimDuration, String> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => parse_duration(v).map_err(|e| format!("--{key}: {e}")),
+            Some(v) => seqio_simcore::parse_duration(v).map_err(|e| format!("--{key}: {e}")),
         }
     }
 
@@ -120,31 +120,6 @@ pub fn parse_size(s: &str) -> Result<u64, String> {
     Ok((n * mult as f64).round() as u64)
 }
 
-/// Parses `8s` / `500ms` / `2m` / `90` (seconds) into a duration.
-///
-/// # Errors
-///
-/// Returns a message on unknown suffixes or non-numeric input.
-pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
-    let t = s.trim();
-    let (num, to_ns) = if let Some(n) = t.strip_suffix("ms") {
-        (n, 1e6)
-    } else if let Some(n) = t.strip_suffix("us") {
-        (n, 1e3)
-    } else if let Some(n) = t.strip_suffix('s') {
-        (n, 1e9)
-    } else if let Some(n) = t.strip_suffix('m') {
-        (n, 60e9)
-    } else {
-        (t, 1e9)
-    };
-    let v: f64 = num.parse().map_err(|_| format!("bad duration {s:?}"))?;
-    if !(v >= 0.0 && v.is_finite()) {
-        return Err(format!("bad duration {s:?}"));
-    }
-    Ok(SimDuration::from_nanos((v * to_ns).round() as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,15 +149,6 @@ mod tests {
         assert_eq!(parse_size("1.5M").unwrap(), 3 * 512 * 1024);
         assert!(parse_size("x").is_err());
         assert!(parse_size("-4K").is_err());
-    }
-
-    #[test]
-    fn durations() {
-        assert_eq!(parse_duration("8s").unwrap(), SimDuration::from_secs(8));
-        assert_eq!(parse_duration("500ms").unwrap(), SimDuration::from_millis(500));
-        assert_eq!(parse_duration("2m").unwrap(), SimDuration::from_secs(120));
-        assert_eq!(parse_duration("90").unwrap(), SimDuration::from_secs(90));
-        assert!(parse_duration("soon").is_err());
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
         return Err(format!("unknown flag(s): {}", unknown.join(", ")));
     }
     let common = CommonArgs::from_args(&args)?;
-    let mut template = experiment_from(&args, &common)?;
+    let template = experiment_from(&args, &common)?;
     let disks = template.shape.total_disks();
     eprintln!(
         "running: {} disk(s), {} stream(s)/disk, {}B requests, {:?} window {}+{}",
@@ -64,18 +64,7 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
         template.warmup,
         template.duration
     );
-    // A single-node run is a 1-node scenario: the co-sim driver is the
-    // same one `cluster run` uses, kept bit-identical to the historical
-    // direct path by the equivalence oracle.
-    let plan = template.faults.take();
-    let mut b = seqio_cluster::Scenario::builder().template(template);
-    if let Some(plan) = plan {
-        b = b.faults(plan);
-    }
-    if let Some(j) = common.jobs {
-        b = b.jobs(j);
-    }
-    let r = b.build().map_err(|e| e.to_string())?.run_node().map_err(|e| e.to_string())?;
+    let r = seqio_node::run_node(&template).map_err(|e| e.to_string())?;
     print_report(&r, disks);
     if let Some(path) = args.get("trace") {
         let trace = r.trace.as_ref().expect("tracing was enabled");
@@ -175,7 +164,8 @@ fn cmd_cluster(rest: Vec<String>) -> Result<(), String> {
     }
 
     let disks = template.shape.total_disks();
-    let mut b = seqio_cluster::Scenario::builder().template(template).nodes(nodes).policy(policy);
+    let mut b =
+        seqio_cluster::ClusterExperiment::builder().template(template).nodes(nodes).policy(policy);
     if let Some(plan) = plan {
         b = b.node_fault(fault_node, plan);
     }
@@ -187,19 +177,20 @@ fn cmd_cluster(rest: Vec<String>) -> Result<(), String> {
         b = b.jobs(j);
     }
     if let Some(interval) = args.get("rebalance") {
-        let d = args::parse_duration(interval).map_err(|e| format!("--rebalance: {e}"))?;
+        let d = seqio_simcore::parse_duration(interval).map_err(|e| format!("--rebalance: {e}"))?;
         b = b.rebalance(seqio_cluster::RebalanceConfig::new(d));
     }
-    let scenario = b.build().map_err(|e| e.to_string())?;
+    let cluster = b.build();
+    cluster.validate().map_err(|e| e.to_string())?;
     eprintln!(
         "cluster: {} node(s) x {} disk(s), {} global stream(s), {} routing{}",
         nodes,
         disks,
-        scenario.cluster().total_streams(),
+        cluster.total_streams(),
         policy.name(),
-        if scenario.cluster().rebalance.is_some() { ", mid-run rebalancing" } else { "" }
+        if cluster.rebalance.is_some() { ", mid-run rebalancing" } else { "" }
     );
-    let c = scenario.run().map_err(|e| e.to_string())?;
+    let c = cluster.run().map_err(|e| e.to_string())?;
 
     println!("{:>6} {:>9} {:>12} {:>10} {:>10}", "node", "streams", "MB/s", "mean ms", "window");
     for n in &c.nodes {
@@ -301,7 +292,8 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
                 return Err(format!("--burst: expected PERIOD,DUTY,FACTOR, got {spec:?}"));
             };
             seqio_client::RateModulation::Bursty {
-                period: args::parse_duration(period).map_err(|e| format!("--burst: {e}"))?,
+                period: seqio_simcore::parse_duration(period)
+                    .map_err(|e| format!("--burst: {e}"))?,
                 duty: duty.parse().map_err(|_| format!("--burst: bad duty {duty:?}"))?,
                 on_factor: on_factor
                     .parse()
@@ -314,7 +306,8 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
                 return Err(format!("--diurnal: expected PERIOD,DEPTH, got {spec:?}"));
             };
             seqio_client::RateModulation::Diurnal {
-                period: args::parse_duration(period).map_err(|e| format!("--diurnal: {e}"))?,
+                period: seqio_simcore::parse_duration(period)
+                    .map_err(|e| format!("--diurnal: {e}"))?,
                 depth: depth.parse().map_err(|_| format!("--diurnal: bad depth {depth:?}"))?,
             }
         }
@@ -333,7 +326,9 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         },
         requests_per_session: args.u64_or("session-requests", 4)?,
         session_lifetime: match args.get("lifetime") {
-            Some(v) => Some(args::parse_duration(v).map_err(|e| format!("--lifetime: {e}"))?),
+            Some(v) => {
+                Some(seqio_simcore::parse_duration(v).map_err(|e| format!("--lifetime: {e}"))?)
+            }
             None => None,
         },
     };

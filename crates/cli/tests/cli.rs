@@ -1,7 +1,8 @@
 //! End-to-end CLI coverage driving the compiled `seqio` binary: the
 //! `report --slo` zero-completed-sessions report stays a clean report
-//! (not NaN percentiles or a hard error), and `scenario record` →
-//! `scenario replay` reproduces `scenario run` exactly.
+//! (not NaN percentiles or a hard error), `scenario record` →
+//! `scenario replay` reproduces `scenario run` exactly, and replayed
+//! traces that overrun the node end cleanly instead of crashing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -91,4 +92,51 @@ fn scenario_errors_name_the_valid_choices() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("run|record|replay"), "{err}");
+}
+
+/// Writes a one-inject scenario trace and returns its path.
+fn one_inject_trace(dir: &std::path::Path, name: &str, inject: &str) -> String {
+    let path = dir.join(format!("{name}.trace"));
+    let text = format!("# seqio scenario trace v1\nmeta:name={name},nodes=1\ninject:{inject}\n");
+    std::fs::write(&path, text).expect("write the trace");
+    path.to_str().unwrap().to_string()
+}
+
+/// A replayed stream on a disk the node does not have is a typed error
+/// naming the disk, not a crash.
+#[test]
+fn replaying_a_stream_on_a_missing_disk_is_a_clean_error() {
+    let dir = scratch_dir("missing-disk");
+    let inject = "at=0,node=0,stream=0,disk=99,start=0,blocks=128,requests=4,pattern=seq";
+    let trace = one_inject_trace(&dir, "missing-disk", inject);
+    for direct in [false, true] {
+        let mut args = vec!["scenario", "replay", "--trace", &trace];
+        if direct {
+            args.push("--direct");
+        }
+        let out = seqio(&args);
+        assert_eq!(out.status.code(), Some(1), "direct={direct}: expected a clean error exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("disk 99"), "direct={direct}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sequential stream that runs into its disk's end finishes there, on
+/// the stream scheduler and on the direct path alike.
+#[test]
+fn replaying_a_stream_into_its_disk_end_finishes_it() {
+    let dir = scratch_dir("disk-end");
+    let inject =
+        "at=0,node=0,stream=0,disk=0,start=156249000,blocks=128,requests=100000,pattern=seq";
+    let trace = one_inject_trace(&dir, "disk-end", inject);
+    for direct in [false, true] {
+        let mut args = vec!["scenario", "replay", "--trace", &trace];
+        if direct {
+            args.push("--direct");
+        }
+        let report = stdout(&seqio(&args));
+        assert!(report.contains("total:"), "direct={direct}: {report}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,12 +5,12 @@
 //!
 //! **Open loop** ([`DriveMode::OpenLoop`]): the pre-generated session
 //! schedule (see [`generate_sessions`](crate::generate_sessions)) is split
-//! per node; each node runs as a [`NodeSim`] advanced *independently* from
-//! arrival to arrival, injecting every new session through the same
-//! [`StreamHandoff`] surface mid-run migration uses and retiring sessions
-//! whose lifetime bound expires. Nodes never exchange state mid-run, so a
-//! worker pool can advance any subset concurrently and results are
-//! bit-identical at every `SEQIO_JOBS` value.
+//! per node into a timeline for the [`driver`](seqio_node::driver): each
+//! node runs *independently*, injecting every new session at its arrival
+//! through the same `StreamHandoff` surface mid-run migration uses and
+//! retiring sessions whose lifetime bound expires. Nodes never exchange
+//! state mid-run, so results are bit-identical at every `SEQIO_JOBS`
+//! value.
 //!
 //! **Closed loop** ([`DriveMode::ClosedLoop`]): the classic all-streams-
 //! at-`t=0` population, executed by the unmodified cluster driver. With an
@@ -30,15 +30,12 @@
 //! the storage simulation, so node results stay untouched by link
 //! configuration.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use seqio_cluster::{
     ClusterExperiment, ClusterResult, NodeHealth, NodeOutcome, SessionSlo, ShardPolicy,
 };
+use seqio_node::driver::{self, NodeDrive, NodeOp};
 use seqio_node::sweep::{derive_seed, resolve_jobs};
-use seqio_node::{Experiment, NodeSim, RunResult, StreamHandoff};
+use seqio_node::Experiment;
 use seqio_simcore::{FairShareLink, SeqioError, SimDuration, SimTime, SpanPhase};
 use seqio_workload::StreamSpec;
 
@@ -235,8 +232,8 @@ impl ClientExperiment {
         Ok(result)
     }
 
-    /// Open loop: pre-generate the schedule, drive each node
-    /// independently, merge, overlay the link.
+    /// Open loop: pre-generate the schedule, run each node's sessions as
+    /// its timeline, merge, overlay the link.
     fn run_open(&self, cfg: &ArrivalConfig) -> Result<ClusterResult, SeqioError> {
         if self.nodes == 0 {
             return Err(SeqioError::Experiment("need at least one node".into()));
@@ -265,113 +262,42 @@ impl ClientExperiment {
         // generation, so the public schedule is exactly the one executed.
         let sessions = self.session_schedule()?;
 
-        // Per-node operation timelines: injections at arrival, optional
-        // retirements at the lifetime bound. Sorted by (instant, session,
-        // kind) so the schedule is one fixed sequence per node.
-        #[derive(Clone, Copy)]
-        struct Op {
-            at: SimTime,
-            session: usize,
-            retire: bool,
-        }
+        // Per-node timelines of `(instant, session, retire)`: injections
+        // at arrival, optional retirements at the lifetime bound. Sorted
+        // so the schedule is one fixed sequence per node; specs are built
+        // from the schedule only as the node reaches them.
         let horizon_at = SimTime::ZERO + template.warmup + template.duration;
-        let mut ops: Vec<Vec<Op>> = vec![Vec::new(); self.nodes];
+        let mut ops: Vec<Vec<(SimTime, usize, bool)>> = vec![Vec::new(); self.nodes];
         for s in &sessions {
-            ops[s.node].push(Op { at: s.arrival, session: s.id, retire: false });
+            ops[s.node].push((s.arrival, s.id, false));
             if let Some(life) = cfg.session_lifetime {
                 let cut = s.arrival + life;
                 if cut < horizon_at {
-                    ops[s.node].push(Op { at: cut, session: s.id, retire: true });
+                    ops[s.node].push((cut, s.id, true));
                 }
             }
         }
-        for list in &mut ops {
-            list.sort_by_key(|o| (o.at, o.session, o.retire));
-        }
-
-        // Specs and sims are built serially so construction order can
-        // never depend on the worker schedule.
         let mut specs = Vec::with_capacity(self.nodes);
-        let mut cells: Vec<Mutex<Option<NodeSim>>> = Vec::with_capacity(self.nodes);
-        for k in 0..self.nodes {
+        let mut nodes = Vec::with_capacity(self.nodes);
+        for (k, mut list) in ops.into_iter().enumerate() {
+            list.sort_unstable();
             let mut spec = template.clone();
             if self.base_seed.is_some() {
                 spec.seed = derive_seed(base, k);
             }
-            let mut sim = NodeSim::new(&spec)?;
-            seqio_simcore::SimComponent::init(&mut sim);
-            cells.push(Mutex::new(Some(sim)));
+            let sessions = &sessions;
+            let timeline = list.into_iter().map(move |(at, session, retire)| NodeOp {
+                at,
+                stream: session,
+                inject: (!retire).then(|| {
+                    let s = &sessions[session];
+                    StreamSpec::sequential(s.disk, s.start, request_blocks, s.requests)
+                }),
+            });
+            nodes.push(NodeDrive::<_, ()>::new(&spec, timeline)?);
             specs.push(spec);
         }
-
-        struct NodeOut {
-            result: RunResult,
-            /// Local slot → global session id, in injection order.
-            slots: Vec<usize>,
-            /// Sessions retired at their lifetime bound (abandoned).
-            abandoned: Vec<usize>,
-        }
-        let outs: Vec<Mutex<Option<NodeOut>>> = (0..self.nodes).map(|_| Mutex::new(None)).collect();
-        let sessions_ref = &sessions;
-        let ops_ref = &ops;
-        let cells_ref = &cells;
-        let outs_ref = &outs;
-
-        let drive_node = move |k: usize| {
-            let mut sim = cells_ref[k]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each node is driven exactly once");
-            let mut slots: Vec<usize> = Vec::new();
-            let mut slot_of: HashMap<usize, usize> = HashMap::new();
-            let mut abandoned: Vec<usize> = Vec::new();
-            for op in &ops_ref[k] {
-                sim.advance_to(op.at);
-                if op.retire {
-                    let slot = slot_of[&op.session];
-                    if sim.stream_live(slot) {
-                        let _ = sim.retire_stream(slot);
-                        abandoned.push(op.session);
-                    }
-                } else {
-                    let s: &SessionSpec = &sessions_ref[op.session];
-                    let spec = StreamSpec::sequential(s.disk, s.start, request_blocks, s.requests);
-                    let handoff = StreamHandoff::fresh(spec)
-                        .expect("session specs are validated at generation time");
-                    let slot = sim.inject_stream(op.at, handoff);
-                    debug_assert_eq!(slot, slots.len(), "open nodes fill slots densely");
-                    slot_of.insert(op.session, slot);
-                    slots.push(op.session);
-                }
-            }
-            sim.advance_to(SimTime::MAX);
-            let out = NodeOut { result: sim.finish(), slots, abandoned };
-            *outs_ref[k].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-        };
-
-        // Deal nodes to workers by an atomic cursor (exactly the cluster
-        // driver's discipline): each node is driven by one worker and its
-        // own event order is fixed, so the schedule cannot leak in.
-        let workers = resolve_jobs(self.jobs).clamp(1, self.nodes);
-        if workers == 1 {
-            for k in 0..self.nodes {
-                drive_node(k);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= self.nodes {
-                            break;
-                        }
-                        drive_node(k);
-                    });
-                }
-            });
-        }
+        let runs = driver::run(nodes, resolve_jobs(self.jobs));
 
         let mut assignment = vec![0usize; sessions.len()];
         for s in &sessions {
@@ -379,23 +305,20 @@ impl ClientExperiment {
         }
         let mut node_ids = Vec::with_capacity(self.nodes);
         let mut outcomes = Vec::with_capacity(self.nodes);
+        // Sessions retired at their lifetime bound were abandoned.
         let mut skip = vec![false; sessions.len()];
-        for (k, (cell, spec)) in outs.into_iter().zip(specs).enumerate() {
-            let out = cell
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every node was driven");
-            for &g in &out.abandoned {
+        for (k, (run, spec)) in runs.into_iter().zip(specs).enumerate() {
+            for &g in &run.retired {
                 skip[g] = true;
             }
             outcomes.push(NodeOutcome {
                 node: k,
-                assigned_streams: out.slots.len(),
+                assigned_streams: run.injected.len(),
                 health: NodeHealth::healthy(),
                 spec: Some(spec),
-                result: Some(out.result),
+                result: Some(run.result),
             });
-            node_ids.push(out.slots);
+            node_ids.push(run.injected);
         }
         let mut result = ClusterResult::merge(outcomes, assignment, node_ids, Vec::new());
         let arrivals: Vec<SimTime> = sessions.iter().map(|s| s.arrival).collect();

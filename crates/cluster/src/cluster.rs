@@ -1,11 +1,9 @@
 //! Cluster composition: per-node experiment construction, shared-clock
 //! co-simulation with optional mid-run rebalancing, and result merging.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use seqio_node::driver::{self, NodeDrive, NodeOp};
 use seqio_node::sweep::{derive_seed, resolve_jobs};
-use seqio_node::{Experiment, NodeSim, RunResult};
+use seqio_node::{Experiment, RunResult};
 use seqio_simcore::{FaultPlan, LatencyHistogram, MetricSeries, SeqioError, SimDuration, SimTime};
 
 use crate::rebalance::{MigratableStream, MigrationRecord, NodeView, RebalanceConfig, Rebalancer};
@@ -16,10 +14,9 @@ use crate::router::{NodeHealth, Router, ShardPolicy};
 ///
 /// The client population is `K * template.total_streams()` global
 /// streams. The router assigns each global stream to a node before
-/// anything runs; each node then becomes a steppable [`NodeSim`]
-/// component, and one shared-clock driver advances every node in
-/// deterministic lockstep epochs before merging the per-node
-/// [`RunResult`]s into one [`ClusterResult`].
+/// anything runs; each node then runs on the
+/// [`driver`](seqio_node::driver), and the per-node [`RunResult`]s merge
+/// into one [`ClusterResult`].
 ///
 /// With [`rebalance`](ClusterExperimentBuilder::rebalance) set, a
 /// cluster-level [`Rebalancer`] inspects every node's health at each
@@ -29,10 +26,8 @@ use crate::router::{NodeHealth, Router, ShardPolicy};
 /// `SEQIO_JOBS` count; without a rebalancer the per-node simulations are
 /// bit-identical to running each node standalone.
 ///
-/// All three in-tree disciplines carry over: node epochs are advanced by
-/// a worker pool sized like the sweep pool and stay bit-identical at any
-/// worker count; faults are opt-in per node; observability is opt-in via
-/// the template's `ObsConfig` and never perturbs results.
+/// Faults are opt-in per node; observability is opt-in via the
+/// template's `ObsConfig` and never perturbs results.
 #[derive(Debug, Clone)]
 pub struct ClusterExperiment {
     /// Per-node experiment template (shape, workload, frontend, clock).
@@ -66,12 +61,6 @@ pub struct ClusterExperiment {
 impl ClusterExperiment {
     /// Starts a builder: 1 node, identity routing, healthy, template
     /// defaults from [`Experiment::builder`].
-    ///
-    /// Note: new call sites should prefer [`Scenario`](crate::Scenario),
-    /// which wraps this specification with flat setters for the template
-    /// knobs and moves every validation failure to `build()` time. This
-    /// builder remains supported for code that assembles the
-    /// `ClusterExperiment` struct directly.
     pub fn builder() -> ClusterExperimentBuilder {
         ClusterExperimentBuilder {
             spec: ClusterExperiment {
@@ -189,13 +178,12 @@ impl ClusterExperiment {
 
     /// Runs the shared-clock co-simulation and merges the results.
     ///
-    /// Every populated node becomes a [`NodeSim`]; a worker pool (sized
-    /// by [`resolve_jobs`], same as a [`seqio_node::Sweep`]) advances
-    /// all of them to each epoch boundary. Without a rebalancer there is
-    /// a single epoch to the end of time, which is exactly each node's
-    /// standalone event loop; with one, nodes advance in
-    /// `check_interval` lockstep and live streams migrate off degraded
-    /// disks between epochs.
+    /// Every populated node runs on the [`driver`](seqio_node::driver),
+    /// whose worker pool is sized by [`resolve_jobs`] like a
+    /// [`seqio_node::Sweep`]. Without a rebalancer each node runs
+    /// independently to the end of time, which is exactly its standalone
+    /// event loop; with one, nodes advance in `check_interval` lockstep
+    /// and live streams migrate off degraded disks between epochs.
     ///
     /// # Errors
     ///
@@ -220,18 +208,12 @@ impl ClusterExperiment {
 
         // Seeds are derived per node up front, so a skipped (empty)
         // node never shifts its neighbours' seeds.
-        let mut specs: Vec<Option<Experiment>> = Vec::with_capacity(self.nodes);
-        let mut sims: Vec<Option<NodeSim>> = Vec::with_capacity(self.nodes);
-        for (k, ids) in node_ids.iter().enumerate() {
-            let spec = self.node_spec(k, ids.len());
-            sims.push(match &spec {
-                Some(s) => Some(NodeSim::new(s)?),
-                None => None,
-            });
-            specs.push(spec);
-        }
-        for sim in sims.iter_mut().flatten() {
-            sim.init();
+        let specs: Vec<Option<Experiment>> =
+            node_ids.iter().enumerate().map(|(k, ids)| self.node_spec(k, ids.len())).collect();
+        let live: Vec<usize> = (0..self.nodes).filter(|&k| specs[k].is_some()).collect();
+        let mut nodes: Vec<Node> = Vec::with_capacity(live.len());
+        for spec in specs.iter().flatten() {
+            nodes.push(NodeDrive::new(spec, std::iter::empty())?);
         }
         let jobs = resolve_jobs(self.jobs);
 
@@ -240,39 +222,27 @@ impl ClusterExperiment {
         let mut slot_map = node_ids.clone();
         let mut migrations: Vec<MigrationRecord> = Vec::new();
 
-        match &self.rebalance {
-            None => advance_all(&mut sims, SimTime::MAX, jobs),
+        let runs = match &self.rebalance {
+            None => driver::run(nodes, jobs),
             Some(cfg) => {
-                // Current home of every global stream.
-                let mut location: Vec<(usize, usize)> = vec![(0, 0); total];
-                for (k, ids) in slot_map.iter().enumerate() {
-                    for (slot, &g) in ids.iter().enumerate() {
-                        location[g] = (k, slot);
-                    }
-                }
                 let rebalancer = Rebalancer::new(cfg.clone());
-                let mut t = SimTime::ZERO;
-                loop {
-                    t += cfg.check_interval;
-                    advance_all(&mut sims, t, jobs);
-                    if sims.iter().flatten().all(|s| s.peek_next_time().is_none()) {
-                        break;
-                    }
-                    let views = build_views(&sims, &slot_map, cfg.threshold, t);
+                let pos = |k: usize| live.binary_search(&k).expect("plans name live nodes only");
+                driver::run_lockstep(nodes, jobs, cfg.check_interval, |t, nodes| {
+                    let views = build_views(nodes, &live, &slot_map, cfg.threshold, t);
                     for mv in rebalancer.plan(&views) {
-                        let (src_node, src_slot) = location[mv.global];
-                        debug_assert_eq!(src_node, mv.from, "planner and location map agree");
-                        let Some(handoff) =
-                            sims[mv.from].as_mut().and_then(|s| s.retire_stream(src_slot))
+                        // Slots only grow, so a stream's live slot on a
+                        // node is its last one there.
+                        let src_slot = slot_map[mv.from]
+                            .iter()
+                            .rposition(|&g| g == mv.global)
+                            .expect("planned streams live on their source node");
+                        let Some(handoff) = nodes[pos(mv.from)].sim_mut().retire_stream(src_slot)
                         else {
                             continue;
                         };
-                        let target =
-                            sims[mv.to].as_mut().expect("rebalancer only targets live nodes");
-                        let new_slot = target.inject_stream(t, handoff);
+                        let new_slot = nodes[pos(mv.to)].sim_mut().inject_stream(t, handoff);
                         debug_assert_eq!(new_slot, slot_map[mv.to].len());
                         slot_map[mv.to].push(mv.global);
-                        location[mv.global] = (mv.to, new_slot);
                         migrations.push(MigrationRecord {
                             at: t,
                             stream: mv.global,
@@ -280,69 +250,43 @@ impl ClusterExperiment {
                             to: mv.to,
                         });
                     }
-                }
+                })
             }
-        }
+        };
 
         let disks = self.template.shape.total_disks();
+        let mut runs = runs.into_iter();
         let mut outcomes = Vec::with_capacity(self.nodes);
-        for (k, (spec, sim)) in specs.into_iter().zip(sims).enumerate() {
+        for (k, spec) in specs.into_iter().enumerate() {
             outcomes.push(NodeOutcome {
                 node: k,
                 assigned_streams: node_ids[k].len(),
                 health: NodeHealth::from_faults(self.node_faults[k].as_ref(), disks),
+                result: spec.as_ref().map(|_| runs.next().expect("one run per live node").result),
                 spec,
-                result: sim.map(NodeSim::finish),
             });
         }
         Ok(ClusterResult::merge(outcomes, assignment, slot_map, migrations))
     }
 }
 
-/// Advances every live node to `limit` on a pool of `jobs` workers.
-///
-/// Nodes are dealt to workers by an atomic cursor; each node is advanced
-/// by exactly one worker per epoch, and its own event order is untouched,
-/// so the schedule cannot influence results.
-fn advance_all(sims: &mut [Option<NodeSim>], limit: SimTime, jobs: usize) {
-    let live: Vec<Mutex<&mut NodeSim>> = sims.iter_mut().flatten().map(Mutex::new).collect();
-    let n = live.len();
-    if n == 0 {
-        return;
-    }
-    let workers = jobs.clamp(1, n);
-    if workers == 1 {
-        for sim in live {
-            sim.into_inner().unwrap_or_else(|e| e.into_inner()).advance_to(limit);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                live[i].lock().unwrap_or_else(|e| e.into_inner()).advance_to(limit);
-            });
-        }
-    });
-}
+/// A cluster node on the driver: no timeline, no per-node controller.
+type Node = NodeDrive<std::iter::Empty<NodeOp>, ()>;
 
 /// Snapshots every live node's health at epoch boundary `at` into the
-/// [`NodeView`]s the rebalancer plans from. Only live streams on disks at
-/// or past `threshold` become migration candidates.
+/// [`NodeView`]s the rebalancer plans from; `live[i]` is `nodes[i]`'s
+/// cluster index. Only live streams on disks at or past `threshold`
+/// become migration candidates.
 fn build_views(
-    sims: &[Option<NodeSim>],
+    nodes: &[Node],
+    live: &[usize],
     slot_map: &[Vec<usize>],
     threshold: f64,
     at: SimTime,
 ) -> Vec<NodeView> {
     let mut views = Vec::new();
-    for (k, sim) in sims.iter().enumerate() {
-        let Some(sim) = sim else { continue };
+    for (node, &k) in nodes.iter().zip(live) {
+        let sim = node.sim();
         let health = sim.health(at);
         let mut migratable = Vec::new();
         for (slot, &g) in slot_map[k].iter().enumerate() {
@@ -527,7 +471,7 @@ impl ClusterResult {
     /// `migrations` the mid-run moves in execution order.
     ///
     /// [`ClusterExperiment::run`] calls this internally; it is public so
-    /// external drivers that advance [`NodeSim`]s themselves — the
+    /// other callers of the [`driver`](seqio_node::driver) — the
     /// open-loop client front-end — can fold their per-node results into
     /// the same aggregate surface.
     pub fn merge(

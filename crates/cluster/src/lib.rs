@@ -9,9 +9,9 @@
 //! [`Experiment`](seqio_node::Experiment) template and shards the global
 //! client streams across nodes with a [`ShardPolicy`] (hash, range, or
 //! straggler-aware steering driven by per-node [`NodeHealth`] derived
-//! from fault plans). The driver then runs every node as a steppable
-//! [`SimComponent`](seqio_simcore::SimComponent) on a single simulated
-//! clock: statically to completion, or — with a [`RebalanceConfig`] — in
+//! from fault plans). The node [`driver`](seqio_node::driver) then runs
+//! every node on a single simulated clock: independently to completion,
+//! or — with a [`RebalanceConfig`] — in
 //! deterministic lockstep epochs, where a [`Rebalancer`] watches each
 //! node's health and migrates live streams off degraded nodes, carrying
 //! each stream's exact remainder to its new home. Per-node results merge
@@ -20,22 +20,24 @@
 //!
 //! Everything stays bit-deterministic at any worker count, faults are
 //! opt-in per node, observability is opt-in via the template and never
-//! feeds the rebalancer, and a 1-node scenario is bit-identical to
+//! feeds the rebalancer, and a 1-node cluster is bit-identical to
 //! running the template [`Experiment`](seqio_node::Experiment) directly.
 //!
 //! # Examples
 //!
-//! Build through [`Scenario`], the unified single-node/cluster surface:
-//!
 //! ```
-//! use seqio_cluster::{RebalanceConfig, Scenario, ShardPolicy};
+//! use seqio_cluster::{ClusterExperiment, RebalanceConfig, ShardPolicy};
+//! use seqio_node::Experiment;
 //! use seqio_simcore::{FaultPlan, SimDuration};
 //!
-//! let result = Scenario::builder()
+//! let template = Experiment::builder()
 //!     .streams_per_disk(12)
 //!     .requests_per_stream(12)
 //!     .warmup(SimDuration::ZERO)
 //!     .duration(SimDuration::from_secs(120))
+//!     .build();
+//! let result = ClusterExperiment::builder()
+//!     .template(template)
 //!     .nodes(2)
 //!     .policy(ShardPolicy::HashByStream)
 //!     .base_seed(7)
@@ -43,8 +45,6 @@
 //!     // 50 ms of simulated time and migrate its live streams away.
 //!     .node_fault(1, FaultPlan::new().straggler(0, 8.0, SimDuration::from_millis(300), None))
 //!     .rebalance(RebalanceConfig::new(SimDuration::from_millis(50)))
-//!     .build()
-//!     .unwrap()
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(result.per_stream_mbs.len(), 24);
@@ -57,7 +57,6 @@
 mod cluster;
 mod rebalance;
 mod router;
-mod scenario;
 mod slo;
 
 pub use cluster::{ClusterExperiment, ClusterExperimentBuilder, ClusterResult, NodeOutcome};
@@ -65,5 +64,4 @@ pub use rebalance::{
     MigratableStream, MigrationRecord, MoveDecision, NodeView, RebalanceConfig, Rebalancer,
 };
 pub use router::{NodeHealth, Router, ShardPolicy};
-pub use scenario::{Scenario, ScenarioBuilder};
 pub use slo::{percentile, SessionSlo};

@@ -2,7 +2,7 @@
 
 use seqio_controller::ControllerConfig;
 use seqio_core::{ServerConfig, ServerMetrics};
-use seqio_disk::{bytes_to_blocks, DiskConfig};
+use seqio_disk::{bytes_to_blocks, DiskConfig, Geometry};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_simcore::{
     FaultPlan, KernelProfile, LatencyHistogram, MetricSeries, ObsConfig, ProfConfig, SeqioError,
@@ -62,6 +62,11 @@ impl NodeShape {
     /// Total spindles.
     pub fn total_disks(&self) -> usize {
         self.controllers * self.disks_per_controller
+    }
+
+    /// Blocks on each of the node's disks.
+    pub fn disk_blocks(&self) -> u64 {
+        Geometry::new(&self.disk.geometry, self.disk.track_switch).total_blocks()
     }
 
     /// Validates the shape.
@@ -188,14 +193,6 @@ impl Experiment {
     /// Starts a builder with the paper's defaults: single disk, 10 streams,
     /// 64 KiB requests, direct path, uniform placement, open-ended streams,
     /// 2 s warm-up + 6 s measurement.
-    ///
-    /// Note: new call sites should prefer `seqio_cluster::Scenario`, the
-    /// unified construction surface for single-node *and* cluster
-    /// studies — it shares this builder's knobs, validates everything at
-    /// build time as a typed error, and a 1-node scenario is
-    /// bit-identical to running the `Experiment` directly. This builder
-    /// remains supported for code driving the node layer on its own
-    /// (sweep grids, trace replay).
     pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder {
             spec: Experiment {

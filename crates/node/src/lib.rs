@@ -32,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 mod calibration;
+pub mod driver;
 mod experiment;
 mod sim;
 pub mod span;

@@ -307,6 +307,25 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_that_reaches_its_disk_end_finishes_there() {
+        let spec = Experiment::builder()
+            .streams_per_disk(0)
+            .open_sessions(true)
+            .warmup(SimDuration::ZERO)
+            .duration(SimDuration::from_secs(30))
+            .build();
+        let mut sim = NodeSim::new(&spec).unwrap();
+        sim.init();
+        // Seven 128-block requests fit in the last 1000 blocks.
+        let start = spec.shape.disk_blocks() - 1_000;
+        let stream = StreamSpec::sequential(0, start, 128, 1_000_000);
+        let slot = sim.inject_stream(SimTime::ZERO, StreamHandoff::fresh(stream).unwrap());
+        sim.advance_to(SimTime::MAX);
+        assert!(sim.stream_done_at(slot).is_some(), "the stream finished");
+        assert_eq!(sim.finish().per_stream_bytes[slot], 7 * 128 * 512);
+    }
+
+    #[test]
     fn health_reads_the_fault_plan_at_the_given_instant() {
         let mut e = spec();
         e.faults = Some(FaultPlan::new().straggler(

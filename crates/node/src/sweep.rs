@@ -29,10 +29,9 @@
 //! assert_eq!(throughputs.len(), 3);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::driver::pool_map;
 use crate::experiment::{Experiment, RunResult};
 
 /// Environment variable overriding the default worker count.
@@ -56,8 +55,8 @@ pub fn derive_seed(base_seed: u64, index: usize) -> u64 {
 
 /// Resolves the worker count: an explicit override wins, then the
 /// `SEQIO_JOBS` environment variable, then the host's available
-/// parallelism (at least 1). Shared by the sweep pool and the cluster
-/// co-simulation's epoch driver.
+/// parallelism (at least 1). Shared by every caller of the
+/// [`driver`](crate::driver).
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     if let Some(j) = explicit {
         return j.max(1);
@@ -149,7 +148,7 @@ impl Sweep {
 
     /// Runs every point and collects the outcomes in grid order.
     ///
-    /// Work is distributed over the worker pool by an atomic cursor, so
+    /// Points run on the [`driver`](crate::driver)'s worker pool, so
     /// scheduling is dynamic; determinism comes from the per-point seed
     /// derivation, not from the schedule.
     ///
@@ -176,44 +175,21 @@ impl Sweep {
         }
 
         let started = Instant::now();
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<PointOutcome>>> =
-            Mutex::new((0..total).map(|_| None).collect());
         let progress = self.progress;
-        let points = &points;
-
-        crossbeam::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|_| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
-                    }
-                    let spec = points[index].clone();
-                    let t0 = Instant::now();
-                    let result = spec.run();
-                    let elapsed = t0.elapsed();
-                    if progress {
-                        eprintln!(
-                            "sweep: point {}/{} done in {:.2}s",
-                            index + 1,
-                            total,
-                            elapsed.as_secs_f64()
-                        );
-                    }
-                    let outcome = PointOutcome { index, spec, result, elapsed };
-                    slots.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(outcome);
-                });
+        let outcomes = pool_map(points, jobs, |index, spec| {
+            let t0 = Instant::now();
+            let result = spec.run();
+            let elapsed = t0.elapsed();
+            if progress {
+                eprintln!(
+                    "sweep: point {}/{} done in {:.2}s",
+                    index + 1,
+                    total,
+                    elapsed.as_secs_f64()
+                );
             }
-        })
-        .expect("sweep worker panicked");
-
-        let outcomes: Vec<PointOutcome> = slots
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect();
+            PointOutcome { index, spec, result, elapsed }
+        });
         let wall = started.elapsed();
         if progress {
             eprintln!(

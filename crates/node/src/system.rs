@@ -320,7 +320,7 @@ impl StorageNode {
             }
         }
         let drive = match &spec.replay {
-            None => Drive::Closed(ClientSet::new(specs, 1, &mut rng)),
+            None => Drive::Closed(ClientSet::new(specs, 1, disk_blocks, &mut rng)),
             Some(_) => Drive::Replay,
         };
 
@@ -781,10 +781,15 @@ impl StorageNode {
             let Drive::Closed(clients) = &mut self.drive else { unreachable!() };
             clients.kickoff(slot)
         };
-        if let Some(r) = kick {
-            let net = self.net();
-            let id = self.alloc_client_id(r.stream, r.disk, r.lba, r.blocks, at);
-            self.q.push(at + net, Ev::Arrive(id));
+        match kick {
+            Some(r) => {
+                let net = self.net();
+                let id = self.alloc_client_id(r.stream, r.disk, r.lba, r.blocks, at);
+                self.q.push(at + net, Ev::Arrive(id));
+            }
+            // Its first request would cross its disk's end: the stream
+            // finishes on arrival.
+            None => self.stream_done_at[slot] = Some(at),
         }
         slot
     }

@@ -1,12 +1,11 @@
 //! Scenario execution: replaying a [`ScenarioTrace`] against live storage
 //! nodes, with optional adaptive autotuning at epoch boundaries.
 //!
-//! Each node is advanced independently from operation to operation —
-//! injections and retirements through the same [`StreamHandoff`] surface
-//! mid-run migration uses, interleaved with the adaptive tuner's epoch
-//! ticks — so a worker pool can drive any subset of nodes concurrently
-//! and the outcome is bit-identical at every `SEQIO_JOBS` value (the
-//! atomic-cursor discipline of the cluster and client drivers).
+//! Each node runs independently on the [`driver`](seqio_node::driver):
+//! the trace's ops for that node are its timeline (injections and
+//! retirements through the same `StreamHandoff` surface mid-run
+//! migration uses) and the adaptive tuner is its epoch controller, so the
+//! outcome is bit-identical at every `SEQIO_JOBS` value.
 //!
 //! With an empty trace and an [inert](crate::AdaptiveConfig::inert) tuner
 //! the runner degenerates to stepping the template experiment in epochs,
@@ -14,16 +13,14 @@
 //! the retune-neutrality property the test suite pins to the golden
 //! figure hash.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use seqio_node::driver::{self, NodeController, NodeDrive, NodeOp};
 use seqio_node::sweep::{derive_seed, resolve_jobs};
-use seqio_node::{Experiment, Frontend, NodeSim, RunResult, StreamHandoff};
+use seqio_node::{Experiment, Frontend, NodeSim, RunResult};
 use seqio_simcore::{EpochController, SeqioError, SimTime};
+use seqio_workload::Pattern;
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveTuner, RetuneAction};
-use crate::trace::{ScenarioTrace, TraceOpKind};
+use crate::trace::ScenarioTrace;
 
 /// One applied retune, for reporting and fingerprinting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,14 +106,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// The template's static stream population (before any trace injections).
-fn static_streams(t: &Experiment) -> usize {
-    match &t.stream_counts {
-        Some(counts) => counts.iter().sum(),
-        None => t.streams_per_disk * t.shape.total_disks(),
-    }
-}
-
 impl ScenarioRun {
     /// A run of `trace` over `template` with default execution knobs.
     pub fn new(template: Experiment, trace: ScenarioTrace) -> ScenarioRun {
@@ -128,12 +117,13 @@ impl ScenarioRun {
     /// # Errors
     ///
     /// Returns the first specification error (invalid trace, invalid
-    /// template, adaptive tuning on a non-scheduler frontend); a valid
-    /// specification always runs to completion.
+    /// template, an injected stream that does not fit the node, adaptive
+    /// tuning on a non-scheduler frontend); a valid specification always
+    /// runs to completion.
     pub fn run(&self) -> Result<ScenarioOutcome, SeqioError> {
         self.trace.validate()?;
         let mut template = self.template.clone();
-        if static_streams(&template) == 0 {
+        if template.total_streams() == 0 {
             template.open_sessions = true;
             template.requests_per_stream = None;
         }
@@ -146,157 +136,80 @@ impl ScenarioRun {
                 ));
             }
         };
-        let nodes = self.trace.nodes;
-        let base = self.base_seed.unwrap_or(template.seed);
-
-        // Epoch boundaries the adaptive tuner observes at, inside the run
-        // horizon.
-        let horizon = SimTime::ZERO + template.warmup + template.duration;
-        let ticks: Vec<SimTime> = match &self.adaptive {
-            None => Vec::new(),
-            Some(cfg) => {
-                let mut ticks = Vec::new();
-                let mut t = SimTime::ZERO + cfg.epoch;
-                while t < horizon {
-                    ticks.push(t);
-                    t += cfg.epoch;
-                }
-                ticks
-            }
-        };
-
-        // Per-node operation timelines, already in canonical trace order.
-        let mut ops: Vec<Vec<crate::trace::TraceOp>> = vec![Vec::new(); nodes];
+        // Every injected stream must fit the node: its disk must exist and
+        // a random stream's span must end on it. (A sequential stream that
+        // runs into its disk's end finishes there.)
+        template.validate()?;
+        let (disks, disk_blocks) = (template.shape.total_disks(), template.shape.disk_blocks());
         for op in &self.trace.ops {
-            ops[op.node].push(*op);
+            let Some(s) = op.spec() else { continue };
+            let reason = if s.disk >= disks {
+                format!("names disk {} but nodes have {disks} disk(s)", s.disk)
+            } else if matches!(s.pattern, Pattern::Random { span_blocks }
+                if s.start.saturating_add(span_blocks) > disk_blocks)
+            {
+                format!("spans past its disk's end at block {disk_blocks}")
+            } else {
+                continue;
+            };
+            return Err(SeqioError::Experiment(format!(
+                "stream {} on node {} {reason}",
+                op.stream, op.node
+            )));
         }
+        let base = self.base_seed.unwrap_or(template.seed);
+        // The adaptive tuner ticks every epoch inside the run horizon.
+        let horizon = SimTime::ZERO + template.warmup + template.duration;
 
-        // Sims are built serially so construction order can never depend
-        // on the worker schedule.
-        let mut cells: Vec<Mutex<Option<NodeSim>>> = Vec::with_capacity(nodes);
-        for k in 0..nodes {
+        let mut nodes = Vec::with_capacity(self.trace.nodes);
+        for k in 0..self.trace.nodes {
             let mut spec = template.clone();
             if self.base_seed.is_some() {
                 spec.seed = derive_seed(base, k);
             }
-            let mut sim = NodeSim::new(&spec)?;
-            seqio_simcore::SimComponent::init(&mut sim);
-            cells.push(Mutex::new(Some(sim)));
-        }
-
-        struct NodeOut {
-            result: RunResult,
-            retunes: Vec<RetuneEvent>,
-        }
-        let outs: Vec<Mutex<Option<NodeOut>>> = (0..nodes).map(|_| Mutex::new(None)).collect();
-        let adaptive = self.adaptive;
-        let server_ref = &server;
-        let ops_ref = &ops;
-        let ticks_ref = &ticks;
-        let cells_ref = &cells;
-        let outs_ref = &outs;
-
-        let drive_node = move |k: usize| {
-            let mut sim = cells_ref[k]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each node is driven exactly once");
-            let mut tuner = adaptive
-                .as_ref()
-                .map(|cfg| AdaptiveTuner::new(server_ref.as_ref().expect("checked above"), *cfg));
-            let mut slot_of: HashMap<usize, usize> = HashMap::new();
-            let mut retunes: Vec<RetuneEvent> = Vec::new();
-
-            // Two-pointer merge of trace ops and epoch ticks. An op at the
-            // same instant as a tick is applied first: the controller
-            // observes the state that already includes it.
-            let node_ops = &ops_ref[k];
-            let mut oi = 0;
-            let mut ti = 0;
-            loop {
-                let take_op = match (node_ops.get(oi).map(|o| o.at), ticks_ref.get(ti).copied()) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(ot), Some(tt)) => ot <= tt,
-                };
-                if take_op {
-                    let op = &node_ops[oi];
-                    oi += 1;
-                    sim.advance_to(op.at);
-                    match op.kind {
-                        TraceOpKind::Inject { .. } => {
-                            let spec = op.spec().expect("inject op has a spec");
-                            let handoff = StreamHandoff::fresh(spec)
-                                .expect("trace specs are validated up front");
-                            let slot = sim.inject_stream(op.at, handoff);
-                            slot_of.insert(op.stream, slot);
-                        }
-                        TraceOpKind::Retire => {
-                            let slot = slot_of[&op.stream];
-                            if sim.stream_live(slot) {
-                                let _ = sim.retire_stream(slot);
-                            }
-                        }
-                    }
-                } else {
-                    let tt = ticks_ref[ti];
-                    ti += 1;
-                    sim.advance_to(tt);
-                    if let Some(tuner) = tuner.as_mut() {
-                        let health = sim.health(tt);
-                        if let Some(action) = tuner.epoch(tt, &health) {
-                            sim.retune(
-                                action.dispatch_streams,
-                                action.read_ahead_bytes,
-                                action.requests_per_residency,
-                                action.degraded_rotate_threshold,
-                            )
-                            .expect("adaptive actions maintain the memory invariant");
-                            retunes.push(RetuneEvent { node: k, at: tt, action });
-                        }
-                    }
-                }
-            }
-            sim.advance_to(SimTime::MAX);
-            let out = NodeOut { result: sim.finish(), retunes };
-            *outs_ref[k].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-        };
-
-        // Deal nodes to workers by an atomic cursor: each node is driven
-        // by one worker and its own op order is fixed, so the worker
-        // schedule cannot leak into the results.
-        let workers = resolve_jobs(self.jobs).clamp(1, nodes);
-        if workers == 1 {
-            for k in 0..nodes {
-                drive_node(k);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= nodes {
-                            break;
-                        }
-                        drive_node(k);
-                    });
-                }
+            // The trace is in canonical order, so each node's ops are too.
+            let ops = self.trace.ops.iter().filter(move |op| op.node == k).map(|op| NodeOp {
+                at: op.at,
+                stream: op.stream,
+                inject: op.spec(),
             });
+            let mut node = NodeDrive::new(&spec, ops)?;
+            if let (Some(cfg), Some(server)) = (&self.adaptive, &server) {
+                let tuner =
+                    NodeTuner { node: k, tuner: AdaptiveTuner::new(server, *cfg), log: vec![] };
+                node.control(tuner, cfg.epoch, horizon);
+            }
+            nodes.push(node);
         }
 
-        let mut results = Vec::with_capacity(nodes);
-        let mut retunes = Vec::new();
-        for cell in outs {
-            let out = cell
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every node was driven");
-            results.push(out.result);
-            retunes.extend(out.retunes);
+        let mut outcome = ScenarioOutcome { nodes: Vec::new(), retunes: Vec::new() };
+        for run in driver::run(nodes, resolve_jobs(self.jobs)) {
+            outcome.nodes.push(run.result);
+            outcome.retunes.extend(run.controller.into_iter().flat_map(|t| t.log));
         }
-        Ok(ScenarioOutcome { nodes: results, retunes })
+        Ok(outcome)
+    }
+}
+
+/// The adaptive tuner as a node's controller: at each tick it reads the
+/// node's health and applies the retune it asks for.
+struct NodeTuner {
+    node: usize,
+    tuner: AdaptiveTuner,
+    log: Vec<RetuneEvent>,
+}
+
+impl NodeController for NodeTuner {
+    fn tick(&mut self, at: SimTime, sim: &mut NodeSim) {
+        if let Some(action) = self.tuner.epoch(at, &sim.health(at)) {
+            sim.retune(
+                action.dispatch_streams,
+                action.read_ahead_bytes,
+                action.requests_per_residency,
+                action.degraded_rotate_threshold,
+            )
+            .expect("adaptive actions maintain the memory invariant");
+            self.log.push(RetuneEvent { node: self.node, at, action });
+        }
     }
 }

@@ -485,5 +485,11 @@ mod tests {
         assert_eq!(parse_duration("2s").unwrap(), SimDuration::from_secs(2));
         assert_eq!(parse_duration("0.5").unwrap(), SimDuration::from_millis(500));
         assert!(parse_duration("fast").is_err());
+        // The CLI's inputs, minutes included.
+        assert_eq!(parse_duration("8s").unwrap(), SimDuration::from_secs(8));
+        assert_eq!(parse_duration("500ms").unwrap(), SimDuration::from_millis(500));
+        assert_eq!(parse_duration("2m").unwrap(), SimDuration::from_secs(120));
+        assert_eq!(parse_duration("90").unwrap(), SimDuration::from_secs(90));
+        assert!(parse_duration("soon").is_err());
     }
 }

@@ -155,8 +155,8 @@ impl ClauseFields {
     }
 }
 
-/// Parses a duration with an `ns`/`us`/`ms`/`s` suffix; a bare number is
-/// seconds.
+/// Parses a duration with an `ns`/`us`/`ms`/`s`/`m` (minutes) suffix; a
+/// bare number is seconds.
 ///
 /// # Errors
 ///
@@ -171,6 +171,8 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
         (n, 1e6)
     } else if let Some(n) = s.strip_suffix('s') {
         (n, 1e9)
+    } else if let Some(n) = s.strip_suffix('m') {
+        (n, 60e9)
     } else {
         (s, 1e9)
     };

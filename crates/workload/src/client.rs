@@ -34,26 +34,34 @@ pub struct ClientSet {
     outstanding: Vec<u32>,
     max_outstanding: u32,
     completed: Vec<u64>,
+    disk_blocks: Lba,
 }
 
 impl ClientSet {
     /// Builds a client set with `max_outstanding` in-flight requests per
-    /// stream (the paper uses 1 throughout). `specs` may be empty: an
-    /// open-session node starts with no streams and adopts them mid-run
-    /// via [`inject_stream`](Self::inject_stream).
+    /// stream (the paper uses 1 throughout) over disks of `disk_blocks`
+    /// blocks each. `specs` may be empty: an open-session node starts
+    /// with no streams and adopts them mid-run via
+    /// [`inject_stream`](Self::inject_stream).
     ///
     /// # Panics
     ///
     /// Panics if `max_outstanding == 0` or any spec is invalid.
-    pub fn new(specs: Vec<StreamSpec>, max_outstanding: u32, rng: &mut SimRng) -> Self {
+    pub fn new(
+        specs: Vec<StreamSpec>,
+        max_outstanding: u32,
+        disk_blocks: Lba,
+        rng: &mut SimRng,
+    ) -> Self {
         assert!(max_outstanding > 0, "need at least one outstanding request");
         let streams: Vec<StreamState> = specs
             .into_iter()
             .enumerate()
-            .map(|(i, s)| StreamState::new(s, rng.fork(i as u64)))
+            .map(|(i, s)| StreamState::new(s, disk_blocks, rng.fork(i as u64)))
             .collect();
         let n = streams.len();
-        ClientSet { streams, outstanding: vec![0; n], max_outstanding, completed: vec![0; n] }
+        let (outstanding, completed) = (vec![0; n], vec![0; n]);
+        ClientSet { streams, outstanding, max_outstanding, completed, disk_blocks }
     }
 
     /// Number of streams.
@@ -141,7 +149,7 @@ impl ClientSet {
     ///
     /// Panics if the spec is invalid.
     pub fn inject_stream(&mut self, spec: StreamSpec, rng: SimRng) -> StreamIdx {
-        self.streams.push(StreamState::new(spec, rng));
+        self.streams.push(StreamState::new(spec, self.disk_blocks, rng));
         self.outstanding.push(0);
         self.completed.push(0);
         self.streams.len() - 1
@@ -174,7 +182,7 @@ mod tests {
             .map(|i| StreamSpec::sequential(0, i as u64 * 1_000_000, 128, reqs))
             .collect();
         let mut rng = SimRng::seed_from(3);
-        ClientSet::new(specs, window, &mut rng)
+        ClientSet::new(specs, window, Lba::MAX, &mut rng)
     }
 
     #[test]

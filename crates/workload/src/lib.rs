@@ -16,7 +16,7 @@
 //! let specs: Vec<_> =
 //!     (0..10).map(|i| StreamSpec::sequential(0, i * 1_000_000, 128, 100)).collect();
 //! let mut rng = SimRng::seed_from(1);
-//! let mut clients = ClientSet::new(specs, 1, &mut rng);
+//! let mut clients = ClientSet::new(specs, 1, 16_000_000, &mut rng);
 //! let burst = clients.initial_requests();
 //! assert_eq!(burst.len(), 10);
 //! ```

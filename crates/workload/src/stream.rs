@@ -75,18 +75,22 @@ pub struct StreamState {
     next_lba: Lba,
     issued: u64,
     rng: SimRng,
+    /// Blocks on the stream's disk.
+    disk_blocks: Lba,
 }
 
 impl StreamState {
-    /// Creates the generator; `rng` seeds pattern randomness (unused for
-    /// strictly sequential streams).
+    /// Creates the generator on a disk of `disk_blocks` blocks; `rng`
+    /// seeds pattern randomness (unused for strictly sequential streams).
+    /// A sequential or near-sequential stream whose next request would
+    /// cross the disk's end finishes there.
     ///
     /// # Panics
     ///
     /// Panics if the spec is invalid.
-    pub fn new(spec: StreamSpec, rng: SimRng) -> Self {
+    pub fn new(spec: StreamSpec, disk_blocks: Lba, rng: SimRng) -> Self {
         spec.validate().expect("invalid stream spec");
-        StreamState { next_lba: spec.start, spec, issued: 0, rng }
+        StreamState { next_lba: spec.start, spec, issued: 0, rng, disk_blocks }
     }
 
     /// The stream's static description.
@@ -148,26 +152,27 @@ impl StreamState {
         if self.exhausted() {
             return None;
         }
-        self.issued += 1;
         let blocks = self.spec.request_blocks;
-        let lba = match self.spec.pattern {
-            Pattern::Sequential => {
-                let l = self.next_lba;
-                self.next_lba += blocks;
-                l
-            }
+        match self.spec.pattern {
+            Pattern::Sequential => {}
             Pattern::NearSequential { p, jitter_blocks } => {
                 if jitter_blocks > 0 && self.rng.chance(p) {
-                    self.next_lba += self.rng.below(jitter_blocks) + 1;
+                    self.next_lba = self.next_lba.saturating_add(self.rng.below(jitter_blocks) + 1);
                 }
-                let l = self.next_lba;
-                self.next_lba += blocks;
-                l
             }
             Pattern::Random { span_blocks } => {
-                self.spec.start + self.rng.below(span_blocks - blocks + 1)
+                self.issued += 1;
+                return Some((self.spec.start + self.rng.below(span_blocks - blocks + 1), blocks));
             }
-        };
+        }
+        let lba = self.next_lba;
+        if lba.saturating_add(blocks) > self.disk_blocks {
+            // The stream ran into its disk's end: it finishes here.
+            self.spec.num_requests = self.issued;
+            return None;
+        }
+        self.issued += 1;
+        self.next_lba = lba + blocks;
         Some((lba, blocks))
     }
 }
@@ -183,7 +188,7 @@ mod tests {
 
     #[test]
     fn sequential_requests_are_contiguous() {
-        let mut s = StreamState::new(StreamSpec::sequential(0, 1000, 128, 5), rng());
+        let mut s = StreamState::new(StreamSpec::sequential(0, 1000, 128, 5), Lba::MAX, rng());
         let mut expect = 1000;
         while let Some((lba, blocks)) = s.next_request() {
             assert_eq!(lba, expect);
@@ -196,6 +201,19 @@ mod tests {
     }
 
     #[test]
+    fn sequential_stream_finishes_at_the_disk_end() {
+        // Three requests fit before block 1_000; the fourth would cross.
+        let mut s = StreamState::new(StreamSpec::sequential(0, 600, 128, 10), 1_000, rng());
+        for lba in [600, 728, 856] {
+            assert_eq!(s.next_request(), Some((lba, 128)));
+        }
+        assert_eq!(s.next_request(), None);
+        assert!(s.exhausted());
+        assert_eq!(s.issued(), 3);
+        assert_eq!(s.split_remainder(), None);
+    }
+
+    #[test]
     fn near_sequential_moves_forward() {
         let spec = StreamSpec {
             disk: 0,
@@ -204,7 +222,7 @@ mod tests {
             num_requests: 200,
             pattern: Pattern::NearSequential { p: 0.3, jitter_blocks: 32 },
         };
-        let mut s = StreamState::new(spec, rng());
+        let mut s = StreamState::new(spec, Lba::MAX, rng());
         let mut last_end = 0;
         let mut skips = 0;
         while let Some((lba, blocks)) = s.next_request() {
@@ -227,7 +245,7 @@ mod tests {
             num_requests: 500,
             pattern: Pattern::Random { span_blocks: 1_000 },
         };
-        let mut s = StreamState::new(spec, rng());
+        let mut s = StreamState::new(spec, Lba::MAX, rng());
         while let Some((lba, blocks)) = s.next_request() {
             assert!(lba >= 5_000);
             assert!(lba + blocks <= 6_000);
@@ -236,7 +254,7 @@ mod tests {
 
     #[test]
     fn split_remainder_resumes_where_the_stream_stopped() {
-        let mut s = StreamState::new(StreamSpec::sequential(2, 1_000, 128, 10), rng());
+        let mut s = StreamState::new(StreamSpec::sequential(2, 1_000, 128, 10), Lba::MAX, rng());
         for _ in 0..4 {
             s.next_request();
         }
@@ -250,7 +268,7 @@ mod tests {
         assert_eq!(s.next_request(), None);
         assert_eq!(s.split_remainder(), None);
         // The remainder covers exactly the unissued tail.
-        let mut r = StreamState::new(rem, rng());
+        let mut r = StreamState::new(rem, Lba::MAX, rng());
         let mut expect = 1_000 + 4 * 128;
         let mut count = 0;
         while let Some((lba, blocks)) = r.next_request() {
@@ -270,7 +288,7 @@ mod tests {
             num_requests: 20,
             pattern: Pattern::Random { span_blocks: 1_000 },
         };
-        let mut s = StreamState::new(spec, rng());
+        let mut s = StreamState::new(spec, Lba::MAX, rng());
         s.next_request();
         let rem = s.split_remainder().unwrap();
         assert_eq!(rem.start, 5_000, "random remainder anchors at the original span");
@@ -297,7 +315,7 @@ mod tests {
         /// [start, start + n*blocks) with no gaps or overlaps.
         #[test]
         fn prop_sequential_coverage(start in 0u64..1_000_000, blocks in 1u64..512, n in 1u64..100) {
-            let mut s = StreamState::new(StreamSpec::sequential(0, start, blocks, n), SimRng::seed_from(1));
+            let mut s = StreamState::new(StreamSpec::sequential(0, start, blocks, n), Lba::MAX, SimRng::seed_from(1));
             let mut expect = start;
             let mut count = 0;
             while let Some((lba, b)) = s.next_request() {

@@ -25,7 +25,7 @@ fn main() {
     for n in stream_counts {
         print!("{n:>14}");
         for k in kinds {
-            let r = Scenario::builder()
+            let r = Experiment::builder()
                 .streams_per_disk(n)
                 .request_size(4 * KIB)
                 .frontend(Frontend::Linux { scheduler: k, readahead: ReadaheadConfig::default() })
@@ -33,10 +33,7 @@ fn main() {
                 .warmup(SimDuration::from_secs(2))
                 .duration(SimDuration::from_secs(4))
                 .seed(5)
-                .build()
-                .expect("valid scenario")
-                .run_node()
-                .expect("single node");
+                .run();
             print!("{:>14.1}", r.total_throughput_mbs());
         }
         println!();

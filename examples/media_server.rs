@@ -32,32 +32,26 @@ fn main() {
         let warmup = SimDuration::from_secs(8);
         let duration = SimDuration::from_secs(8);
 
-        let direct = Scenario::builder()
+        let direct = Experiment::builder()
             .shape(shape.clone())
             .streams_per_disk(viewers_per_disk)
             .warmup(warmup)
             .duration(duration)
             .seed(42)
-            .build()
-            .expect("valid scenario")
-            .run_node()
-            .expect("single node");
+            .run();
 
         // Static auto-tuning from node memory and disk count (paper §7:
         // the system "adjusts statically to different storage node
         // configurations").
         let cfg = ServerConfig::auto_tune(node_memory, disks);
-        let sched = Scenario::builder()
+        let sched = Experiment::builder()
             .shape(shape.clone())
             .streams_per_disk(viewers_per_disk)
             .frontend(Frontend::StreamScheduler(cfg))
             .warmup(warmup)
             .duration(duration)
             .seed(42)
-            .build()
-            .expect("valid scenario")
-            .run_node()
-            .expect("single node");
+            .run();
 
         let per_dir = direct.total_throughput_mbs() / total as f64;
         let per_sched = sched.total_throughput_mbs() / total as f64;

@@ -5,9 +5,6 @@
 //! The grid of experiments runs on the [`Sweep`] worker pool (all cores by
 //! default; override with `--jobs`/`SEQIO_JOBS`). Results come back in grid
 //! order whatever the worker count, so the table below is deterministic.
-//! (Single runs and cluster studies build through [`Scenario`] instead —
-//! see `quickstart`; a sweep is a grid of raw per-node templates, so it
-//! stays on the `Experiment` vocabulary.)
 //!
 //! ```text
 //! cargo run --release --example parameter_sweep [-- --jobs N]

@@ -18,17 +18,13 @@ fn main() {
 
     println!("single disk, {streams} sequential streams, 64 KiB requests\n");
 
-    // Baseline: requests flow straight to the disk. A single-node study
-    // is a 1-node `Scenario`; the builder validates everything up front.
-    let direct = Scenario::builder()
+    // Baseline: requests flow straight to the disk.
+    let direct = Experiment::builder()
         .streams_per_disk(streams)
         .warmup(warmup)
         .duration(duration)
         .seed(7)
-        .build()
-        .expect("valid scenario")
-        .run_node()
-        .expect("single node");
+        .run();
     println!(
         "direct path:       {:6.1} MB/s   mean response {:7.1} ms",
         direct.total_throughput_mbs(),
@@ -37,16 +33,13 @@ fn main() {
 
     // The paper's scheduler: detect streams, dispatch them with 4 MiB
     // read-ahead, stage the data in host memory.
-    let sched = Scenario::builder()
+    let sched = Experiment::builder()
         .streams_per_disk(streams)
         .frontend(Frontend::stream_scheduler_with_readahead(4 * MIB))
         .warmup(warmup)
         .duration(duration)
         .seed(7)
-        .build()
-        .expect("valid scenario")
-        .run_node()
-        .expect("single node");
+        .run();
     println!(
         "stream scheduler:  {:6.1} MB/s   mean response {:7.1} ms",
         sched.total_throughput_mbs(),

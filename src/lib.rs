@@ -27,26 +27,25 @@
 //!
 //! # Quick start
 //!
-//! Single-node and cluster studies share one construction surface,
-//! [`cluster::Scenario`] — a single-node study is a 1-node scenario, and
-//! every specification problem surfaces at `build()` as a typed
-//! [`SeqioError`]:
+//! A single-node study is an [`Experiment`](node::Experiment);
+//! [`node::run_node`] returns every specification problem as a typed
+//! [`SeqioError`] (`Experiment::run` panics on one instead). Multi-node
+//! studies build a [`ClusterExperiment`](cluster::ClusterExperiment) from
+//! a per-node template.
 //!
 //! ```
 //! use seqio::prelude::*;
 //!
 //! // 30 sequential streams on one disk, serviced through the paper's
 //! // stream scheduler with 1 MiB read-ahead.
-//! let result = Scenario::builder()
+//! let spec = Experiment::builder()
 //!     .shape(NodeShape::single_disk())
 //!     .streams_per_disk(30)
 //!     .request_size(64 * 1024)
 //!     .frontend(Frontend::stream_scheduler_with_readahead(1024 * 1024))
 //!     .seed(7)
-//!     .build()
-//!     .unwrap()
-//!     .run_node()
-//!     .unwrap();
+//!     .build();
+//! let result = seqio::node::run_node(&spec).unwrap();
 //! assert!(result.total_throughput_mbs() > 10.0);
 //! ```
 //!
@@ -73,9 +72,7 @@ pub use seqio_simcore::SeqioError;
 /// use seqio::prelude::*;
 /// ```
 pub mod prelude {
-    pub use seqio_cluster::{
-        ClusterExperiment, ClusterResult, RebalanceConfig, Scenario, ScenarioBuilder, ShardPolicy,
-    };
+    pub use seqio_cluster::{ClusterExperiment, ClusterResult, RebalanceConfig, ShardPolicy};
     pub use seqio_core::ServerConfig;
     pub use seqio_node::{
         Experiment, ExperimentBuilder, Frontend, NodeShape, RunResult, Sweep, SweepBuilder,
