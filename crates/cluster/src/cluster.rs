@@ -657,6 +657,24 @@ mod tests {
     }
 
     #[test]
+    fn one_node_runs_the_templates_stream_counts_verbatim() {
+        let mut template = quick_template();
+        template.stream_counts = Some(vec![3]);
+        let result = ClusterExperiment::builder().template(template.clone()).run().unwrap();
+        assert_eq!(result.per_stream_mbs.len(), 3);
+        assert_eq!(result.requests_completed, 3 * 8);
+        assert_eq!(result.nodes[0].spec.as_ref().unwrap().stream_counts, Some(vec![3]));
+        // Across several nodes the router owns the layout.
+        let err = ClusterExperiment::builder()
+            .template(template)
+            .nodes(2)
+            .policy(ShardPolicy::HashByStream)
+            .run()
+            .unwrap_err();
+        assert!(err.to_string().contains("1-node cluster"));
+    }
+
+    #[test]
     fn two_node_hash_cluster_merges_both_nodes() {
         let result = ClusterExperiment::builder()
             .template(quick_template())

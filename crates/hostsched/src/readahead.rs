@@ -4,6 +4,7 @@
 //! and doubles up to `VM_MAX_READAHEAD` (128 KiB). Reads inside the cached
 //! window hit the page cache; crossing the middle of the window triggers an
 //! asynchronous fetch of the next window so a steady reader pipelines.
+//! No fetch reaches past the end of the file (here: the disk).
 
 use crate::scheduler::Lba;
 
@@ -69,15 +70,17 @@ pub struct StreamRa {
     window: u64,
     /// `true` once an async prefetch was triggered for the current window.
     triggered: bool,
+    /// One past the file's last block; fetches are clipped here.
+    end: Lba,
 }
 
 impl StreamRa {
-    /// Creates fresh state.
+    /// Creates fresh state for a file that ends before block `end`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(cfg: ReadaheadConfig) -> Self {
+    pub fn new(cfg: ReadaheadConfig, end: Lba) -> Self {
         cfg.validate().expect("invalid read-ahead config");
         StreamRa {
             cfg,
@@ -85,6 +88,7 @@ impl StreamRa {
             inflight: None,
             window: cfg.initial_bytes / 512,
             triggered: false,
+            end,
         }
     }
 
@@ -97,9 +101,11 @@ impl StreamRa {
         self.window = (self.window * 2).min(self.cfg.max_bytes / 512);
     }
 
-    /// Processes a read of `[lba, lba+blocks)`.
+    /// Processes a read of `[lba, lba+blocks)`, which must end by the
+    /// file's end.
     pub fn on_read(&mut self, lba: Lba, blocks: u64) -> RaOutcome {
         let end = lba + blocks;
+        debug_assert!(end <= self.end, "read [{lba}, {end}) past the file end {}", self.end);
         if let Some((cs, ce)) = self.cached {
             if lba >= cs && end <= ce {
                 // Cache hit; maybe trigger the async next-window fetch when
@@ -108,8 +114,11 @@ impl StreamRa {
                 if !self.triggered && self.inflight.is_none() && end * 2 >= cs + ce {
                     self.triggered = true;
                     self.grow();
-                    prefetch = Some((ce, self.window));
-                    self.inflight = Some((ce, ce + self.window));
+                    let next = self.window.min(self.end - ce);
+                    if next > 0 {
+                        prefetch = Some((ce, next));
+                        self.inflight = Some((ce, ce + next));
+                    }
                 }
                 return RaOutcome::Hit { prefetch };
             }
@@ -121,7 +130,7 @@ impl StreamRa {
             return RaOutcome::Blocked;
         }
         // Miss: fetch a fresh window from the requested offset.
-        let fetch = self.window.max(blocks);
+        let fetch = self.window.max(blocks).min(self.end - lba);
         self.inflight = Some((lba, lba + fetch));
         self.triggered = false;
         RaOutcome::Miss { lba, blocks: fetch }
@@ -161,7 +170,7 @@ mod tests {
     use super::*;
 
     fn ra() -> StreamRa {
-        StreamRa::new(ReadaheadConfig::default())
+        StreamRa::new(ReadaheadConfig::default(), Lba::MAX)
     }
 
     #[test]
@@ -265,6 +274,21 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn fetches_stop_at_the_file_end() {
+        let mut r = StreamRa::new(ReadaheadConfig::default(), 48);
+        // A miss near the end fetches only what is left.
+        assert_eq!(r.on_read(40, 8), RaOutcome::Miss { lba: 40, blocks: 8 });
+        r.on_fetch_complete();
+        // Crossing the middle of the last extent prefetches nothing.
+        assert_eq!(r.on_read(40, 8), RaOutcome::Hit { prefetch: None });
+        // A prefetch that would cross the end is clipped to it.
+        let mut r = StreamRa::new(ReadaheadConfig::default(), 60);
+        let _ = r.on_read(0, 8);
+        r.on_fetch_complete(); // cached [0, 32)
+        assert_eq!(r.on_read(16, 8), RaOutcome::Hit { prefetch: Some((32, 28)) });
     }
 
     #[test]

@@ -232,6 +232,7 @@ impl SimComponent for NodeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Frontend;
     use seqio_simcore::FaultPlan;
 
     fn spec() -> Experiment {
@@ -308,21 +309,30 @@ mod tests {
 
     #[test]
     fn a_stream_that_reaches_its_disk_end_finishes_there() {
-        let spec = Experiment::builder()
-            .streams_per_disk(0)
-            .open_sessions(true)
-            .warmup(SimDuration::ZERO)
-            .duration(SimDuration::from_secs(30))
-            .build();
-        let mut sim = NodeSim::new(&spec).unwrap();
-        sim.init();
-        // Seven 128-block requests fit in the last 1000 blocks.
-        let start = spec.shape.disk_blocks() - 1_000;
-        let stream = StreamSpec::sequential(0, start, 128, 1_000_000);
-        let slot = sim.inject_stream(SimTime::ZERO, StreamHandoff::fresh(stream).unwrap());
-        sim.advance_to(SimTime::MAX);
-        assert!(sim.stream_done_at(slot).is_some(), "the stream finished");
-        assert_eq!(sim.finish().per_stream_bytes[slot], 7 * 128 * 512);
+        let linux = Frontend::Linux {
+            scheduler: seqio_hostsched::SchedKind::Anticipatory,
+            readahead: seqio_hostsched::ReadaheadConfig::default(),
+        };
+        let scheduler = Frontend::StreamScheduler(seqio_core::ServerConfig::default_tuning());
+        for frontend in [Frontend::Direct, scheduler, linux] {
+            let spec = Experiment::builder()
+                .streams_per_disk(0)
+                .open_sessions(true)
+                .frontend(frontend.clone())
+                .warmup(SimDuration::ZERO)
+                .duration(SimDuration::from_secs(30))
+                .build();
+            let mut sim = NodeSim::new(&spec).unwrap();
+            sim.init();
+            // The last 1000 blocks hold 125 eight-block requests; the Linux
+            // read-ahead window grows past what is left.
+            let start = spec.shape.disk_blocks() - 1_000;
+            let stream = StreamSpec::sequential(0, start, 8, 1_000_000);
+            let slot = sim.inject_stream(SimTime::ZERO, StreamHandoff::fresh(stream).unwrap());
+            sim.advance_to(SimTime::MAX);
+            assert!(sim.stream_done_at(slot).is_some(), "{frontend:?}: the stream finished");
+            assert_eq!(sim.finish().per_stream_bytes[slot], 1_000 * 512, "{frontend:?}");
+        }
     }
 
     #[test]

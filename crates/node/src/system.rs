@@ -101,6 +101,8 @@ struct LinuxDisk {
     /// the dense global stream id (vectors are reused across fetches).
     waiters: Vec<Vec<u64>>,
     busy: bool,
+    /// Blocks on the disk; read-ahead never fetches past them.
+    blocks: u64,
 }
 
 #[derive(Debug)]
@@ -284,7 +286,7 @@ impl StorageNode {
                 .collect();
             controllers.push(Controller::new(cfg, disks));
         }
-        let disk_blocks = controllers[0].disk(0).geometry().total_blocks();
+        let disk_blocks = spec.shape.disk_blocks();
         let total_disks = spec.shape.total_disks();
 
         // Stream layout: `streams_per_disk` per spindle, unless the spec
@@ -346,6 +348,7 @@ impl StorageNode {
                         ra: std::iter::repeat_with(|| None).take(n_streams).collect(),
                         waiters: vec![Vec::new(); n_streams],
                         busy: false,
+                        blocks: disk_blocks,
                     })
                     .collect(),
             ),
@@ -1003,7 +1006,8 @@ impl StorageNode {
                     Frontend::Linux { readahead, .. } => *readahead,
                     _ => unreachable!("Linux fe implies Linux frontend"),
                 };
-                let ra = d.ra[meta.stream].get_or_insert_with(|| StreamRa::new(ra_cfg));
+                let end = d.blocks;
+                let ra = d.ra[meta.stream].get_or_insert_with(|| StreamRa::new(ra_cfg, end));
                 match ra.on_read(meta.lba, meta.blocks) {
                     RaOutcome::Hit { prefetch } => {
                         let at = now + self.spec.costs.cpu_request;
