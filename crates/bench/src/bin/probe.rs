@@ -3,8 +3,9 @@
 //!
 //! `probe perf` instead runs the kernel performance harness: a few
 //! representative macro points timed wall-clock, reporting events
-//! simulated and events/sec, with machine-readable JSON written to
-//! `bench_results/perf_probe.json`.
+//! simulated and events/sec, plus a link point replaying a fixed feed
+//! through `FairShareLink` and reporting deliveries/sec, with
+//! machine-readable JSON written to `bench_results/perf_probe.json`.
 //!
 //! `probe faults` exercises the fault-injection layer: straggler
 //! severities and transient-error rates on the direct and scheduler
@@ -54,7 +55,7 @@ use seqio_disk::CacheConfig;
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::{CostModel, Experiment, Frontend, NodeShape, ObsConfig};
 use seqio_simcore::units::{KIB, MIB};
-use seqio_simcore::{ProfConfig, SimDuration};
+use seqio_simcore::{FairShareLink, ProfConfig, SimComponent, SimDuration, SimRng, SimTime};
 
 /// One timed macro point of the perf harness.
 struct PerfPoint {
@@ -87,6 +88,59 @@ fn time_point(name: &'static str, spec: Experiment, repeats: u32) -> PerfPoint {
         events = r.events_simulated;
     }
     PerfPoint { name, wall_secs: best, events, repeats }
+}
+
+/// The link point of the perf harness, timed like a [`PerfPoint`].
+struct LinkPoint {
+    transfers: usize,
+    peak_active: usize,
+    wall_secs: f64,
+    repeats: u32,
+}
+
+/// The link point's figures at the previous link, which rebuilt the
+/// max-min allocation of every active transfer on each start and
+/// completion: the same feed, timed by this code against that link on the
+/// 2-vCPU x86-64 VM that recorded `bench_results/perf_probe.json`.
+const LINK_BEFORE_WALL_SECS: f64 = 5.918;
+
+/// The link point's feed: the start instants of 120k 128 KiB transfers,
+/// Poisson at a rate that swings 30% either side of 1800/s over a 12 s
+/// cycle. A 250 MiB/s link moves 2000 of them a second, so each busy
+/// half-cycle (up to 2340/s) builds a backlog that peaks near 2000 active
+/// transfers and each quiet one drains it.
+fn link_feed() -> Vec<SimTime> {
+    let mut rng = SimRng::seed_from(13);
+    let mut at = 0.0;
+    (0..120_000)
+        .map(|_| {
+            let phase = (at / 12.0 * std::f64::consts::TAU).sin();
+            at += rng.exponential(1.0 / (1800.0 * (1.0 + 0.3 * phase)));
+            SimTime::from_nanos((at * 1e9) as u64)
+        })
+        .collect()
+}
+
+/// Replays [`link_feed`] through a 250 MiB/s link `repeats` times and
+/// keeps the best wall time.
+fn time_link(repeats: u32) -> LinkPoint {
+    let feed = link_feed();
+    let mut best = f64::INFINITY;
+    let mut peak_active = 0;
+    let mut transfers = 0;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let mut link = FairShareLink::new(250.0 * MIB as f64).expect("positive capacity");
+        for (tag, &at) in feed.iter().enumerate() {
+            link.start_transfer(at, 128 * KIB, f64::INFINITY, tag as u64);
+            peak_active = peak_active.max(link.active_count());
+        }
+        link.advance_to(SimTime::MAX);
+        transfers = link.take_deliveries().len();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    assert_eq!(transfers, feed.len(), "every transfer is delivered");
+    LinkPoint { transfers, peak_active, wall_secs: best, repeats }
 }
 
 /// Runs the representative macro points and writes the JSON report.
@@ -144,7 +198,32 @@ fn perf_mode() {
             p.repeats
         );
     }
-    json.push_str("\n  ]\n}\n");
+    let link = time_link(repeats);
+    let rate = |wall: f64| link.transfers as f64 / wall;
+    println!(
+        "  {:<26} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active; \
+         previous link {:.3}s, {:.0}/sec)",
+        "link-250mibs-128k",
+        link.wall_secs,
+        link.transfers,
+        rate(link.wall_secs),
+        link.peak_active,
+        LINK_BEFORE_WALL_SECS,
+        rate(LINK_BEFORE_WALL_SECS)
+    );
+    let _ = write!(
+        json,
+        "\n  ],\n  \"link\": {{\"name\": \"link-250mibs-128k\", \"transfers\": {}, \
+         \"peak_active\": {}, \"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}, \
+         \"repeats\": {}, \"before\": {{\"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}}}}}\n}}\n",
+        link.transfers,
+        link.peak_active,
+        link.wall_secs,
+        rate(link.wall_secs),
+        link.repeats,
+        LINK_BEFORE_WALL_SECS,
+        rate(LINK_BEFORE_WALL_SECS)
+    );
     let dir = seqio_bench::results_dir();
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("perf_probe.json");

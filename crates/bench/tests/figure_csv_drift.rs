@@ -133,37 +133,42 @@ fn fig13_committed_csv_matches_current_build() {
 
 #[test]
 fn fig_slo_committed_csv_matches_current_build() {
-    // The lightest point of the open-loop SLO figure: 50 sessions/s over
-    // 30 s against 2 nodes behind a 40 MiB/s link (about 1500 sessions,
-    // far below saturation, so the re-simulation is cheap).
-    let template = Experiment::builder()
-        .warmup(SimDuration::ZERO)
-        .duration(SimDuration::from_secs(30))
-        .build();
-    let slo = ClientExperiment::builder()
-        .template(template)
-        .nodes(2)
-        .base_seed(2026)
-        .arrivals(ArrivalConfig {
-            rate_per_sec: 50.0,
-            requests_per_session: 2,
-            titles: 512,
-            ..ArrivalConfig::default()
-        })
-        .link(LinkConfig { capacity_bps: 40.0 * MIB as f64, ..LinkConfig::default() })
-        .run()
-        .expect("slo figure point")
-        .slo
-        .expect("sessions completed");
-    for (column, value) in
-        [("p50", slo.p50_ms), ("p95", slo.p95_ms), ("p99", slo.p99_ms), ("p99.9", slo.p999_ms)]
-    {
-        assert_eq!(
-            cell(value),
-            committed_cell("fig_slo", "50", column),
-            "bench_results/fig_slo.csv cell (50, {column}) drifted from the current \
-             build; regenerate with `SEQIO_BENCH_FULL=1 cargo bench` and commit the result"
-        );
+    // Two points of the open-loop SLO figure: 50 sessions/s over 30 s
+    // against 2 nodes behind a 40 MiB/s link (about 1500 sessions, far
+    // below saturation, so the link is nearly idle), and 400 sessions/s,
+    // past the link's capacity, where thousands of transfers share it at
+    // once and every delivery instant depends on the fair-share arithmetic.
+    for rate in [50.0, 400.0] {
+        let template = Experiment::builder()
+            .warmup(SimDuration::ZERO)
+            .duration(SimDuration::from_secs(30))
+            .build();
+        let slo = ClientExperiment::builder()
+            .template(template)
+            .nodes(2)
+            .base_seed(2026)
+            .arrivals(ArrivalConfig {
+                rate_per_sec: rate,
+                requests_per_session: 2,
+                titles: 512,
+                ..ArrivalConfig::default()
+            })
+            .link(LinkConfig { capacity_bps: 40.0 * MIB as f64, ..LinkConfig::default() })
+            .run()
+            .expect("slo figure point")
+            .slo
+            .expect("sessions completed");
+        let row = format!("{rate:.0}");
+        for (column, value) in
+            [("p50", slo.p50_ms), ("p95", slo.p95_ms), ("p99", slo.p99_ms), ("p99.9", slo.p999_ms)]
+        {
+            assert_eq!(
+                cell(value),
+                committed_cell("fig_slo", &row, column),
+                "bench_results/fig_slo.csv cell ({row}, {column}) drifted from the current \
+                 build; regenerate with `SEQIO_BENCH_FULL=1 cargo bench` and commit the result"
+            );
+        }
     }
 }
 

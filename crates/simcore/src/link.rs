@@ -4,19 +4,21 @@
 //! aggregate disk throughput a client *observes* is therefore capped by
 //! how the link divides its capacity among concurrent responses. A
 //! [`FairShareLink`] models that division: every active transfer gets a
-//! max-min fair share of the capacity (computed by the pure allocator
-//! [`max_min_rates`]), and rates are recomputed from scratch every time a
-//! transfer starts or finishes — the *progressive filling* interpretation
-//! of fairness.
+//! max-min fair share of the capacity (the water-filling of
+//! [`max_min_rates`]), and rates are recomputed every time a transfer
+//! starts or finishes — the *progressive filling* interpretation of
+//! fairness.
 //!
 //! The link is a [`SimComponent`](crate::SimComponent) on the shared
 //! simulation clock, so a co-simulation driver can advance it in lockstep
-//! with storage nodes. Determinism: a transfer's rate depends only on its
-//! own demand and the multiset of active demands (never on insertion
-//! order), completions at equal instants are delivered sorted by caller
-//! tag, and all bookkeeping is settled at integer-nanosecond boundaries —
-//! so permuting the insertion order of simultaneous transfers cannot
-//! change any delivery time.
+//! with storage nodes. Determinism: active transfers are water-filled in
+//! (demand, start instant, tag) order, so a transfer's rate depends on the
+//! set of active transfers and never on the order they were inserted in;
+//! completions at equal instants are delivered sorted by caller tag, and
+//! all bookkeeping is settled at integer-nanosecond boundaries. Permuting
+//! the insertion order of simultaneous transfers therefore cannot change
+//! any delivery, as long as no two of them share demand, start instant and
+//! tag (such exact twins keep their insertion order).
 //!
 //! # Examples
 //!
@@ -36,17 +38,34 @@
 //! assert_eq!(done[0].at, SimTime::from_nanos(2_000_000_000));
 //! ```
 
+use std::cmp::Ordering;
+
 use crate::component::SimComponent;
 use crate::error::SeqioError;
 use crate::time::SimTime;
 
+/// One water-filling step: grants `demand` at most an equal share of the
+/// `capacity` still unallocated among the `left` transfers not yet
+/// served, and takes the grant out of `capacity`. [`max_min_rates`] and
+/// [`FairShareLink`] both allocate through this one definition, so their
+/// rates agree to the bit.
+#[inline(always)]
+fn fill_step(capacity: &mut f64, left: usize, demand: f64) -> f64 {
+    let granted = demand.min(*capacity / left as f64);
+    *capacity = (*capacity - granted).max(0.0);
+    granted
+}
+
 /// Max-min fair allocation of `capacity_bps` among `demands` (bytes/s).
 ///
-/// Water-filling: demands are satisfied in ascending order, each transfer
-/// receiving `min(demand, remaining_capacity / transfers_left)`. The
-/// result is returned in input order but depends only on each entry's own
-/// value and the multiset of demands, so it is invariant under input
-/// permutation. Properties (verified by `tests/link_properties.rs`):
+/// Water-filling: demands are served in ascending order, each transfer
+/// receiving `min(demand, remaining_capacity / transfers_left)`; equal
+/// demands are served in input order. The result is returned in input
+/// order. Because the shares are computed by successive division, equal
+/// demands can differ in the last bits depending on their position:
+/// `max_min_rates(10.0, &[1e9; 3])` is `[3.3333333333333335,
+/// 3.333333333333333, 3.333333333333333]`. Properties (verified by
+/// `tests/link_properties.rs`):
 ///
 /// * conservation — granted rates sum to `min(capacity, sum of demands)`;
 /// * fairness — nobody is below `min(demand, capacity / n)`;
@@ -69,13 +88,8 @@ pub fn max_min_rates(capacity_bps: f64, demands: &[f64]) -> Vec<f64> {
     order.sort_by(|&a, &b| demands[a].total_cmp(&demands[b]).then(a.cmp(&b)));
     let mut rates = vec![0.0; demands.len()];
     let mut capacity = capacity_bps;
-    let mut left = demands.len();
-    for &i in &order {
-        let fair = capacity / left as f64;
-        let granted = demands[i].min(fair);
-        rates[i] = granted;
-        capacity = (capacity - granted).max(0.0);
-        left -= 1;
+    for (k, &i) in order.iter().enumerate() {
+        rates[i] = fill_step(&mut capacity, demands.len() - k, demands[i]);
     }
     rates
 }
@@ -89,26 +103,137 @@ pub struct LinkDelivery {
     pub at: SimTime,
 }
 
-#[derive(Debug, Clone)]
-struct Transfer {
-    tag: u64,
-    /// Bytes still to move, settled up to `FairShareLink::now`.
-    remaining: f64,
+/// What orders an active transfer in the water-fill.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     /// The most the receiver can absorb, bytes/s.
     demand_bps: f64,
-    /// Currently granted rate, bytes/s.
-    rate_bps: f64,
-    /// Planned completion instant under the current rate.
-    finish: SimTime,
+    start: SimTime,
+    tag: u64,
+}
+
+impl Key {
+    fn order(&self, other: &Key) -> Ordering {
+        self.demand_bps
+            .total_cmp(&other.demand_bps)
+            .then(self.start.cmp(&other.start))
+            .then(self.tag.cmp(&other.tag))
+    }
+}
+
+/// Counts whose water-fill tables [`RateCache`] computes together.
+const FILL_BLOCK: usize = 8;
+
+/// Blocks [`RateCache`] keeps: 24 tables, about 0.4 MiB at 2,000 active
+/// transfers. The active count drifts by one per event, so it rarely
+/// leaves the two neighbouring blocks; a third absorbs the turns.
+const CACHED_BLOCKS: usize = 3;
+
+/// Memoized water-fill tables for a link whose active transfers all
+/// demand the same rate. Then the rate granted at sorted position `k`
+/// depends only on the active count `n`, so the table for `n` is filled
+/// once and copied on every later event with `n` transfers active.
+///
+/// The water-fill is a serial chain of divisions. Tables are filled for
+/// [`FILL_BLOCK`] neighbouring counts at once so their independent chains
+/// overlap; the least recently used block is evicted beyond
+/// [`CACHED_BLOCKS`].
+#[derive(Debug, Clone, Default)]
+struct RateCache {
+    /// The demand every cached table was filled for.
+    demand_bps: f64,
+    blocks: Vec<RateBlock>,
+    clock: u64,
+}
+
+#[derive(Debug, Clone, Default)]
+struct RateBlock {
+    /// The block holds the tables for counts `first..first + FILL_BLOCK`;
+    /// the one for `first + j` starts at `rates[j * (first + FILL_BLOCK)]`.
+    first: usize,
+    rates: Vec<f64>,
+    last_used: u64,
+}
+
+impl RateBlock {
+    /// Fills the tables for counts `first..first + FILL_BLOCK`, stepping
+    /// their chains side by side.
+    fn fill(&mut self, capacity_bps: f64, demand_bps: f64, first: usize) {
+        let stride = first + FILL_BLOCK;
+        self.first = first;
+        self.rates.clear();
+        self.rates.resize(FILL_BLOCK * stride, 0.0);
+        let mut capacity = [capacity_bps; FILL_BLOCK];
+        // Chain `j` serves `first + j` transfers, so at step `k` it has
+        // `first + j - k` left.
+        for k in 0..stride - 1 {
+            for (j, cap) in capacity.iter_mut().enumerate() {
+                if k < first + j {
+                    self.rates[j * stride + k] = fill_step(cap, first + j - k, demand_bps);
+                }
+            }
+        }
+    }
+}
+
+impl RateCache {
+    /// The water-fill rates of `n` transfers that each demand
+    /// `demand_bps`, in sorted-position order.
+    fn table(&mut self, capacity_bps: f64, demand_bps: f64, n: usize) -> &[f64] {
+        if self.demand_bps.to_bits() != demand_bps.to_bits() {
+            self.blocks.clear();
+            self.demand_bps = demand_bps;
+        }
+        self.clock += 1;
+        let first = n - n % FILL_BLOCK;
+        let slot = match self.blocks.iter().position(|b| b.first == first) {
+            Some(slot) => slot,
+            None => {
+                let slot = if self.blocks.len() < CACHED_BLOCKS {
+                    self.blocks.push(RateBlock::default());
+                    self.blocks.len() - 1
+                } else {
+                    (0..self.blocks.len())
+                        .min_by_key(|&s| self.blocks[s].last_used)
+                        .expect("the cache holds blocks")
+                };
+                self.blocks[slot].fill(capacity_bps, demand_bps, first);
+                slot
+            }
+        };
+        let block = &mut self.blocks[slot];
+        block.last_used = self.clock;
+        let at = (n - first) * (first + FILL_BLOCK);
+        &block.rates[at..at + n]
+    }
 }
 
 /// A shared-bandwidth link dividing its capacity max-min fairly among
 /// concurrent transfers (see the module-level docs above).
+///
+/// Active transfers live in parallel arrays sorted by (demand, start
+/// instant, tag), the water-fill order, so an event needs no sort and
+/// allocates nothing once the arrays have grown.
 #[derive(Debug, Clone)]
 pub struct FairShareLink {
     capacity_bps: f64,
+    /// Bookkeeping is settled to here.
     now: SimTime,
-    active: Vec<Transfer>,
+    /// The instant the current rates and times-to-finish were planned at.
+    planned_at: SimTime,
+    keys: Vec<Key>,
+    /// Bytes still to move, settled up to `now`.
+    remaining: Vec<f64>,
+    /// Currently granted rate, bytes/s.
+    rate: Vec<f64>,
+    /// Unrounded nanoseconds from `planned_at` to completion at `rate`.
+    to_finish_ns: Vec<f64>,
+    /// The rounded-up least time-to-finish: the next completion batch is
+    /// every transfer planned to finish within it.
+    batch_ns: f64,
+    /// `planned_at + batch_ns`, saturated; `None` when idle.
+    next: Option<SimTime>,
+    cache: RateCache,
     deliveries: Vec<LinkDelivery>,
 }
 
@@ -128,7 +253,14 @@ impl FairShareLink {
         Ok(FairShareLink {
             capacity_bps,
             now: SimTime::ZERO,
-            active: Vec::new(),
+            planned_at: SimTime::ZERO,
+            keys: Vec::new(),
+            remaining: Vec::new(),
+            rate: Vec::new(),
+            to_finish_ns: Vec::new(),
+            batch_ns: 0.0,
+            next: None,
+            cache: RateCache::default(),
             deliveries: Vec::new(),
         })
     }
@@ -151,12 +283,12 @@ impl FairShareLink {
 
     /// Number of transfers currently in flight.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.keys.len()
     }
 
     /// `true` when nothing is in flight.
     pub fn is_idle(&self) -> bool {
-        self.active.is_empty()
+        self.keys.is_empty()
     }
 
     /// Begins moving `bytes` for `tag` at instant `at`, demanding at most
@@ -171,18 +303,15 @@ impl FairShareLink {
     pub fn start_transfer(&mut self, at: SimTime, bytes: u64, demand_bps: f64, tag: u64) {
         assert!(at >= self.now, "transfer starts must not precede the link clock");
         assert!(!demand_bps.is_nan() && demand_bps > 0.0, "transfer demand must be positive");
-        // Deliver anything that finishes strictly before the new arrival,
+        // Deliver anything that finishes no later than the new arrival,
         // then settle the survivors' byte counts to `at`.
         self.run_completions(at);
         self.settle_to(at);
-        self.active.push(Transfer {
-            tag,
-            remaining: bytes as f64,
-            demand_bps,
-            rate_bps: 0.0,
-            finish: SimTime::MAX,
-        });
-        self.recompute_rates();
+        let key = Key { demand_bps, start: at, tag };
+        let pos = self.keys.partition_point(|k| k.order(&key) != Ordering::Greater);
+        self.keys.insert(pos, key);
+        self.remaining.insert(pos, bytes as f64);
+        self.replan();
     }
 
     /// Drains the accumulated [`LinkDelivery`] records, in delivery order
@@ -197,65 +326,121 @@ impl FairShareLink {
             return;
         }
         let dt = to.duration_since(self.now).as_secs_f64();
-        for t in &mut self.active {
-            if t.rate_bps.is_infinite() {
-                t.remaining = 0.0;
-            } else {
-                t.remaining = (t.remaining - t.rate_bps * dt).max(0.0);
-            }
+        for (left, &rate) in self.remaining.iter_mut().zip(&self.rate) {
+            *left = if rate.is_infinite() { 0.0 } else { (*left - rate * dt).max(0.0) };
         }
         self.now = to;
     }
 
-    /// Reassigns every active transfer its max-min fair rate and replans
-    /// its completion instant from the settled clock.
-    fn recompute_rates(&mut self) {
-        if self.active.is_empty() {
+    /// Reassigns every active transfer its max-min fair rate and plans
+    /// its time-to-finish from the settled clock.
+    fn replan(&mut self) {
+        let n = self.keys.len();
+        self.planned_at = self.now;
+        self.rate.resize(n, 0.0);
+        self.to_finish_ns.resize(n, 0.0);
+        if n == 0 {
+            self.next = None;
             return;
         }
-        let demands: Vec<f64> = self.active.iter().map(|t| t.demand_bps).collect();
-        let rates = max_min_rates(self.capacity_bps, &demands);
-        for (t, rate) in self.active.iter_mut().zip(rates) {
-            t.rate_bps = rate;
-            t.finish = if t.remaining <= 0.0 || rate.is_infinite() {
-                self.now
-            } else {
-                // Ceil to whole nanoseconds so the plan never undershoots;
-                // completion forces the residue to zero.
-                let ns = (t.remaining / rate * 1e9).ceil();
-                SimTime::from_nanos(self.now.as_nanos().saturating_add(ns as u64))
-            };
+        let demand_bps = self.keys[0].demand_bps;
+        if self.capacity_bps.is_infinite() {
+            for (rate, key) in self.rate.iter_mut().zip(&self.keys) {
+                *rate = key.demand_bps;
+            }
+        } else if demand_bps.to_bits() == self.keys[n - 1].demand_bps.to_bits() {
+            // Sorted by demand, so equal ends mean one demand for all.
+            let table = self.cache.table(self.capacity_bps, demand_bps, n);
+            self.rate.copy_from_slice(table);
+        } else {
+            let mut capacity = self.capacity_bps;
+            for (k, (rate, key)) in self.rate.iter_mut().zip(&self.keys).enumerate() {
+                *rate = fill_step(&mut capacity, n - k, key.demand_bps);
+            }
         }
+        for ((ns, &left), &rate) in
+            self.to_finish_ns.iter_mut().zip(&self.remaining).zip(&self.rate)
+        {
+            *ns = if left <= 0.0 || rate.is_infinite() { 0.0 } else { left / rate * 1e9 };
+        }
+        let least = least(&self.to_finish_ns);
+        // Whole nanoseconds, rounded up so the plan never undershoots;
+        // completion forces the residue to zero.
+        self.batch_ns = least.ceil();
+        self.next = Some(finish_instant(self.planned_at, least));
     }
 
     /// Delivers every planned completion at instants `<= limit`, in time
-    /// order, recomputing rates after each completion batch.
+    /// order, replanning after each completion batch.
     fn run_completions(&mut self, limit: SimTime) {
-        loop {
-            let Some(next) = self.active.iter().map(|t| t.finish).min() else {
-                return;
-            };
-            if next > limit {
-                return;
-            }
+        while let Some(next) = self.next.filter(|&next| next <= limit) {
             self.settle_to(next);
-            let mut done: Vec<u64> =
-                self.active.iter().filter(|t| t.finish == next).map(|t| t.tag).collect();
-            done.sort_unstable();
-            self.active.retain(|t| t.finish != next);
-            for tag in done {
-                self.deliveries.push(LinkDelivery { tag, at: next });
+            // Below the saturated instant, a transfer finishes at `next`
+            // exactly when its time-to-finish rounds up to `batch_ns`; at
+            // it, every transfer whose own instant saturates does.
+            let saturated = next == SimTime::MAX;
+            let (planned_at, batch_ns) = (self.planned_at, self.batch_ns);
+            let done = |ns: f64| {
+                if saturated {
+                    finish_instant(planned_at, ns) == next
+                } else {
+                    ns <= batch_ns
+                }
+            };
+            let first = self.deliveries.len();
+            let batch = self.to_finish_ns.iter().filter(|&&ns| done(ns)).count();
+            if self.to_finish_ns[..batch].iter().all(|&ns| done(ns)) {
+                // The usual batch: the longest-running transfers, at the
+                // front of their equal-demand run.
+                let finished = self.keys.drain(..batch);
+                self.deliveries.extend(finished.map(|k| LinkDelivery { tag: k.tag, at: next }));
+                self.remaining.drain(..batch);
+            } else {
+                let mut kept = 0;
+                for i in 0..self.keys.len() {
+                    if done(self.to_finish_ns[i]) {
+                        self.deliveries.push(LinkDelivery { tag: self.keys[i].tag, at: next });
+                    } else {
+                        self.keys[kept] = self.keys[i];
+                        self.remaining[kept] = self.remaining[i];
+                        kept += 1;
+                    }
+                }
+                self.keys.truncate(kept);
+                self.remaining.truncate(kept);
             }
-            self.recompute_rates();
+            self.deliveries[first..].sort_unstable_by_key(|d| d.tag);
+            self.replan();
         }
     }
+}
+
+/// The least of `values`, none of them NaN (infinity when empty). Eight
+/// running minima let the comparisons overlap; the result is the same in
+/// any order.
+fn least(values: &[f64]) -> f64 {
+    let mut lanes = [f64::INFINITY; 8];
+    let chunks = values.chunks_exact(lanes.len());
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = lane.min(v);
+        }
+    }
+    tail.iter().chain(&lanes).fold(f64::INFINITY, |a, &b| a.min(b))
+}
+
+/// The whole-nanosecond instant `to_finish_ns` after `planned_at`,
+/// rounded up and saturated at [`SimTime::MAX`].
+fn finish_instant(planned_at: SimTime, to_finish_ns: f64) -> SimTime {
+    SimTime::from_nanos(planned_at.as_nanos().saturating_add(to_finish_ns.ceil() as u64))
 }
 
 impl SimComponent for FairShareLink {
     fn init(&mut self) {}
 
     fn peek_next_time(&self) -> Option<SimTime> {
-        self.active.iter().map(|t| t.finish).min()
+        self.next
     }
 
     fn advance_to(&mut self, limit: SimTime) {
@@ -268,6 +453,7 @@ impl SimComponent for FairShareLink {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use crate::units::MIB;
 
     fn drained(link: &mut FairShareLink) -> Vec<LinkDelivery> {
         link.advance_to(SimTime::MAX);
@@ -370,6 +556,26 @@ mod tests {
     }
 
     #[test]
+    fn simultaneous_equal_starts_ignore_insertion_order() {
+        // Seven equal transfers split 250 MiB/s with rates that differ in
+        // the last bits by water-fill position, so whichever two hold the
+        // two largest shares finish first, at 3,501,000 ns. Positions
+        // follow (start, tag), not insertion order.
+        let run = |tags: &mut dyn Iterator<Item = u64>| {
+            let mut l = FairShareLink::new(250.0 * MIB as f64).unwrap();
+            for tag in tags {
+                l.start_transfer(SimTime::from_nanos(1000), 131_072, f64::INFINITY, tag);
+            }
+            drained(&mut l)
+        };
+        let forward = run(&mut (0..7));
+        assert_eq!(forward, run(&mut (0..7).rev()));
+        let first = LinkDelivery { tag: 0, at: SimTime::from_nanos(3_501_000) };
+        assert_eq!(forward[..2], [first, LinkDelivery { tag: 1, ..first }]);
+        assert!(forward[2..].iter().all(|d| d.at > first.at));
+    }
+
+    #[test]
     fn invalid_configurations_are_rejected() {
         assert!(FairShareLink::new(0.0).is_err());
         assert!(FairShareLink::new(-5.0).is_err());
@@ -394,5 +600,15 @@ mod tests {
         assert!((r[2] - 40.0).abs() < 1e-9);
         assert!(max_min_rates(f64::INFINITY, &[5.0, f64::INFINITY])[1].is_infinite());
         assert!(max_min_rates(10.0, &[]).is_empty());
+    }
+
+    #[test]
+    fn equal_demands_are_shared_by_position() {
+        // Successive division leaves the first of three equal demands a
+        // bit above the others; the documented example, pinned.
+        assert_eq!(
+            max_min_rates(10.0, &[1e9; 3]),
+            [3.3333333333333335, 3.333333333333333, 3.333333333333333]
+        );
     }
 }
