@@ -30,7 +30,6 @@ pub const EXPERIMENT_FLAGS: &[&str] = &[
     "duration",
     "seed",
     "local-costs",
-    "trace",
 ];
 
 /// Builds the experiment, reporting the first flag problem. The shared
@@ -127,9 +126,6 @@ pub fn experiment_from(args: &Args, common: &CommonArgs) -> Result<Experiment, S
     }
     if args.switch("local-costs") {
         b = b.costs(CostModel::local_xdd());
-    }
-    if args.get("trace").is_some() {
-        b = b.record_trace(true);
     }
     if let Some(plan) = &common.faults {
         b = b.faults(plan.clone());

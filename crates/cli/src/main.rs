@@ -66,12 +66,6 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     );
     let r = seqio_node::run_node(&template).map_err(|e| e.to_string())?;
     print_report(&r, disks);
-    if let Some(path) = args.get("trace") {
-        let trace = r.trace.as_ref().expect("tracing was enabled");
-        std::fs::write(path, seqio_node::trace::to_csv(trace))
-            .map_err(|e| format!("--trace {path}: {e}"))?;
-        println!("trace:           {} records -> {path}", trace.len());
-    }
     common.write_outputs(r.spans.as_ref(), r.metrics.as_ref())?;
     Ok(())
 }
@@ -147,7 +141,7 @@ fn cmd_cluster(rest: Vec<String>) -> Result<(), String> {
         return Err(format!("unknown flag(s): {}", unknown.join(", ")));
     }
     let common = CommonArgs::from_args(&args)?;
-    if args.get("trace").is_some() || common.trace_out.is_some() {
+    if common.trace_out.is_some() {
         return Err("cluster runs do not support per-request trace output yet".into());
     }
 
@@ -269,9 +263,6 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         return Err(format!("unknown flag(s): {}", unknown.join(", ")));
     }
     let common = CommonArgs::from_args(&args)?;
-    if args.get("trace").is_some() {
-        return Err("client runs do not support per-request trace output; use --trace-out".into());
-    }
 
     let mut template = experiment_from(&args, &common)?;
     if args.get("correlate-out").is_some() {
@@ -428,11 +419,15 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// `seqio replay --spans FILE [experiment flags]` — re-runs the requests
+/// of a span file written by `run --trace-out` open loop: each arrives at
+/// its recorded enqueue instant with its recorded stream, disk, LBA and
+/// length, on the node the experiment flags describe.
 fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     let args = Args::parse(rest)?;
     let mut known = EXPERIMENT_FLAGS.to_vec();
     known.extend_from_slice(COMMON_FLAGS);
-    known.push("trace-in");
+    known.push("spans");
     let unknown = args.unknown_flags(&known);
     if !unknown.is_empty() {
         return Err(format!("unknown flag(s): {}", unknown.join(", ")));
@@ -441,24 +436,17 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
         return Err("--jobs: replay is a single open-loop run".into());
     }
     let common = CommonArgs::from_args(&args)?;
-    let path = args.get("trace-in").ok_or("replay needs --trace-in FILE")?;
-    let csv = std::fs::read_to_string(path).map_err(|e| format!("--trace-in {path}: {e}"))?;
-    let trace = seqio_node::trace::from_csv(&csv)?;
+    let path = args.get("spans").ok_or("replay needs --spans FILE (from `run --trace-out`)")?;
+    let csv = std::fs::read_to_string(path).map_err(|e| format!("--spans {path}: {e}"))?;
+    let spans =
+        seqio_node::span::spans_from_csv(&csv).map_err(|e| format!("--spans {path}: {e}"))?;
     // Replay stays on the direct single-node path: an open-loop replay
     // has no live streams the cluster driver could route or migrate.
     let mut spec = experiment_from(&args, &common)?;
-    spec.replay = Some(trace);
-    spec.validate()?;
-    let disks = spec.shape.total_disks();
-    eprintln!("replaying {} requests from {path}", spec.replay.as_ref().unwrap().len());
-    let r = spec.run();
-    print_report(&r, disks);
-    if let Some(out) = args.get("trace") {
-        let t = r.trace.as_ref().expect("tracing was enabled");
-        std::fs::write(out, seqio_node::trace::to_csv(t))
-            .map_err(|e| format!("--trace {out}: {e}"))?;
-        println!("trace:           {} records -> {out}", t.len());
-    }
+    eprintln!("replaying {} requests from {path}", spans.len());
+    spec.replay = Some(spans);
+    let r = seqio_node::run_node(&spec).map_err(|e| e.to_string())?;
+    print_report(&r, spec.shape.total_disks());
     common.write_outputs(r.spans.as_ref(), r.metrics.as_ref())?;
     Ok(())
 }
@@ -887,7 +875,7 @@ USAGE:
   seqio sweep  --param streams|readahead|request --values a,b,c [--jobs N] [flags]
   seqio cluster run --nodes K --shard POLICY [flags]   # multi-node cluster
   seqio client run --nodes K --rate R [flags]  # open-loop sessions + link SLO
-  seqio replay --trace-in FILE [flags]     # open-loop trace replay
+  seqio replay --spans FILE [flags]        # open-loop replay of a span file
   seqio report --spans FILE [--phases] [--slo]  # per-phase latency breakdown
   seqio report --trace FILE [--correlate] [--attribute P] [--burn]
                                            # correlated session traces: cross-
@@ -913,7 +901,6 @@ EXPERIMENT FLAGS (run, sweep, cluster run, replay):
   --warmup DUR --duration DUR    measurement window      [3s / 5s]
   --seed N                       deterministic seed      [1]
   --local-costs                  local (xdd-style) client cost model
-  --trace FILE                   write a per-request CSV trace
 
 SHARED FLAGS (one grammar across run, sweep and cluster run):
   --faults SPEC                  deterministic fault plan; `;`-separated:
@@ -934,7 +921,7 @@ FLAGS (sweep only):
 
 FLAGS (cluster run):
   --nodes K                      storage nodes             [1]
-  --shard identity|hash|range|straggler-aware              [hash]
+  --shard identity|hash|straggler-aware                    [hash]
   --fault-node I                 node receiving --faults   [0]
   --base-seed N                  derive per-node seeds from (N, node)
   --rebalance DUR                migrate live streams off degraded nodes,
@@ -983,6 +970,7 @@ EXAMPLES:
   seqio run --streams 100 --frontend stream --faults straggler:disk=0,factor=4
   seqio run --streams 50 --frontend stream --trace-out spans.csv --metrics-out m.csv
   seqio report --spans spans.csv --phases
+  seqio replay --spans spans.csv --frontend linux --trace-out replayed.csv
   seqio cluster run --nodes 4 --shard straggler-aware --streams 100 \\
         --frontend stream --requests 16 --warmup 0s --duration 60s \\
         --faults straggler:disk=0,factor=4 --fault-node 1 --base-seed 7

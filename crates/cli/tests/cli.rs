@@ -1,8 +1,10 @@
 //! End-to-end CLI coverage driving the compiled `seqio` binary: the
 //! `report --slo` zero-completed-sessions report stays a clean report
-//! (not NaN percentiles or a hard error), `scenario record` →
+//! (not NaN percentiles or a hard error), `run --trace-out` → `replay
+//! --spans` completes every recorded request, `scenario record` →
 //! `scenario replay` reproduces `scenario run` exactly, and replayed
-//! traces that overrun the node end cleanly instead of crashing.
+//! spans and traces that do not fit the node end cleanly instead of
+//! crashing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -139,4 +141,150 @@ fn replaying_a_stream_into_its_disk_end_finishes_it() {
         assert!(report.contains("total:"), "direct={direct}: {report}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `requests:` line of a run report.
+fn requests_line(report: &str) -> &str {
+    report.lines().find(|l| l.starts_with("requests:")).expect("report has a requests line")
+}
+
+/// `run --trace-out` then `replay --spans` of that file completes every
+/// recorded request, on each front end.
+#[test]
+fn replaying_a_recorded_span_file_completes_every_request() {
+    let dir = scratch_dir("span-replay");
+    for frontend in ["direct", "stream", "linux"] {
+        let spans = dir.join(format!("{frontend}.csv"));
+        let spans = spans.to_str().unwrap();
+        let window = ["--frontend", frontend, "--warmup", "0s", "--duration", "2s"];
+        let mut run = vec!["run", "--streams", "3", "--requests", "5", "--trace-out", spans];
+        run.extend(window);
+        let recorded = stdout(&seqio(&run));
+        assert!(recorded.contains("15 spans ->"), "{frontend}: {recorded}");
+        assert!(requests_line(&recorded).contains("15 completed"), "{frontend}: {recorded}");
+
+        let mut replay = vec!["replay", "--spans", spans];
+        replay.extend(window);
+        let replayed = stdout(&seqio(&replay));
+        assert!(requests_line(&replayed).contains("15 completed"), "{frontend}: {replayed}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes a span file holding the header and `records`, returning its path.
+fn span_file(dir: &std::path::Path, name: &str, records: &[&str]) -> String {
+    let path = dir.join(format!("{name}.csv"));
+    let mut text = seqio_node::span::spans_to_csv(&[]);
+    for r in records {
+        text.push_str(r);
+        text.push('\n');
+    }
+    std::fs::write(&path, text).expect("write the span file");
+    path.to_str().unwrap().to_string()
+}
+
+/// Replays `spans` and returns its stderr, asserting the clean exit 1 of a
+/// typed error.
+fn replay_error(spans: &str, extra: &[&str]) -> String {
+    let mut args = vec!["replay", "--spans", spans];
+    args.extend(extra);
+    let out = seqio(&args);
+    assert_eq!(out.status.code(), Some(1), "expected a clean error exit: {out:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Spans recorded on the eight-disk shape name disks a single-disk node
+/// does not have: a typed error naming the record, not an index panic.
+#[test]
+fn replaying_spans_from_a_larger_node_is_a_clean_error() {
+    let dir = scratch_dir("span-shape");
+    let spans = dir.join("eight.csv");
+    let spans = spans.to_str().unwrap();
+    stdout(&seqio(&[
+        "run",
+        "--shape",
+        "eight",
+        "--streams",
+        "1",
+        "--requests",
+        "2",
+        "--warmup",
+        "0s",
+        "--duration",
+        "1s",
+        "--trace-out",
+        spans,
+    ]));
+    let err = replay_error(spans, &["--shape", "single"]);
+    assert!(err.contains("replay record") && err.contains("but the node has 1 disk(s)"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request past the disk's last block is a typed error, not a disk-model
+/// assertion.
+#[test]
+fn replaying_a_span_past_the_disk_end_is_a_clean_error() {
+    let dir = scratch_dir("span-lba");
+    let spans = span_file(&dir, "lba", &["0,0,999999999999,128,false,0,false,1000,,,,,,2000,"]);
+    let err = replay_error(&spans, &[]);
+    assert!(err.contains("replay record 1") && err.contains("past its disk's end"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A zero-length request is a typed error, not a disk-model assertion.
+#[test]
+fn replaying_a_zero_block_span_is_a_clean_error() {
+    let dir = scratch_dir("span-zero");
+    let spans = span_file(&dir, "zero", &["0,0,0,0,false,0,false,1000,,,,,,2000,"]);
+    let err = replay_error(&spans, &[]);
+    assert!(err.contains("replay record 1") && err.contains("zero blocks"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An arrival that cannot be represented on the simulated clock is a typed
+/// error, not an overflow.
+#[test]
+fn replaying_a_span_enqueued_at_the_end_of_time_is_a_clean_error() {
+    let dir = scratch_dir("span-late");
+    let max = u64::MAX;
+    let record = format!("0,0,0,128,false,0,false,{max},,,,,,{max},");
+    let spans = span_file(&dir, "late", &[&record]);
+    let err = replay_error(&spans, &[]);
+    assert!(err.contains("replay record 1") && err.contains("too late"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A huge recorded stream id takes one per-stream slot, the same as id 0,
+/// instead of sizing the per-stream tables by its value.
+#[test]
+fn replaying_a_huge_stream_id_uses_one_stream_slot() {
+    let dir = scratch_dir("span-stream");
+    let spans = span_file(
+        &dir,
+        "stream",
+        &[
+            "5000000000,0,0,128,false,0,false,1000,,,,,,2000,",
+            "5000000000,0,128,128,false,0,false,5000000,,,,,,6000000,",
+        ],
+    );
+    let report = stdout(&seqio(&["replay", "--spans", &spans, "--warmup", "0s"]));
+    assert!(requests_line(&report).contains("2 completed"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Spans (`--trace-out`, `replay --spans`) are the one per-request record,
+/// so `--trace` on a node run and `--trace-in` are unknown flags: a sweep
+/// handed `--trace FILE` fails instead of exiting 0 without writing it.
+#[test]
+fn removed_trace_flags_are_unknown() {
+    for (args, flag) in [
+        (&["run", "--trace", "t.csv"][..], "trace"),
+        (&["sweep", "--param", "streams", "--values", "1", "--trace", "t.csv"][..], "trace"),
+        (&["replay", "--trace-in", "t.csv"][..], "trace-in"),
+    ] {
+        let out = seqio(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag(s): {flag}")), "{args:?}: {err}");
+    }
 }

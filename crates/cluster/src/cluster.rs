@@ -421,11 +421,9 @@ pub struct NodeOutcome {
 /// whole cluster figure down exactly as it would a real batch of
 /// clients waiting for their slowest shard.
 ///
-/// When streams migrated mid-run, a global stream's bytes are the exact
-/// integer sum of what it delivered on every node that hosted it, and
-/// its throughput is that sum over the shared window; without
-/// migrations the merge reduces to rescaling each node's own per-stream
-/// rates onto the shared window (bit-identical to the static merge).
+/// A global stream's bytes are the exact integer sum of what it delivered
+/// on every node that hosted it (one node unless it migrated), and its
+/// throughput is that sum over the shared window.
 #[derive(Debug, Clone)]
 pub struct ClusterResult {
     /// Per-node outcomes, indexed by node.
@@ -465,7 +463,10 @@ pub struct ClusterResult {
 
 impl ClusterResult {
     /// Merges per-node outcomes into one cluster result on the shared
-    /// clock (see the type docs for the makespan-window semantics).
+    /// clock: each global stream's exact bytes, summed over the nodes
+    /// that hosted it, over the makespan window (see the type docs). On a
+    /// 1-node cluster this is the node's own arithmetic, so its figures
+    /// are bit-identical to a plain `Experiment`.
     /// `assignment` is the router's initial global-stream → node map,
     /// `node_ids` the final local-slot → global-stream map per node, and
     /// `migrations` the mid-run moves in execution order.
@@ -486,41 +487,18 @@ impl ClusterResult {
             .map(|r| r.window)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        let mut per_stream_mbs = vec![0.0; assignment.len()];
-        if migrations.is_empty() {
-            // Static runs rescale each node's own per-stream rates onto
-            // the shared window — bit-identical to the pre-migration
-            // merge (ratio 1.0 for the slowest node, so a 1-node cluster
-            // keeps its values bit-identical to a plain `Experiment`).
-            for outcome in &nodes {
-                let Some(result) = &outcome.result else { continue };
-                let ratio = if result.window == window || window == SimDuration::ZERO {
-                    1.0
-                } else {
-                    result.window.as_millis_f64() / window.as_millis_f64()
-                };
-                for (slot, &g) in node_ids[outcome.node].iter().enumerate() {
-                    per_stream_mbs[g] = result.per_stream_mbs[slot] * ratio;
-                }
-            }
-        } else {
-            // Migrated streams delivered bytes on several nodes: sum the
-            // exact integer byte counts per global stream, then express
-            // each over the shared window.
-            let mut stream_bytes = vec![0u64; assignment.len()];
-            for outcome in &nodes {
-                let Some(result) = &outcome.result else { continue };
-                for (slot, &g) in node_ids[outcome.node].iter().enumerate() {
-                    stream_bytes[g] += result.per_stream_bytes[slot];
-                }
-            }
-            let secs = window.as_secs_f64();
-            if secs > 0.0 {
-                for (g, &b) in stream_bytes.iter().enumerate() {
-                    per_stream_mbs[g] = b as f64 / (1024.0 * 1024.0) / secs;
-                }
+        let mut stream_bytes = vec![0u64; assignment.len()];
+        for outcome in &nodes {
+            let Some(result) = &outcome.result else { continue };
+            for (slot, &g) in node_ids[outcome.node].iter().enumerate() {
+                stream_bytes[g] += result.per_stream_bytes[slot];
             }
         }
+        let secs = window.as_secs_f64();
+        let per_stream_mbs = stream_bytes
+            .iter()
+            .map(|&b| if secs > 0.0 { b as f64 / (1024.0 * 1024.0) / secs } else { 0.0 })
+            .collect();
         let mut response = LatencyHistogram::new();
         let mut bytes = 0u64;
         let mut requests = 0u64;

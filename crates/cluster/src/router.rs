@@ -20,11 +20,6 @@ pub enum ShardPolicy {
     /// than by `hash % K` keeps placement pseudo-random while guaranteeing
     /// exact balance: node loads differ by at most one stream.
     HashByStream,
-    /// Contiguous global-id ranges map to contiguous nodes (stream `g` of
-    /// `S` goes to node `g * K / S`). Because global ids enumerate stream
-    /// start offsets in disk order, this shards the *address space*:
-    /// neighbouring streams land on the same node.
-    RangeByOffset,
     /// Like [`HashByStream`](ShardPolicy::HashByStream), but the deal
     /// skips nodes whose health is at or past the degraded threshold, so
     /// new streams steer away from stragglers. Degraded nodes only
@@ -38,7 +33,6 @@ impl ShardPolicy {
         match self {
             ShardPolicy::Identity => "identity",
             ShardPolicy::HashByStream => "hash",
-            ShardPolicy::RangeByOffset => "range",
             ShardPolicy::StragglerAware => "straggler-aware",
         }
     }
@@ -52,10 +46,9 @@ impl ShardPolicy {
         match s {
             "identity" => Ok(ShardPolicy::Identity),
             "hash" => Ok(ShardPolicy::HashByStream),
-            "range" => Ok(ShardPolicy::RangeByOffset),
             "straggler-aware" | "aware" => Ok(ShardPolicy::StragglerAware),
             other => Err(SeqioError::Experiment(format!(
-                "shard policy: expected identity|hash|range|straggler-aware, got {other:?}"
+                "shard policy: expected identity|hash|straggler-aware, got {other:?}"
             ))),
         }
     }
@@ -200,9 +193,6 @@ impl Router {
         match self.policy {
             ShardPolicy::Identity => vec![0; streams],
             ShardPolicy::HashByStream => self.deal(streams, &(0..self.nodes).collect::<Vec<_>>()),
-            ShardPolicy::RangeByOffset => {
-                (0..streams).map(|g| g * self.nodes / streams.max(1)).collect()
-            }
             ShardPolicy::StragglerAware => {
                 let healthy: Vec<usize> = (0..self.nodes)
                     .filter(|&k| !self.health[k].is_degraded(self.degraded_threshold))
@@ -286,12 +276,7 @@ mod tests {
 
     #[test]
     fn policy_names_round_trip() {
-        for p in [
-            ShardPolicy::Identity,
-            ShardPolicy::HashByStream,
-            ShardPolicy::RangeByOffset,
-            ShardPolicy::StragglerAware,
-        ] {
+        for p in [ShardPolicy::Identity, ShardPolicy::HashByStream, ShardPolicy::StragglerAware] {
             assert_eq!(ShardPolicy::parse(p.name()).unwrap(), p);
         }
         assert!(ShardPolicy::parse("round-robin").is_err());
@@ -321,13 +306,6 @@ mod tests {
         let loads = r.node_loads(100);
         assert_eq!(loads.iter().sum::<usize>(), 100);
         assert!(loads.iter().all(|&l| l == 33 || l == 34), "{loads:?}");
-    }
-
-    #[test]
-    fn range_policy_keeps_neighbours_together() {
-        let r = Router::new(ShardPolicy::RangeByOffset, 4);
-        let a = r.assign(8);
-        assert_eq!(a, vec![0, 0, 1, 1, 2, 2, 3, 3]);
     }
 
     #[test]

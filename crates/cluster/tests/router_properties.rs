@@ -1,6 +1,6 @@
 //! Property tests for the cluster stream router: purity, hash-deal
-//! balance, straggler avoidance and range contiguity, over randomized
-//! node counts, stream counts, health vectors and capacities.
+//! balance and straggler avoidance, over randomized node counts, stream
+//! counts, health vectors and capacities.
 
 use proptest::prelude::*;
 use seqio_cluster::{NodeHealth, Router, ShardPolicy};
@@ -26,14 +26,10 @@ proptest! {
     fn prop_assignment_is_pure_and_total(
         nodes in 1usize..9,
         streams in 0usize..400,
-        policy_pick in 0usize..3,
+        policy_pick in 0usize..2,
         degraded in proptest::collection::vec(any::<bool>(), 1..9),
     ) {
-        let policy = [
-            ShardPolicy::HashByStream,
-            ShardPolicy::RangeByOffset,
-            ShardPolicy::StragglerAware,
-        ][policy_pick];
+        let policy = [ShardPolicy::HashByStream, ShardPolicy::StragglerAware][policy_pick];
         let degraded: Vec<bool> = (0..nodes).map(|k| *degraded.get(k).unwrap_or(&false)).collect();
         let r = router(policy, &degraded);
         let a = r.assign(streams);
@@ -113,26 +109,5 @@ proptest! {
         let aware = Router::new(ShardPolicy::StragglerAware, nodes).assign(streams);
         let hash = Router::new(ShardPolicy::HashByStream, nodes).assign(streams);
         prop_assert_eq!(aware, hash);
-    }
-
-    /// Range-by-offset assigns monotonically non-decreasing nodes over
-    /// the global id axis (contiguous ranges), covers every node when
-    /// S >= K, and balances to within one stream.
-    #[test]
-    fn prop_range_is_contiguous(
-        nodes in 1usize..9,
-        streams in 1usize..400,
-    ) {
-        let r = Router::new(ShardPolicy::RangeByOffset, nodes);
-        let a = r.assign(streams);
-        for w in a.windows(2) {
-            prop_assert!(w[0] <= w[1], "range shards must be contiguous");
-        }
-        let loads = r.node_loads(streams);
-        if streams >= nodes {
-            prop_assert!(loads.iter().all(|&l| l > 0), "every node serves a range");
-        }
-        let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
-        prop_assert!(max - min <= 1, "ranges differ by more than one stream: {:?}", loads);
     }
 }

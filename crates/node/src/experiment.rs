@@ -6,11 +6,12 @@ use seqio_disk::{bytes_to_blocks, DiskConfig, Geometry};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_simcore::{
     FaultPlan, KernelProfile, LatencyHistogram, MetricSeries, ObsConfig, ProfConfig, SeqioError,
-    SimDuration, SimTime,
+    SimDuration, SimTime, SpanPhase,
 };
 use seqio_workload::Pattern;
 
 use crate::calibration::CostModel;
+use crate::span::SpanRecord;
 use crate::system::StorageNode;
 
 /// Physical layout of a storage node.
@@ -159,13 +160,13 @@ pub struct Experiment {
     /// field. Incompatible with replay and the `AllDispatched` frontend
     /// (which sizes its dispatch set from the static stream count).
     pub open_sessions: bool,
-    /// Record a [`TraceRecord`](crate::TraceRecord) per completed request
-    /// inside the measured window.
-    pub record_trace: bool,
-    /// Replay this trace instead of generating a workload: requests arrive
-    /// open-loop at their recorded send times (`streams_per_disk`,
+    /// Replay these recorded spans instead of generating a workload: each
+    /// request arrives open-loop at its span's enqueue stamp with the
+    /// recorded stream, disk, LBA and length (`streams_per_disk`,
     /// `pattern`, `placement` and `requests_per_stream` are ignored).
-    pub replay: Option<Vec<crate::TraceRecord>>,
+    /// Recorded stream ids map to local slots by their rank among the
+    /// distinct ids, so ids `0..n` stay as they are.
+    pub replay: Option<Vec<SpanRecord>>,
     /// Cost model.
     pub costs: CostModel,
     /// Warm-up excluded from measurement.
@@ -206,7 +207,6 @@ impl Experiment {
                 writes: false,
                 requests_per_stream: None,
                 open_sessions: false,
-                record_trace: false,
                 replay: None,
                 costs: CostModel::default(),
                 warmup: SimDuration::from_secs(2),
@@ -299,10 +299,8 @@ impl Experiment {
                 ));
             }
         }
-        if let Some(t) = &self.replay {
-            if t.is_empty() {
-                return Err(SeqioError::Experiment("replay trace is empty".into()));
-            }
+        if let Some(spans) = &self.replay {
+            self.validate_replay(spans)?;
         }
         if let Some(obs) = &self.obs {
             obs.validate()?;
@@ -317,6 +315,44 @@ impl Experiment {
                     )));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Checks every replay record against the node: its disk must exist,
+    /// its request must be non-empty and end on the disk, and its arrival
+    /// (enqueue plus the one-way network delay) must be representable.
+    fn validate_replay(&self, spans: &[SpanRecord]) -> Result<(), SeqioError> {
+        if spans.is_empty() {
+            return Err(SeqioError::Experiment("replay trace is empty".into()));
+        }
+        let (disks, disk_blocks) = (self.shape.total_disks(), self.shape.disk_blocks());
+        let net = self.costs.network_oneway.as_nanos();
+        for (i, s) in spans.iter().enumerate() {
+            let reason = if s.disk >= disks {
+                format!("names disk {} but the node has {disks} disk(s)", s.disk)
+            } else if s.blocks == 0 {
+                "requests zero blocks".to_string()
+            } else if s.lba.checked_add(s.blocks).is_none_or(|end| end > disk_blocks) {
+                format!(
+                    "runs past its disk's end: lba {} + {} blocks > {disk_blocks}",
+                    s.lba, s.blocks
+                )
+            } else {
+                match s.stamp(SpanPhase::Enqueued) {
+                    None => "has no enqueue stamp".to_string(),
+                    Some(t) if t.as_nanos().checked_add(net).is_none() => format!(
+                        "is enqueued at {} ns, too late to add the network delay",
+                        t.as_nanos()
+                    ),
+                    Some(_) => continue,
+                }
+            };
+            return Err(SeqioError::Experiment(format!(
+                "replay record {} (stream {}) {reason}",
+                i + 1,
+                s.stream
+            )));
         }
         Ok(())
     }
@@ -418,15 +454,9 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Enables per-request trace capture.
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.spec.record_trace = on;
-        self
-    }
-
-    /// Replays a previously captured trace (open-loop).
-    pub fn replay(mut self, trace: Vec<crate::TraceRecord>) -> Self {
-        self.spec.replay = Some(trace);
+    /// Replays recorded spans open-loop (see [`Experiment::replay`]).
+    pub fn replay(mut self, spans: Vec<SpanRecord>) -> Self {
+        self.spec.replay = Some(spans);
         self
     }
 
@@ -549,11 +579,9 @@ pub struct RunResult {
     /// Discrete events scheduled on the simulation kernel over the whole
     /// run (warm-up included) — the numerator for events/sec.
     pub events_simulated: u64,
-    /// Per-request records, when tracing was enabled.
-    pub trace: Option<Vec<crate::TraceRecord>>,
     /// Phase-stamped lifecycle spans, when span recording was enabled
     /// (one per request completed inside the measured window).
-    pub spans: Option<Vec<crate::SpanRecord>>,
+    pub spans: Option<Vec<SpanRecord>>,
     /// Metric time series, when periodic sampling was enabled.
     pub metrics: Option<MetricSeries>,
     /// Kernel self-profile, when profiling was enabled. Event-class

@@ -38,7 +38,6 @@ mod sim;
 pub mod span;
 pub mod sweep;
 mod system;
-pub mod trace;
 
 pub use calibration::CostModel;
 pub use experiment::{
@@ -51,4 +50,3 @@ pub use seqio_simcore::{
 pub use sim::{HealthSnapshot, NodeSim, StreamHandoff};
 pub use span::{PhaseBreakdown, SpanRecord};
 pub use sweep::{PointOutcome, Sweep, SweepBuilder, SweepReport};
-pub use trace::TraceRecord;

@@ -1,5 +1,4 @@
-//! Request-lifecycle spans: phase-stamped successors to the flat
-//! [`TraceRecord`](crate::TraceRecord).
+//! Request-lifecycle spans: the one per-request record.
 //!
 //! When span recording is enabled (see
 //! [`ObsConfig`](seqio_simcore::ObsConfig) and
@@ -15,6 +14,10 @@
 //! memory hit never waits on a disk) contribute zero duration, so
 //! [`SpanRecord::phase_durations`] always sums exactly to the end-to-end
 //! latency — the property the `report --phases` breakdown relies on.
+//!
+//! A span CSV is also the open-loop replay input: [`spans_from_csv`] feeds
+//! [`Experiment::replay`](crate::Experiment::replay), which re-sends each
+//! request at its enqueue stamp.
 
 use std::fmt::Write as _;
 

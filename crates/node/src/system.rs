@@ -121,6 +121,19 @@ enum Drive {
     Replay,
 }
 
+/// Renumbers recorded stream ids to their rank among the distinct ids, so
+/// the per-stream tables hold one entry per recorded stream whatever the
+/// ids' size (ids `0..n` map to themselves). Returns the stream count.
+fn rank_stream_ids(spans: &mut [SpanRecord]) -> usize {
+    let mut ids: Vec<usize> = spans.iter().map(|s| s.stream).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    for s in spans.iter_mut() {
+        s.stream = ids.binary_search(&s.stream).expect("every id was collected");
+    }
+    ids.len()
+}
+
 /// A span being assembled for an in-flight client request (slab-parallel
 /// to `StorageNode::meta`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -247,7 +260,6 @@ pub(crate) struct StorageNode {
     response: LatencyHistogram,
     last_delivery: SimTime,
     requests_completed: u64,
-    trace: Option<Vec<crate::TraceRecord>>,
     obs: Option<Obs>,
     /// Kernel self-profiling tally (`None` = the dispatch loop takes its
     /// historical branch-free path). Profiling only reads the host clock
@@ -257,7 +269,7 @@ pub(crate) struct StorageNode {
 
 impl StorageNode {
     /// Builds the node from a validated experiment.
-    pub(crate) fn new(spec: Experiment) -> Self {
+    pub(crate) fn new(mut spec: Experiment) -> Self {
         let mut rng = SimRng::seed_from(spec.seed);
         let dpc = spec.shape.disks_per_controller;
         let mut controllers = Vec::with_capacity(spec.shape.controllers);
@@ -321,15 +333,13 @@ impl StorageNode {
                 });
             }
         }
-        let drive = match &spec.replay {
-            None => Drive::Closed(ClientSet::new(specs, 1, disk_blocks, &mut rng)),
-            Some(_) => Drive::Replay,
-        };
-
-        let n_streams = match (&drive, &spec.replay) {
-            (Drive::Closed(c), _) => c.len(),
-            (Drive::Replay, Some(t)) => t.iter().map(|r| r.stream + 1).max().unwrap_or(1),
-            (Drive::Replay, None) => unreachable!("replay drive implies a trace"),
+        let (drive, n_streams) = match &mut spec.replay {
+            None => {
+                let clients = ClientSet::new(specs, 1, disk_blocks, &mut rng);
+                let n = clients.len();
+                (Drive::Closed(clients), n)
+            }
+            Some(spans) => (Drive::Replay, rank_stream_ids(spans)),
         };
         let mut fe = match &spec.frontend {
             Frontend::Direct => Fe::Direct,
@@ -355,7 +365,6 @@ impl StorageNode {
         };
         let warmup_at = SimTime::ZERO + spec.warmup;
         let stop_at = warmup_at + spec.duration;
-        let trace = if spec.record_trace { Some(Vec::new()) } else { None };
         let obs = spec.obs.filter(|o| o.is_enabled()).map(|cfg| {
             if cfg.spans {
                 if let Fe::Stream(server) = &mut fe {
@@ -431,7 +440,6 @@ impl StorageNode {
             response: LatencyHistogram::new(),
             last_delivery: SimTime::ZERO,
             requests_completed: 0,
-            trace,
             obs,
             prof,
         }
@@ -472,12 +480,12 @@ impl StorageNode {
                 }
             }
             Drive::Replay => {
-                let trace = self.spec.replay.clone().expect("replay drive implies a trace");
+                let spans = self.spec.replay.clone().expect("replay drive implies spans");
                 let net = self.spec.costs.network_oneway;
-                for rec in trace {
-                    let id =
-                        self.alloc_client_id(rec.stream, rec.disk, rec.lba, rec.blocks, rec.sent);
-                    self.q.push(rec.sent + net, Ev::Arrive(id));
+                for s in spans {
+                    let sent = s.enqueued();
+                    let id = self.alloc_client_id(s.stream, s.disk, s.lba, s.blocks, sent);
+                    self.q.push(sent + net, Ev::Arrive(id));
                 }
             }
         }
@@ -609,7 +617,6 @@ impl StorageNode {
             ctrl_bytes_from_disks,
             requests_completed: self.requests_completed,
             events_simulated: self.q.scheduled_count() - obs_pushes,
-            trace: self.trace,
             spans,
             metrics,
             prof,
@@ -934,17 +941,6 @@ impl StorageNode {
                     retries: slot.retries,
                     timed_out: slot.timed_out,
                     stamps: slot.stamps,
-                });
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(crate::TraceRecord {
-                    stream: meta.stream,
-                    disk: meta.disk,
-                    lba: meta.lba,
-                    blocks: meta.blocks,
-                    sent: meta.sent,
-                    completed: now,
-                    from_memory,
                 });
             }
         }
@@ -1501,34 +1497,35 @@ mod pattern_tests {
 mod trace_tests {
     use super::*;
     use crate::experiment::Experiment;
+    use seqio_simcore::ObsConfig;
 
     #[test]
     fn trace_records_every_windowed_completion() {
         let r = Experiment::builder()
             .streams_per_disk(4)
             .requests_per_stream(25)
-            .record_trace(true)
+            .observe(ObsConfig::new().with_spans())
             .warmup(SimDuration::ZERO)
             .duration(SimDuration::from_secs(60))
             .seed(31)
             .run();
-        let trace = r.trace.as_ref().expect("tracing enabled");
-        assert_eq!(trace.len() as u64, r.requests_completed);
-        assert_eq!(trace.len(), 100);
-        for rec in trace {
-            assert!(rec.completed > rec.sent);
-            assert!(rec.stream < 4);
-            assert_eq!(rec.blocks, 128);
+        let spans = r.spans.as_ref().expect("spans enabled");
+        assert_eq!(spans.len() as u64, r.requests_completed);
+        assert_eq!(spans.len(), 100);
+        for s in spans {
+            assert!(s.delivered() > s.enqueued());
+            assert!(s.stream < 4);
+            assert_eq!(s.blocks, 128);
         }
         // Within a stream, records are sequential in lba.
         let mut last = std::collections::HashMap::new();
-        for rec in trace {
-            if let Some(prev) = last.insert(rec.stream, rec.lba) {
-                assert!(rec.lba > prev, "stream {} went backwards", rec.stream);
+        for s in spans {
+            if let Some(prev) = last.insert(s.stream, s.lba) {
+                assert!(s.lba > prev, "stream {} went backwards", s.stream);
             }
         }
         // CSV round trip has the right row count.
-        let csv = crate::trace::to_csv(trace);
+        let csv = crate::span::spans_to_csv(spans);
         assert_eq!(csv.lines().count(), 101);
     }
 
@@ -1540,58 +1537,59 @@ mod trace_tests {
             .warmup(SimDuration::ZERO)
             .duration(SimDuration::from_secs(10))
             .run();
-        assert!(r.trace.is_none());
+        assert!(r.spans.is_none());
     }
 }
 
 #[cfg(test)]
 mod replay_tests {
     use super::*;
-    use crate::experiment::{Experiment, Frontend};
+    use crate::experiment::{Experiment, Frontend, NodeShape};
     use seqio_simcore::units::MIB;
+    use seqio_simcore::ObsConfig;
 
     fn capture() -> crate::RunResult {
         Experiment::builder()
             .streams_per_disk(6)
             .requests_per_stream(30)
-            .record_trace(true)
+            .observe(ObsConfig::new().with_spans())
             .warmup(SimDuration::ZERO)
             .duration(SimDuration::from_secs(60))
             .seed(41)
             .run()
     }
 
+    fn replay(spans: Vec<SpanRecord>) -> crate::ExperimentBuilder {
+        Experiment::builder()
+            .replay(spans)
+            .warmup(SimDuration::ZERO)
+            .duration(SimDuration::from_secs(120))
+    }
+
     #[test]
     fn replay_completes_every_recorded_request() {
         let original = capture();
-        let trace = original.trace.clone().unwrap();
-        let replayed = Experiment::builder()
-            .replay(trace.clone())
-            .warmup(SimDuration::ZERO)
-            .duration(SimDuration::from_secs(120))
-            .seed(42)
-            .run();
-        assert_eq!(replayed.requests_completed, trace.len() as u64);
+        let spans = original.spans.clone().unwrap();
+        let replayed = replay(spans.clone()).seed(42).run();
+        assert_eq!(replayed.requests_completed, spans.len() as u64);
         assert_eq!(replayed.bytes_delivered, original.bytes_delivered);
+        assert_eq!(replayed.per_stream_bytes, original.per_stream_bytes);
     }
 
     #[test]
     fn replay_through_a_different_frontend() {
-        let trace = capture().trace.unwrap();
-        let replayed = Experiment::builder()
-            .replay(trace.clone())
+        let spans = capture().spans.unwrap();
+        let replayed = replay(spans.clone())
             .frontend(Frontend::stream_scheduler_with_readahead(MIB))
-            .record_trace(true)
-            .warmup(SimDuration::ZERO)
-            .duration(SimDuration::from_secs(120))
+            .observe(ObsConfig::new().with_spans())
             .seed(43)
             .run();
-        assert_eq!(replayed.requests_completed, trace.len() as u64);
-        let out = replayed.trace.unwrap();
-        assert_eq!(out.len(), trace.len());
-        // Open loop: send times are preserved from the input trace.
-        let mut sent_in: Vec<_> = trace.iter().map(|r| r.sent).collect();
-        let mut sent_out: Vec<_> = out.iter().map(|r| r.sent).collect();
+        assert_eq!(replayed.requests_completed, spans.len() as u64);
+        let out = replayed.spans.unwrap();
+        assert_eq!(out.len(), spans.len());
+        // Open loop: send times are preserved from the input spans.
+        let mut sent_in: Vec<_> = spans.iter().map(SpanRecord::enqueued).collect();
+        let mut sent_out: Vec<_> = out.iter().map(SpanRecord::enqueued).collect();
         sent_in.sort();
         sent_out.sort();
         assert_eq!(sent_in, sent_out);
@@ -1601,5 +1599,48 @@ mod replay_tests {
     fn empty_replay_rejected() {
         let e = Experiment::builder().replay(Vec::new()).build();
         assert!(e.validate().is_err());
+    }
+
+    #[test]
+    fn replay_records_that_do_not_fit_the_node_are_typed_errors() {
+        let good = capture().spans.unwrap()[0];
+        let disk_blocks = NodeShape::single_disk().disk_blocks();
+        let mut no_enqueue = good;
+        no_enqueue.stamps[SpanPhase::Enqueued.index()] = None;
+        let cases = [
+            (SpanRecord { disk: 1, ..good }, "names disk 1"),
+            (SpanRecord { blocks: 0, ..good }, "zero blocks"),
+            (SpanRecord { lba: disk_blocks - 64, ..good }, "past its disk's end"),
+            (SpanRecord { lba: u64::MAX, ..good }, "past its disk's end"),
+            (no_enqueue, "no enqueue stamp"),
+        ];
+        for (bad, want) in cases {
+            let err = Experiment::builder().replay(vec![good, bad]).build().validate().unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("replay record 2") && msg.contains(want), "{msg}");
+        }
+        let mut late = good;
+        late.stamps[SpanPhase::Enqueued.index()] = Some(SimTime::MAX);
+        let err = Experiment::builder().replay(vec![late]).build().validate().unwrap_err();
+        assert!(err.to_string().contains("too late"), "{err}");
+        // A record ending exactly at the disk's last block fits.
+        let last = SpanRecord { lba: disk_blocks - good.blocks, ..good };
+        assert!(Experiment::builder().replay(vec![last]).build().validate().is_ok());
+    }
+
+    #[test]
+    fn recorded_stream_ids_map_to_their_rank() {
+        let spans = capture().spans.unwrap();
+        // Spread the six recorded ids far apart: the node still sizes its
+        // tables by the six distinct streams, in the same order.
+        let sparse: Vec<SpanRecord> = spans
+            .iter()
+            .map(|s| SpanRecord { stream: s.stream * 1_000_000_007 + 5_000_000_000, ..*s })
+            .collect();
+        let dense = replay(spans).seed(44).run();
+        let spread = replay(sparse).seed(44).run();
+        assert_eq!(spread.per_stream_bytes.len(), 6);
+        assert_eq!(spread.per_stream_bytes, dense.per_stream_bytes);
+        assert_eq!(format!("{:?}", spread.response), format!("{:?}", dense.response));
     }
 }

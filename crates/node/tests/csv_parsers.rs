@@ -1,61 +1,42 @@
-//! Edge-case audit of the CSV/JSONL parsers: `trace::from_csv` and
-//! `span::spans_from_csv` must handle degenerate inputs — empty files,
-//! header-only files, trailing newlines, mid-file corruption — with
-//! errors, never panics, and never silently dropped rows.
+//! Edge-case audit of the span CSV parser, `span::spans_from_csv`, which
+//! reads every span file `seqio report` and `seqio replay` accept: it must
+//! handle degenerate inputs — empty files, header-only files, trailing
+//! newlines, mid-file corruption — with errors, never panics, and never
+//! silently dropped rows. A mutation harness then drives ten thousand
+//! corrupted copies of a recorded file through the parser and the replay
+//! validation.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::span::{spans_from_csv, spans_to_csv};
-use seqio_node::trace::{from_csv, to_csv};
-use seqio_node::{SpanPhase, TraceRecord};
-use seqio_simcore::SimTime;
-
-fn trace_rec(stream: usize) -> TraceRecord {
-    TraceRecord {
-        stream,
-        disk: 0,
-        lba: stream as u64 * 4096,
-        blocks: 128,
-        sent: SimTime::from_nanos(stream as u64 * 1_000),
-        completed: SimTime::from_nanos(stream as u64 * 1_000 + 250_000),
-        from_memory: false,
-    }
-}
+use seqio_node::{run_node, Experiment, Frontend, NodeShape, ObsConfig, SpanPhase};
+use seqio_simcore::units::MIB;
+use seqio_simcore::{SimDuration, SimRng};
 
 fn span_line(delivered_ns: u64) -> String {
-    // stream,disk,lba,blocks,from_memory,retries,timed_out + 7 stamps
-    // (enqueued first, delivered last).
-    format!("0,0,0,128,true,0,false,1000,,,,,,{delivered_ns}")
+    // stream,disk,lba,blocks,from_memory,retries,timed_out + 8 stamps
+    // (enqueued first, delivered seventh, network_delivered last).
+    format!("0,0,0,128,true,0,false,1000,,,,,,{delivered_ns},")
 }
 
 #[test]
 fn empty_and_whitespace_files_parse_to_nothing() {
-    assert_eq!(from_csv("").unwrap(), vec![]);
-    assert_eq!(from_csv("\n\n  \n").unwrap(), vec![]);
     assert_eq!(spans_from_csv("").unwrap(), vec![]);
     assert_eq!(spans_from_csv("\n\n  \n").unwrap(), vec![]);
 }
 
 #[test]
 fn header_only_files_parse_to_nothing() {
-    let trace_header = to_csv(&[]);
-    assert!(trace_header.starts_with("stream,"));
-    assert_eq!(from_csv(&trace_header).unwrap(), vec![]);
-    // With and without the trailing newline.
-    assert_eq!(from_csv(trace_header.trim_end()).unwrap(), vec![]);
-
     let span_header = spans_to_csv(&[]);
     assert!(span_header.starts_with("stream,"));
     assert_eq!(spans_from_csv(&span_header).unwrap(), vec![]);
+    // With and without the trailing newline.
     assert_eq!(spans_from_csv(span_header.trim_end()).unwrap(), vec![]);
 }
 
 #[test]
 fn trailing_newlines_do_not_add_rows() {
-    let csv = to_csv(&[trace_rec(0), trace_rec(1)]);
-    assert!(csv.ends_with('\n'));
-    assert_eq!(from_csv(&csv).unwrap().len(), 2);
-    assert_eq!(from_csv(csv.trim_end()).unwrap().len(), 2);
-    assert_eq!(from_csv(&format!("{csv}\n\n")).unwrap().len(), 2);
-
     let spans = spans_from_csv(&span_line(2_000)).unwrap();
     let csv = spans_to_csv(&spans);
     assert!(csv.ends_with('\n'));
@@ -66,14 +47,8 @@ fn trailing_newlines_do_not_add_rows() {
 
 #[test]
 fn field_count_mismatch_mid_file_names_the_line() {
-    // A good row, then a truncated one: the error carries the 1-based
-    // line number of the corruption (header is line 1).
-    let mut csv = to_csv(&[trace_rec(0), trace_rec(1)]);
-    csv.push_str("7,0,0,128\n");
-    let err = from_csv(&csv).unwrap_err();
-    assert!(err.contains("line 4"), "{err}");
-    assert!(err.contains("expected 8 fields"), "{err}");
-
+    // Two good rows, then a truncated one: the error carries the 1-based
+    // line number of the corruption.
     let good = span_line(2_000);
     let n_fields = 7 + SpanPhase::COUNT;
     let csv = format!("{good}\n{good}\n0,0,0\n");
@@ -82,19 +57,8 @@ fn field_count_mismatch_mid_file_names_the_line() {
     assert!(err.contains(&format!("expected {n_fields} fields")), "{err}");
 
     // An extra field is just as corrupt as a missing one.
-    let err = from_csv("0,0,0,128,0,100000,100.0,true,oops").unwrap_err();
-    assert!(err.contains("expected 8 fields"), "{err}");
-}
-
-#[test]
-fn non_finite_latency_is_rejected_not_accepted() {
-    // NaN parses as a valid f64 and defeats any `>` tolerance check, so
-    // the parser must reject non-finite latencies explicitly.
-    for bad in ["NaN", "inf", "-inf"] {
-        let line = format!("0,0,0,128,0,100000,{bad},true");
-        let err = from_csv(&line).unwrap_err();
-        assert!(err.contains("latency_us"), "{bad}: {err}");
-    }
+    let err = spans_from_csv(&format!("{good},oops")).unwrap_err();
+    assert!(err.contains(&format!("expected {n_fields} fields")), "{err}");
 }
 
 #[test]
@@ -111,10 +75,145 @@ fn span_delivery_before_enqueue_is_an_error_not_a_panic() {
 #[test]
 fn a_body_row_that_looks_like_a_header_is_not_skipped() {
     // Only line 1 may be a header; a header-ish line later is corrupt.
-    let csv = format!(
-        "{}stream,disk,lba,blocks,sent_ns,completed_ns,latency_us,from_memory\n",
-        to_csv(&[trace_rec(0)])
-    );
-    let err = from_csv(&csv).unwrap_err();
+    let csv = spans_to_csv(&spans_from_csv(&span_line(2_000)).unwrap());
+    let header = csv.lines().next().unwrap();
+    let err = spans_from_csv(&format!("{csv}{header}\n")).unwrap_err();
     assert!(err.contains("line 3"), "{err}");
+}
+
+/// The node a replay mutant is validated against, and a span CSV recorded
+/// on it: a short stream-scheduler run over all eight disks, so the file
+/// carries several disks and streams and filled phase columns.
+fn recorded_corpus() -> (Experiment, String) {
+    let spec = Experiment::builder()
+        .shape(NodeShape::eight_disk())
+        .streams_per_disk(2)
+        .requests_per_stream(3)
+        .frontend(Frontend::stream_scheduler_with_readahead(MIB))
+        .warmup(SimDuration::ZERO)
+        .duration(SimDuration::from_secs(10))
+        .seed(5)
+        .build();
+    let spans = spec.clone().observe(ObsConfig::new().with_spans()).run().spans.unwrap();
+    assert_eq!(spans.len(), 48, "every recorded request is in the corpus");
+    (spec, spans_to_csv(&spans))
+}
+
+/// Applies one random mutation to `bytes`: a bit flip, a byte swapped for
+/// a CSV-significant one, a truncation, a line splice (the head of one
+/// line joined to the tail of another, inserted at a line boundary), a
+/// dropped line, or a field replaced by an edge-case number.
+fn mutate(bytes: &mut Vec<u8>, corpus: &[&str], rng: &mut SimRng) {
+    let pos = |rng: &mut SimRng, len: usize| rng.below(len.max(1) as u64) as usize;
+    match rng.below(6) {
+        0 if !bytes.is_empty() => {
+            let i = pos(rng, bytes.len());
+            bytes[i] ^= 1 << rng.below(8);
+        }
+        1 if !bytes.is_empty() => {
+            const ALPHABET: &[u8] = b"0123456789,,,\n-+.eE tfalsruNn";
+            let i = pos(rng, bytes.len());
+            bytes[i] = ALPHABET[pos(rng, ALPHABET.len())];
+        }
+        2 => bytes.truncate(pos(rng, bytes.len() + 1)),
+        3 => {
+            let (a, b) = (corpus[pos(rng, corpus.len())], corpus[pos(rng, corpus.len())]);
+            let (cut_a, cut_b) = (pos(rng, a.len() + 1), pos(rng, b.len() + 1));
+            let line = format!("{}{}\n", &a[..cut_a], &b[cut_b..]);
+            let starts: Vec<usize> = std::iter::once(0)
+                .chain(bytes.iter().enumerate().filter(|(_, &c)| c == b'\n').map(|(i, _)| i + 1))
+                .collect();
+            let at = starts[pos(rng, starts.len())];
+            bytes.splice(at..at, line.bytes());
+        }
+        4 => {
+            let text = String::from_utf8_lossy(bytes).into_owned();
+            let lines: Vec<&str> = text.lines().collect();
+            let drop = pos(rng, lines.len());
+            let kept: Vec<&str> =
+                lines.iter().enumerate().filter(|&(i, _)| i != drop).map(|(_, l)| *l).collect();
+            *bytes = (kept.join("\n") + "\n").into_bytes();
+        }
+        _ => {
+            // Replace one comma-delimited field with an edge-case number:
+            // zero, a disk past the shape, the disk's block count, values at
+            // and past `u64::MAX`, and a stream id too large to size a table.
+            const EDGES: [&str; 8] = [
+                "0",
+                "8",
+                "156263510",
+                "18446744073709551615",
+                "18446744073709551616",
+                "18446744073709551487",
+                "99999999999999999999999999",
+                "5000000000",
+            ];
+            let commas: Vec<usize> =
+                bytes.iter().enumerate().filter(|(_, &c)| c == b',').map(|(i, _)| i).collect();
+            if commas.is_empty() {
+                return;
+            }
+            let start = commas[pos(rng, commas.len())] + 1;
+            let end = bytes[start..]
+                .iter()
+                .position(|&c| c == b',' || c == b'\n')
+                .map_or(bytes.len(), |n| start + n);
+            bytes.splice(start..end, EDGES[pos(rng, EDGES.len())].bytes());
+        }
+    }
+}
+
+/// The no-panic bar for the replay input: every mutant of a recorded
+/// span file reads, parses and validates to `Ok` or a typed error — never
+/// a panic — and every mutant that validates replays to completion, on
+/// the direct, Linux and stream-scheduler front ends in turn. Invalid
+/// UTF-8 counts as the read error `read_to_string` returns in the CLI.
+#[test]
+fn replay_input_mutants_never_panic() {
+    const MUTANTS: u64 = 10_000;
+    let (spec, csv) = recorded_corpus();
+    let frontends = [
+        Frontend::Direct,
+        Frontend::Linux {
+            scheduler: SchedKind::Anticipatory,
+            readahead: ReadaheadConfig::default(),
+        },
+        spec.frontend.clone(),
+    ];
+    let corpus: Vec<&str> = csv.lines().collect();
+    let mut rng = SimRng::seed_from(0x5eed_5a4e);
+    let (mut not_utf8, mut parse_err, mut invalid, mut replayed) = (0u64, 0u64, 0u64, 0u64);
+    let mut panics: Vec<String> = Vec::new();
+    for k in 0..MUTANTS {
+        let mut bytes = csv.clone().into_bytes();
+        for _ in 0..1 + rng.below(3) {
+            mutate(&mut bytes, &corpus, &mut rng);
+        }
+        let Ok(text) = std::str::from_utf8(&bytes) else {
+            not_utf8 += 1;
+            continue;
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            spans_from_csv(text).map(|spans| {
+                let mut replay = spec.clone();
+                replay.replay = Some(spans);
+                replay.frontend = frontends[k as usize % frontends.len()].clone();
+                run_node(&replay).map(|r| r.requests_completed)
+            })
+        }));
+        match outcome {
+            Ok(Err(_)) => parse_err += 1,
+            Ok(Ok(Err(_))) => invalid += 1,
+            Ok(Ok(Ok(_))) => replayed += 1,
+            Err(_) => panics.push(text.to_string()),
+        }
+    }
+    assert!(panics.is_empty(), "{} mutant(s) panicked; first:\n{}", panics.len(), panics[0]);
+    assert_eq!(not_utf8 + parse_err + invalid + replayed, MUTANTS);
+    // Each layer must see real traffic for the bar to mean anything.
+    for (what, n) in
+        [("parse errors", parse_err), ("validation errors", invalid), ("replays", replayed)]
+    {
+        assert!(n >= MUTANTS / 100, "only {n} {what} among {MUTANTS} mutants");
+    }
 }

@@ -16,10 +16,10 @@ use seqio_simcore::SimDuration;
 
 /// Every field of `RunResult` except the recorder outputs themselves,
 /// rendered so that any drift — histogram buckets, float bit patterns,
-/// event counts, trace rows — fails the comparison.
+/// event counts — fails the comparison.
 fn fingerprint(r: &RunResult) -> String {
     format!(
-        "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}",
+        "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}",
         r.per_stream_mbs,
         r.window,
         r.bytes_delivered,
@@ -35,7 +35,6 @@ fn fingerprint(r: &RunResult) -> String {
         r.ctrl_bytes_from_disks,
         r.requests_completed,
         r.events_simulated,
-        r.trace,
     )
 }
 
@@ -43,7 +42,6 @@ fn base(frontend: Option<Frontend>, faults: Option<FaultPlan>) -> Experiment {
     let mut b = Experiment::builder()
         .streams_per_disk(20)
         .request_size(64 * KIB)
-        .record_trace(true)
         .warmup(SimDuration::from_millis(500))
         .duration(SimDuration::from_secs(2))
         .seed(77);
@@ -71,13 +69,22 @@ fn enabling_observability_never_changes_outputs() {
     ];
     for (label, fe, faults) in cases {
         let off = base(fe.clone(), faults.clone()).run();
+        let spans_only =
+            base(fe.clone(), faults.clone()).observe(ObsConfig::new().with_spans()).run();
         let on = base(fe.clone(), faults.clone())
             .observe(ObsConfig::all().sample_every(SimDuration::from_millis(5)))
+            .profile(ProfConfig::new())
             .run();
         assert_eq!(fingerprint(&off), fingerprint(&on), "{label}: recorder perturbed the run");
+        assert_eq!(fingerprint(&off), fingerprint(&spans_only), "{label}: spans perturbed the run");
         assert!(off.spans.is_none() && off.metrics.is_none(), "{label}: obs off yet recorded");
         let spans = on.spans.as_ref().expect("spans enabled");
         assert_eq!(spans.len() as u64, on.requests_completed, "{label}: one span per completion");
+        // Per request: metric sampling and profiling leave every span —
+        // stream, disk, LBA, length, enqueue and delivery instants,
+        // memory-hit flag and the phase stamps between — exactly as a
+        // spans-only run records it.
+        assert_eq!(spans_only.spans.as_ref(), Some(spans), "{label}: per-request records drifted");
         assert!(!on.metrics.as_ref().expect("metrics enabled").is_empty(), "{label}: no samples");
     }
 }
@@ -117,8 +124,7 @@ fn enabling_profiling_never_changes_outputs() {
     }
 }
 
-/// Spans re-derive exactly what the flat trace and response histogram
-/// already measure: `delivered - enqueued` per request matches the
+/// Spans re-derive exactly what the response histogram already measures: `delivered - enqueued` per request matches the
 /// recorded latency distribution's count and exact sum.
 #[test]
 fn span_totals_match_the_response_histogram() {
@@ -161,9 +167,7 @@ fn per_phase_means_sum_to_end_to_end_mean() {
 #[test]
 fn sampled_utilization_matches_aggregate_busy_time() {
     for fe in [None, Some(Frontend::stream_scheduler_with_readahead(MIB))] {
-        let mut e = base(fe, None);
-        e.record_trace = false;
-        let r = e
+        let r = base(fe, None)
             .observe(ObsConfig::new().with_metrics().sample_every(SimDuration::from_millis(5)))
             .run();
         let series = r.metrics.as_ref().unwrap();

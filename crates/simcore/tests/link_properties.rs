@@ -96,9 +96,12 @@ proptest! {
         }
     }
 
-    /// Allocation is invariant under permutation of the demand vector:
-    /// each transfer's rate depends only on its own demand and the
-    /// multiset of competitors.
+    /// Allocation of distinct demands is invariant under permutation of
+    /// the demand vector: each transfer's rate depends only on its own
+    /// demand and the multiset of competitors. Ties are left out on
+    /// purpose: successive division gives equal demands in the fair-share
+    /// regime different last bits by position (DESIGN §5g), which
+    /// `link::tests::equal_demands_are_shared_by_position` pins instead.
     #[test]
     fn prop_allocation_is_permutation_invariant(
         capacity_raw in 1u32..1_000_000,
@@ -106,7 +109,9 @@ proptest! {
         rot in 1usize..29,
     ) {
         let capacity = f64::from(capacity_raw);
-        let demands = demands_from(&raw);
+        let mut seen = std::collections::HashSet::new();
+        let distinct: Vec<u16> = raw.into_iter().filter(|d| seen.insert(*d)).collect();
+        let demands = demands_from(&distinct);
         let rot = rot % demands.len();
         let mut rotated = demands.clone();
         rotated.rotate_left(rot);

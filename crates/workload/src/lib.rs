@@ -2,9 +2,8 @@
 //!
 //! Workload generation for the `seqio` storage-node simulation: stream
 //! specifications ([`StreamSpec`], [`Pattern`]), closed-loop client
-//! emulation with bounded outstanding requests ([`ClientSet`]), placement
-//! helpers ([`uniform_offsets`], [`interval_offsets`]) and an `xdd`-style
-//! micro-benchmark builder ([`XddRun`]).
+//! emulation with bounded outstanding requests ([`ClientSet`]) and
+//! placement helpers ([`uniform_offsets`], [`interval_offsets`]).
 //!
 //! # Examples
 //!
@@ -27,9 +26,7 @@
 mod client;
 mod placement;
 mod stream;
-mod xdd;
 
 pub use client::{ClientRequest, ClientSet, StreamIdx};
 pub use placement::{interval_offsets, uniform_offsets};
 pub use stream::{Pattern, StreamSpec, StreamState};
-pub use xdd::XddRun;
