@@ -245,7 +245,7 @@ mod tests {
         assert!(!obs.spans && obs.metrics);
         assert_eq!(obs.sample_interval, SimDuration::from_millis(2));
         // Both together.
-        let e = try_build(&args(&["--trace-out", "s.jsonl", "--metrics-out", "m.csv"])).unwrap();
+        let e = try_build(&args(&["--trace-out", "s.csv", "--metrics-out", "m.csv"])).unwrap();
         let obs = e.obs.unwrap();
         assert!(obs.spans && obs.metrics);
         assert_eq!(obs.sample_interval, SimDuration::from_millis(10), "default period");

@@ -20,8 +20,8 @@ pub struct CommonArgs {
     /// the subcommand's business: the single node, every sweep point, or
     /// `--fault-node` of a cluster.
     pub faults: Option<FaultPlan>,
-    /// `--trace-out FILE`: record request-lifecycle spans and write them
-    /// here (JSONL when the path ends in `.jsonl`, CSV otherwise).
+    /// `--trace-out FILE`: record request-lifecycle spans and write the
+    /// span CSV here.
     pub trace_out: Option<String>,
     /// `--metrics-out FILE`: sample a metric time series and write the
     /// CSV here.
@@ -88,12 +88,8 @@ impl CommonArgs {
     ) -> Result<(), String> {
         if let Some(path) = &self.trace_out {
             let spans = spans.expect("span recording was enabled");
-            let rendered = if path.ends_with(".jsonl") {
-                seqio_node::span::spans_to_jsonl(spans)
-            } else {
-                seqio_node::span::spans_to_csv(spans)
-            };
-            std::fs::write(path, rendered).map_err(|e| format!("--trace-out {path}: {e}"))?;
+            std::fs::write(path, seqio_node::span::spans_to_csv(spans))
+                .map_err(|e| format!("--trace-out {path}: {e}"))?;
             println!("spans:           {} spans -> {path}", spans.len());
         }
         if let Some(path) = &self.metrics_out {

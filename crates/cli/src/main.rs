@@ -391,13 +391,16 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         }
         None => println!("sessions:        none completed inside the run window"),
     }
+    // Each node numbers its own stream slots from 0; the file names every
+    // span by its global session id, so sessions on different nodes never
+    // share a `stream`.
     let merged_spans: Option<Vec<seqio_node::SpanRecord>> = common.trace_out.as_ref().map(|_| {
         c.nodes
             .iter()
-            .filter_map(|n| n.result.as_ref())
-            .filter_map(|r| r.spans.as_ref())
-            .flatten()
-            .copied()
+            .filter_map(|n| Some((&c.node_stream_ids[n.node], n.result.as_ref()?.spans.as_ref()?)))
+            .flat_map(|(ids, spans)| {
+                spans.iter().map(|s| seqio_node::SpanRecord { stream: ids[s.stream], ..*s })
+            })
             .collect()
     });
     common.write_outputs(merged_spans.as_ref(), c.metrics.as_ref())?;
@@ -581,12 +584,21 @@ fn report_traces(args: &Args, path: &str) -> Result<(), String> {
         migrated.len()
     );
     if args.switch("correlate") {
-        let nodes =
-            traces.iter().flat_map(|t| t.node_path.iter().copied()).max().map_or(0, |n| n + 1);
+        // (sessions, spans) per node named in the file, counted in one pass.
+        let mut per_node = std::collections::BTreeMap::<usize, (usize, usize)>::new();
+        for t in &traces {
+            let mut path = t.node_path.clone();
+            path.sort_unstable();
+            path.dedup();
+            for k in path {
+                per_node.entry(k).or_default().0 += 1;
+            }
+            for s in &t.spans {
+                per_node.entry(s.node).or_default().1 += 1;
+            }
+        }
         println!("{:>6} {:>10} {:>10}", "node", "sessions", "spans");
-        for k in 0..nodes {
-            let sessions = traces.iter().filter(|t| t.node_path.contains(&k)).count();
-            let node_spans = traces.iter().flat_map(|t| &t.spans).filter(|s| s.node == k).count();
+        for (k, (sessions, node_spans)) in per_node {
             println!("{k:>6} {sessions:>10} {node_spans:>10}");
         }
         for t in &migrated {
@@ -909,8 +921,8 @@ SHARED FLAGS (one grammar across run, sweep and cluster run):
                                    badregion:disk=D,start=LBA,blocks=N[,penalty=DUR]
                                    retry:[max=N][,backoff=DUR][,timeout=DUR]
                                  (whole run; on a cluster, lands on --fault-node)
-  --trace-out FILE               record request-lifecycle spans
-                                 (.jsonl for JSON lines, CSV otherwise)
+  --trace-out FILE               record request-lifecycle spans and
+                                 write them as the span CSV
   --metrics-out FILE             record a metric time series CSV
   --sample-interval DUR          metric sampling period  [10ms]
   --jobs N                       worker threads          [SEQIO_JOBS, then #cpus]

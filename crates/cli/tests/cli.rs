@@ -4,7 +4,7 @@
 //! --spans` completes every recorded request, `scenario record` →
 //! `scenario replay` reproduces `scenario run` exactly, and replayed
 //! spans and traces that do not fit the node end cleanly instead of
-//! crashing.
+//! crashing, as do clock-overflowing runs and hostile trace files.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -287,4 +287,188 @@ fn removed_trace_flags_are_unknown() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown flag(s): {flag}")), "{args:?}: {err}");
     }
+}
+
+/// Runs `seqio` expecting the clean exit 1 of a typed error and returns
+/// its stderr.
+fn typed_error(args: &[&str]) -> String {
+    let out = seqio(args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(err.starts_with("error: "), "{args:?}: {err}");
+    err
+}
+
+/// A retry backoff that doubles past the end of the simulated clock is
+/// refused up front instead of wrapping the controller's retry instant.
+#[test]
+fn run_refuses_a_retry_delay_past_the_end_of_the_clock() {
+    let err = typed_error(&[
+        "run",
+        "--streams",
+        "2",
+        "--warmup",
+        "0s",
+        "--duration",
+        "1s",
+        "--faults",
+        "errors:disk=0,rate=1;retry:backoff=18446744073709551615ns,max=3",
+    ]);
+    assert!(err.contains("`backoff`") && err.contains("overflows"), "{err}");
+    // One retry waits the backoff itself: that fits on the clock, but not
+    // after the end of the window.
+    let err = typed_error(&[
+        "run",
+        "--streams",
+        "2",
+        "--warmup",
+        "0s",
+        "--duration",
+        "1s",
+        "--faults",
+        "errors:disk=0,rate=1;retry:backoff=18446744073709551615ns,max=1",
+    ]);
+    assert!(err.contains("retry delay") && err.contains("overflows"), "{err}");
+}
+
+/// A measurement window that ends past the end of the simulated clock is
+/// refused instead of wrapping to an instant stop.
+#[test]
+fn run_refuses_a_window_past_the_end_of_the_clock() {
+    let err = typed_error(&[
+        "run",
+        "--streams",
+        "1",
+        "--warmup",
+        "1s",
+        "--duration",
+        "18446744073709551615ns",
+        "--requests",
+        "2",
+    ]);
+    assert!(err.contains("`warmup` + `duration`") && err.contains("overflows"), "{err}");
+}
+
+/// A straggler window that ends past the end of the simulated clock is
+/// refused for that reason, not as an empty window.
+#[test]
+fn run_refuses_a_straggler_window_past_the_end_of_the_clock() {
+    let err = typed_error(&[
+        "run",
+        "--streams",
+        "1",
+        "--faults",
+        "straggler:disk=0,factor=4,from=1s,for=18446744073709551615ns",
+    ]);
+    assert!(err.contains("`from` + `for`") && err.contains("overflows"), "{err}");
+    assert!(!err.contains("empty"), "{err}");
+}
+
+/// Writes a correlated-trace file holding `lines` and returns its path.
+fn trace_file(dir: &std::path::Path, name: &str, lines: &[&str]) -> String {
+    let path = dir.join(format!("{name}.jsonl"));
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// One completed two-request session on `node`, delivered at
+/// `delivered_ns`.
+fn session_line(node: &str, delivered_ns: &str) -> String {
+    let span = |lba: u64, enq: u64| {
+        format!(
+            "{{\"node\":{node},\"stream\":0,\"disk\":0,\"lba\":{lba},\"blocks\":128,\
+             \"from_memory\":false,\"retries\":0,\"timed_out\":false,\
+             \"stamps\":[{enq},null,null,null,null,null,{delivered_ns},null]}}"
+        )
+    };
+    format!(
+        "{{\"session\":0,\"arrival_ns\":0,\"title\":1,\"requests\":2,\"nodes\":[{node}],\
+         \"spans\":[{},{}]}}",
+        span(0, 0),
+        span(128, 1)
+    )
+}
+
+/// A trace line nested far deeper than the format ever nests is a typed
+/// error, not a stack overflow.
+#[test]
+fn report_refuses_deeply_nested_trace_json() {
+    let dir = scratch_dir("trace-nested");
+    let trace = trace_file(&dir, "nested", &[&"[".repeat(2_000_000)]);
+    let err = typed_error(&["report", "--trace", &trace]);
+    assert!(err.contains("line 1") && err.contains("nesting deeper than"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--burn` over a session stamped near the end of the clock refuses the
+/// tick grid the stamp would need instead of walking it, and attribution
+/// over stamps at the very end of the clock saturates.
+#[test]
+fn report_burn_work_is_bounded_by_the_input() {
+    let dir = scratch_dir("trace-late");
+    let late = trace_file(&dir, "late", &[&session_line("0", "9200000000000000000")]);
+    let err = typed_error(&["report", "--trace", &late, "--burn"]);
+    assert!(err.contains("ticks"), "{err}");
+    let end = trace_file(&dir, "end", &[&session_line("0", &u64::MAX.to_string())]);
+    let report = stdout(&seqio(&["report", "--trace", &end, "--attribute", "p99"]));
+    assert!(report.contains("delivered              100.00%"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--correlate` lists the nodes a file names, however large their ids,
+/// without walking every id below them.
+#[test]
+fn report_correlate_lists_only_the_named_nodes() {
+    let dir = scratch_dir("trace-node");
+    let node = (u64::MAX - 1).to_string();
+    let trace = trace_file(&dir, "node", &[&session_line(&node, "2000")]);
+    let report = stdout(&seqio(&["report", "--trace", &trace, "--correlate"]));
+    assert!(report.contains(&format!("{node}          1          2")), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `client run --trace-out` over two nodes names every span by its global
+/// session id: each `stream` in the file is one session, whose requests
+/// run back to back on one disk and never exceed the session's budget.
+#[test]
+fn client_trace_out_names_each_session_once() {
+    let dir = scratch_dir("client-spans");
+    let spans = dir.join("c.csv");
+    let spans = spans.to_str().unwrap();
+    stdout(&seqio(&[
+        "client",
+        "run",
+        "--nodes",
+        "2",
+        "--rate",
+        "50",
+        "--link",
+        "125M",
+        "--warmup",
+        "0s",
+        "--duration",
+        "2s",
+        "--base-seed",
+        "7",
+        "--trace-out",
+        spans,
+    ]));
+    let csv = std::fs::read_to_string(spans).unwrap();
+    let mut sessions: std::collections::BTreeMap<u64, Vec<(u64, u64, u64, u64)>> =
+        Default::default();
+    for line in csv.lines().skip(1) {
+        let f: Vec<u64> = line.split(',').take(8).map(|v| v.parse().unwrap_or(0)).collect();
+        // (enqueue, disk, lba, blocks) under the stream id.
+        sessions.entry(f[0]).or_default().push((f[7], f[1], f[2], f[3]));
+    }
+    assert!(sessions.len() > 40, "only {} sessions recorded", sessions.len());
+    for (id, mut requests) in sessions {
+        assert!(requests.len() <= 4, "stream {id} holds {} requests", requests.len());
+        requests.sort_unstable();
+        for w in requests.windows(2) {
+            assert_eq!(w[1].1, w[0].1, "stream {id} changes disk: {requests:?}");
+            assert_eq!(w[1].2, w[0].2 + w[0].3, "stream {id} is not one session: {requests:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

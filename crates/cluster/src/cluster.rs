@@ -7,7 +7,7 @@ use seqio_node::{Experiment, RunResult};
 use seqio_simcore::{FaultPlan, LatencyHistogram, MetricSeries, SeqioError, SimDuration, SimTime};
 
 use crate::rebalance::{MigratableStream, MigrationRecord, NodeView, RebalanceConfig, Rebalancer};
-use crate::router::{NodeHealth, Router, ShardPolicy};
+use crate::router::{degraded_threshold, NodeHealth, Router, ShardPolicy};
 
 /// A multi-node cluster experiment: `K` copies of a per-node
 /// [`Experiment`] template behind a front-end [`Router`].
@@ -47,11 +47,6 @@ pub struct ClusterExperiment {
     /// Worker override for the fan-out (`None` = `SEQIO_JOBS`, then
     /// available parallelism).
     pub jobs: Option<usize>,
-    /// Degraded threshold the straggler-aware router uses (defaults to
-    /// the stream scheduler's `degraded_rotate_threshold`).
-    pub degraded_threshold: f64,
-    /// Per-node stream capacity for the straggler-aware deal.
-    pub capacity_per_node: Option<usize>,
     /// Mid-run rebalancing: when set, the shared-clock driver checks
     /// node health every `check_interval` and migrates live streams off
     /// degraded disks. `None` runs the cluster statically.
@@ -70,9 +65,6 @@ impl ClusterExperiment {
                 node_faults: vec![None],
                 base_seed: None,
                 jobs: None,
-                degraded_threshold: seqio_core::ServerConfig::default_tuning()
-                    .degraded_rotate_threshold,
-                capacity_per_node: None,
                 rebalance: None,
             },
         }
@@ -89,13 +81,7 @@ impl ClusterExperiment {
         let disks = self.template.shape.total_disks();
         let health: Vec<NodeHealth> =
             self.node_faults.iter().map(|p| NodeHealth::from_faults(p.as_ref(), disks)).collect();
-        let mut r = Router::new(self.policy, self.nodes)
-            .with_health(health)
-            .with_threshold(self.degraded_threshold);
-        if let Some(cap) = self.capacity_per_node {
-            r = r.with_capacity(cap);
-        }
-        r
+        Router::new(self.policy, self.nodes).with_health(health)
     }
 
     /// Validates the full cluster specification.
@@ -228,7 +214,7 @@ impl ClusterExperiment {
                 let rebalancer = Rebalancer::new(cfg.clone());
                 let pos = |k: usize| live.binary_search(&k).expect("plans name live nodes only");
                 driver::run_lockstep(nodes, jobs, cfg.check_interval, |t, nodes| {
-                    let views = build_views(nodes, &live, &slot_map, cfg.threshold, t);
+                    let views = build_views(nodes, &live, &slot_map, t);
                     for mv in rebalancer.plan(&views) {
                         // Slots only grow, so a stream's live slot on a
                         // node is its last one there.
@@ -275,15 +261,15 @@ type Node = NodeDrive<std::iter::Empty<NodeOp>, ()>;
 
 /// Snapshots every live node's health at epoch boundary `at` into the
 /// [`NodeView`]s the rebalancer plans from; `live[i]` is `nodes[i]`'s
-/// cluster index. Only live streams on disks at or past `threshold`
-/// become migration candidates.
+/// cluster index. Only live streams on degraded disks become migration
+/// candidates.
 fn build_views(
     nodes: &[Node],
     live: &[usize],
     slot_map: &[Vec<usize>],
-    threshold: f64,
     at: SimTime,
 ) -> Vec<NodeView> {
+    let threshold = degraded_threshold();
     let mut views = Vec::new();
     for (node, &k) in nodes.iter().zip(live) {
         let sim = node.sim();
@@ -355,19 +341,6 @@ impl ClusterExperimentBuilder {
     /// Overrides the fan-out worker count.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.spec.jobs = Some(jobs);
-        self
-    }
-
-    /// Overrides the degraded threshold for straggler-aware routing.
-    pub fn degraded_threshold(mut self, t: f64) -> Self {
-        self.spec.degraded_threshold = t;
-        self
-    }
-
-    /// Caps the streams any single node accepts under the
-    /// straggler-aware deal.
-    pub fn capacity_per_node(mut self, cap: usize) -> Self {
-        self.spec.capacity_per_node = Some(cap);
         self
     }
 

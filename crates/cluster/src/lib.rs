@@ -7,7 +7,7 @@
 //! The paper's stream scheduler is a per-node building block; this crate
 //! models the layer above it. A [`ClusterExperiment`] takes a per-node
 //! [`Experiment`](seqio_node::Experiment) template and shards the global
-//! client streams across nodes with a [`ShardPolicy`] (hash, range, or
+//! client streams across nodes with a [`ShardPolicy`] (hash, or
 //! straggler-aware steering driven by per-node [`NodeHealth`] derived
 //! from fault plans). The node [`driver`](seqio_node::driver) then runs
 //! every node on a single simulated clock: independently to completion,

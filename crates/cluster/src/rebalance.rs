@@ -12,57 +12,33 @@
 
 use seqio_simcore::{SeqioError, SimDuration, SimTime};
 
-/// Configuration of the mid-run rebalancer.
+use crate::router::degraded_threshold;
+
+/// Configuration of the mid-run rebalancer. A disk whose straggler factor
+/// reaches the stream scheduler's default `degraded_rotate_threshold`
+/// (2.0) is degraded, and every live stream on it is a migration
+/// candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceConfig {
     /// Epoch length: how often all nodes synchronize on the shared clock
     /// and the rebalancer looks for streams to migrate.
     pub check_interval: SimDuration,
-    /// A disk whose straggler factor meets this threshold is degraded;
-    /// live streams on it become migration candidates. Defaults to the
-    /// stream scheduler's `degraded_rotate_threshold`.
-    pub threshold: f64,
-    /// Upper bound on migrations per epoch (`usize::MAX` = unbounded).
-    pub max_moves_per_check: usize,
 }
 
 impl RebalanceConfig {
-    /// A rebalancer checking every `check_interval`, with the stream
-    /// scheduler's default degraded threshold and unbounded moves.
+    /// A rebalancer checking every `check_interval`.
     pub fn new(check_interval: SimDuration) -> Self {
-        RebalanceConfig {
-            check_interval,
-            threshold: seqio_core::ServerConfig::default_tuning().degraded_rotate_threshold,
-            max_moves_per_check: usize::MAX,
-        }
-    }
-
-    /// Overrides the degraded threshold.
-    pub fn threshold(mut self, t: f64) -> Self {
-        self.threshold = t;
-        self
-    }
-
-    /// Caps migrations per epoch.
-    pub fn max_moves_per_check(mut self, n: usize) -> Self {
-        self.max_moves_per_check = n;
-        self
+        RebalanceConfig { check_interval }
     }
 
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint as a [`SeqioError`].
+    /// Rejects a zero check interval.
     pub fn validate(&self) -> Result<(), SeqioError> {
         if self.check_interval == SimDuration::ZERO {
             return Err(SeqioError::Experiment("rebalance check interval must be positive".into()));
-        }
-        if !self.threshold.is_finite() || self.threshold <= 1.0 {
-            return Err(SeqioError::Experiment(format!(
-                "degraded threshold must be a finite factor above 1.0, got {}",
-                self.threshold
-            )));
         }
         Ok(())
     }
@@ -143,23 +119,19 @@ impl Rebalancer {
     /// rebalancer never moves a stream to a node it knows to be at least
     /// as degraded as the stream's source disk.
     pub fn plan(&self, views: &[NodeView]) -> Vec<MoveDecision> {
+        let threshold = degraded_threshold();
         let mut loads: Vec<usize> = views.iter().map(|v| v.live_streams).collect();
         let mut moves = Vec::new();
         for (vi, v) in views.iter().enumerate() {
             for m in &v.migratable {
-                if moves.len() >= self.cfg.max_moves_per_check {
-                    return moves;
-                }
-                if m.factor < self.cfg.threshold {
+                if m.factor < threshold {
                     continue;
                 }
                 let target = views
                     .iter()
                     .enumerate()
                     .filter(|(wi, w)| {
-                        *wi != vi
-                            && w.worst_factor < self.cfg.threshold
-                            && w.worst_factor < m.factor
+                        *wi != vi && w.worst_factor < threshold && w.worst_factor < m.factor
                     })
                     .min_by(|(ai, a), (bi, b)| {
                         loads[*ai].cmp(&loads[*bi]).then(a.node.cmp(&b.node)).then(ai.cmp(bi))
@@ -181,7 +153,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn cfg() -> RebalanceConfig {
-        RebalanceConfig::new(SimDuration::from_millis(100)).threshold(2.0)
+        RebalanceConfig::new(SimDuration::from_millis(100))
     }
 
     fn view(node: usize, live: usize, worst: f64, migratable: &[(usize, f64)]) -> NodeView {
@@ -200,8 +172,6 @@ mod tests {
     fn config_validates() {
         assert!(cfg().validate().is_ok());
         assert!(RebalanceConfig::new(SimDuration::ZERO).validate().is_err());
-        assert!(cfg().threshold(1.0).validate().is_err());
-        assert!(cfg().threshold(f64::NAN).validate().is_err());
     }
 
     #[test]
@@ -238,14 +208,6 @@ mod tests {
         assert!(Rebalancer::new(cfg()).plan(&views).is_empty());
     }
 
-    #[test]
-    fn move_cap_is_respected() {
-        let views =
-            vec![view(0, 10, 8.0, &[(0, 8.0), (1, 8.0), (2, 8.0), (3, 8.0)]), view(1, 0, 1.0, &[])];
-        let r = Rebalancer::new(cfg().max_moves_per_check(2));
-        assert_eq!(r.plan(&views).len(), 2);
-    }
-
     proptest! {
         /// The rebalancer never migrates a stream to a node it knows to be
         /// more degraded than the stream's source disk — for any mix of
@@ -254,9 +216,8 @@ mod tests {
         fn prop_never_moves_to_a_worse_node(
             factors in proptest::collection::vec(0.5f64..32.0, 2..8),
             loads in proptest::collection::vec(0usize..100, 2..8),
-            threshold in 1.1f64..16.0,
-            cap in 0usize..12,
         ) {
+            let threshold = degraded_threshold();
             let n = factors.len().min(loads.len());
             let mut next_global = 0;
             let views: Vec<NodeView> = (0..n)
@@ -272,11 +233,8 @@ mod tests {
                     NodeView { node: k, live_streams: loads[k], worst_factor: worst, migratable }
                 })
                 .collect();
-            let cfg = RebalanceConfig::new(SimDuration::from_millis(50))
-                .threshold(threshold)
-                .max_moves_per_check(cap);
+            let cfg = RebalanceConfig::new(SimDuration::from_millis(50));
             let moves = Rebalancer::new(cfg).plan(&views);
-            prop_assert!(moves.len() <= cap);
             for mv in &moves {
                 prop_assert!(mv.from != mv.to, "self-moves are meaningless");
                 let src = &views[mv.from];
@@ -293,9 +251,7 @@ mod tests {
                 );
             }
             // Decisions are pure: replanning the same views is identical.
-            let cfg = RebalanceConfig::new(SimDuration::from_millis(50))
-                .threshold(threshold)
-                .max_moves_per_check(cap);
+            let cfg = RebalanceConfig::new(SimDuration::from_millis(50));
             prop_assert_eq!(Rebalancer::new(cfg).plan(&views), moves);
         }
     }

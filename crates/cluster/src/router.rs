@@ -22,8 +22,8 @@ pub enum ShardPolicy {
     HashByStream,
     /// Like [`HashByStream`](ShardPolicy::HashByStream), but the deal
     /// skips nodes whose health is at or past the degraded threshold, so
-    /// new streams steer away from stragglers. Degraded nodes only
-    /// receive streams once every healthy node is at capacity.
+    /// new streams steer away from stragglers. Degraded nodes receive
+    /// streams only when every node is degraded.
     StragglerAware,
 }
 
@@ -82,10 +82,10 @@ impl NodeHealth {
         NodeHealth { worst_straggler_factor: worst }
     }
 
-    /// `true` when the worst scheduled slowdown reaches `threshold` (the
-    /// stream scheduler's `degraded_rotate_threshold` convention).
-    pub fn is_degraded(&self, threshold: f64) -> bool {
-        self.worst_straggler_factor >= threshold
+    /// `true` when the worst scheduled slowdown reaches the stream
+    /// scheduler's default `degraded_rotate_threshold` (2.0).
+    pub fn is_degraded(&self) -> bool {
+        self.worst_straggler_factor >= degraded_threshold()
     }
 }
 
@@ -95,8 +95,16 @@ impl Default for NodeHealth {
     }
 }
 
-/// A configured stream router: policy, node count, per-node health and
-/// the admission knobs the straggler-aware policy consults.
+/// The slowdown factor at which the router and the rebalancer count a
+/// node or disk as degraded: the stream scheduler's default
+/// `degraded_rotate_threshold`, so the cluster steers streams away from
+/// exactly the disks a node's own scheduler rotates streams off.
+pub(crate) fn degraded_threshold() -> f64 {
+    seqio_core::ServerConfig::default_tuning().degraded_rotate_threshold
+}
+
+/// A configured stream router: policy, node count and the per-node
+/// health the straggler-aware policy consults.
 #[derive(Debug, Clone)]
 pub struct Router {
     /// Sharding policy.
@@ -105,25 +113,12 @@ pub struct Router {
     pub nodes: usize,
     /// Per-node health (length `K`).
     pub health: Vec<NodeHealth>,
-    /// Slowdown factor at which a node counts as degraded.
-    pub degraded_threshold: f64,
-    /// Maximum streams a node accepts before the straggler-aware deal
-    /// spills past it (`None` = unbounded). Other policies ignore this.
-    pub capacity: Option<usize>,
 }
 
 impl Router {
-    /// A router over `nodes` healthy nodes with the stream scheduler's
-    /// default degraded threshold and unbounded capacity.
+    /// A router over `nodes` healthy nodes.
     pub fn new(policy: ShardPolicy, nodes: usize) -> Self {
-        Router {
-            policy,
-            nodes,
-            health: vec![NodeHealth::healthy(); nodes],
-            degraded_threshold: seqio_core::ServerConfig::default_tuning()
-                .degraded_rotate_threshold,
-            capacity: None,
-        }
+        Router { policy, nodes, health: vec![NodeHealth::healthy(); nodes] }
     }
 
     /// Replaces the per-node health vector.
@@ -132,25 +127,12 @@ impl Router {
         self
     }
 
-    /// Overrides the degraded threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.degraded_threshold = threshold;
-        self
-    }
-
-    /// Caps the streams any single node accepts under the
-    /// straggler-aware deal.
-    pub fn with_capacity(mut self, cap: usize) -> Self {
-        self.capacity = Some(cap);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Rejects empty clusters, a health vector of the wrong length, the
-    /// identity policy on more than one node, and non-finite thresholds.
+    /// Rejects empty clusters, a health vector of the wrong length and
+    /// the identity policy on more than one node.
     pub fn validate(&self) -> Result<(), SeqioError> {
         if self.nodes == 0 {
             return Err(SeqioError::Experiment("cluster needs at least one node".into()));
@@ -167,11 +149,6 @@ impl Router {
                 "identity routing is only meaningful on a 1-node cluster".into(),
             ));
         }
-        if !self.degraded_threshold.is_finite() || self.degraded_threshold <= 1.0 {
-            return Err(SeqioError::Experiment(
-                "degraded threshold must be a finite factor above 1.0".into(),
-            ));
-        }
         Ok(())
     }
 
@@ -179,9 +156,8 @@ impl Router {
     /// returned vector is the node serving stream `g`.
     ///
     /// The assignment is a pure function of
-    /// `(policy, nodes, health, threshold, capacity, streams)`: calling
-    /// it twice — or from different worker counts — yields identical
-    /// vectors.
+    /// `(policy, nodes, health, streams)`: calling it twice — or from
+    /// different worker counts — yields identical vectors.
     ///
     /// # Panics
     ///
@@ -190,32 +166,15 @@ impl Router {
         if let Err(e) = self.validate() {
             panic!("router: {e}");
         }
+        let all: Vec<usize> = (0..self.nodes).collect();
         match self.policy {
             ShardPolicy::Identity => vec![0; streams],
-            ShardPolicy::HashByStream => self.deal(streams, &(0..self.nodes).collect::<Vec<_>>()),
+            ShardPolicy::HashByStream => deal(streams, &all),
             ShardPolicy::StragglerAware => {
-                let healthy: Vec<usize> = (0..self.nodes)
-                    .filter(|&k| !self.health[k].is_degraded(self.degraded_threshold))
-                    .collect();
-                if healthy.is_empty() {
-                    // Everyone is degraded: nothing to steer away from.
-                    return self.deal(streams, &(0..self.nodes).collect::<Vec<_>>());
-                }
-                let cap = self.capacity.unwrap_or(usize::MAX);
-                let degraded: Vec<usize> =
-                    (0..self.nodes).filter(|k| !healthy.contains(k)).collect();
-                let mut loads = vec![0usize; self.nodes];
-                let mut assignment = vec![0usize; streams];
-                for (rank, g) in hash_order(streams).into_iter().enumerate() {
-                    // Deal over healthy nodes while any has room, then
-                    // over degraded ones, then (everyone full) over all.
-                    let pick = pick_round_robin(&healthy, &loads, cap, rank)
-                        .or_else(|| pick_round_robin(&degraded, &loads, cap, rank))
-                        .unwrap_or(healthy[rank % healthy.len()]);
-                    loads[pick] += 1;
-                    assignment[g] = pick;
-                }
-                assignment
+                let healthy: Vec<usize> =
+                    all.iter().copied().filter(|&k| !self.health[k].is_degraded()).collect();
+                // Everyone degraded: nothing to steer away from.
+                deal(streams, if healthy.is_empty() { &all } else { &healthy })
             }
         }
     }
@@ -228,35 +187,19 @@ impl Router {
         }
         loads
     }
-
-    /// Deals streams round-robin over `targets` in hash-rank order:
-    /// placement is pseudo-random, balance is exact (loads differ by at
-    /// most one).
-    fn deal(&self, streams: usize, targets: &[usize]) -> Vec<usize> {
-        let mut assignment = vec![0usize; streams];
-        for (rank, g) in hash_order(streams).into_iter().enumerate() {
-            assignment[g] = targets[rank % targets.len()];
-        }
-        assignment
-    }
 }
 
-/// Global stream ids ordered by `(mix(id), id)` — the deterministic
-/// pseudo-random deal order shared by the hash and straggler-aware
-/// policies.
-fn hash_order(streams: usize) -> Vec<usize> {
+/// Deals global streams `0..streams` round-robin over `targets` in the
+/// order of `(mix(id), id)`: placement is pseudo-random, balance is exact
+/// (loads differ by at most one).
+fn deal(streams: usize, targets: &[usize]) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..streams).collect();
     ids.sort_by_key(|&g| (mix(g as u64), g));
-    ids
-}
-
-/// Next node from `targets` (rotating with `rank`) whose load is under
-/// `cap`, or `None` when every target is full.
-fn pick_round_robin(targets: &[usize], loads: &[usize], cap: usize, rank: usize) -> Option<usize> {
-    if targets.is_empty() {
-        return None;
+    let mut assignment = vec![0usize; streams];
+    for (rank, g) in ids.into_iter().enumerate() {
+        assignment[g] = targets[rank % targets.len()];
     }
-    (0..targets.len()).map(|i| targets[(rank + i) % targets.len()]).find(|&k| loads[k] < cap)
+    assignment
 }
 
 /// SplitMix64 finalizer: spreads consecutive stream ids across the full
@@ -293,8 +236,9 @@ mod tests {
         );
         let h = NodeHealth::from_faults(Some(&plan), 8);
         assert_eq!(h.worst_straggler_factor, 4.0);
-        assert!(h.is_degraded(2.0));
-        assert!(!h.is_degraded(8.0));
+        assert!(h.is_degraded());
+        let mild = FaultPlan::new().straggler(0, 1.5, SimDuration::ZERO, None);
+        assert!(!NodeHealth::from_faults(Some(&mild), 1).is_degraded());
         // Faults on disks past the node's shape are ignored.
         let h = NodeHealth::from_faults(Some(&plan), 1);
         assert_eq!(h, NodeHealth::healthy());
@@ -320,27 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn straggler_aware_spills_only_past_capacity() {
-        let mut health = vec![NodeHealth::healthy(); 3];
-        health[0] = NodeHealth { worst_straggler_factor: 8.0 };
-        let r = Router::new(ShardPolicy::StragglerAware, 3).with_health(health).with_capacity(10);
-        // 25 streams, two healthy nodes x 10 capacity: 5 spill to node 0.
-        let loads = r.node_loads(25);
-        assert_eq!(loads, vec![5, 10, 10]);
-        // Everyone (including the straggler) full: the deal wraps anyway
-        // rather than dropping streams.
-        let loads = r.node_loads(40);
-        assert_eq!(loads.iter().sum::<usize>(), 40);
-    }
-
-    #[test]
     fn invalid_routers_are_rejected() {
         assert!(Router::new(ShardPolicy::HashByStream, 0).validate().is_err());
         assert!(Router::new(ShardPolicy::Identity, 2).validate().is_err());
         assert!(Router::new(ShardPolicy::Identity, 1).validate().is_ok());
         let short = Router::new(ShardPolicy::HashByStream, 3).with_health(vec![]);
         assert!(short.validate().is_err());
-        let bad = Router::new(ShardPolicy::HashByStream, 2).with_threshold(1.0);
-        assert!(bad.validate().is_err());
     }
 }

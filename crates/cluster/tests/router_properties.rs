@@ -1,24 +1,22 @@
 //! Property tests for the cluster stream router: purity, hash-deal
 //! balance and straggler avoidance, over randomized node counts, stream
-//! counts, health vectors and capacities.
+//! counts and health vectors.
 
 use proptest::prelude::*;
 use seqio_cluster::{NodeHealth, Router, ShardPolicy};
 
-/// The degraded threshold used throughout: matches the stream
-/// scheduler's `degraded_rotate_threshold` default.
-const THRESHOLD: f64 = 2.0;
-
+/// A router whose degraded nodes straggle at 4x, past the stream
+/// scheduler's 2.0 degraded threshold; the rest are healthy.
 fn router(policy: ShardPolicy, degraded: &[bool]) -> Router {
     let health: Vec<NodeHealth> = degraded
         .iter()
         .map(|&d| NodeHealth { worst_straggler_factor: if d { 4.0 } else { 1.0 } })
         .collect();
-    Router::new(policy, degraded.len()).with_health(health).with_threshold(THRESHOLD)
+    Router::new(policy, degraded.len()).with_health(health)
 }
 
 proptest! {
-    /// Sharding is a pure function of (policy, K, S, health, capacity):
+    /// Sharding is a pure function of (policy, K, S, health):
     /// recomputing the assignment — as a different worker or a later
     /// process would — yields the identical vector, and every stream
     /// lands on a real node.
@@ -62,39 +60,30 @@ proptest! {
     }
 
     /// The straggler-aware policy never routes a stream to a node flagged
-    /// past the degraded threshold while any healthy node still has
-    /// capacity: a degraded node carrying load implies every healthy node
-    /// is full.
+    /// past the degraded threshold while any node is healthy, and deals
+    /// the healthy nodes an exactly balanced share.
     #[test]
     fn prop_straggler_aware_spares_degraded_nodes(
         nodes in 2usize..9,
         streams in 1usize..400,
-        cap_slots in 1usize..80,
-        use_cap in any::<bool>(),
         degraded_seed in proptest::collection::vec(any::<bool>(), 8),
     ) {
         let degraded: Vec<bool> =
             (0..nodes).map(|k| degraded_seed[k % degraded_seed.len()]).collect();
         prop_assume!(degraded.iter().any(|&d| !d));
-        let mut r = router(ShardPolicy::StragglerAware, &degraded);
-        if use_cap {
-            r = r.with_capacity(cap_slots);
-        }
-        let cap = if use_cap { cap_slots } else { usize::MAX };
+        let r = router(ShardPolicy::StragglerAware, &degraded);
         let loads = r.node_loads(streams);
         prop_assert_eq!(loads.iter().sum::<usize>(), streams, "no stream may be dropped");
+        let healthy = degraded.iter().filter(|&&d| !d).count();
         for k in 0..nodes {
-            if degraded[k] && loads[k] > 0 {
-                for h in 0..nodes {
-                    if !degraded[h] {
-                        prop_assert!(
-                            loads[h] >= cap,
-                            "degraded node {} got {} streams while healthy node {} \
-                             had {}/{} capacity used",
-                            k, loads[k], h, loads[h], cap
-                        );
-                    }
-                }
+            if degraded[k] {
+                prop_assert_eq!(loads[k], 0, "degraded node {} got streams", k);
+            } else {
+                prop_assert!(
+                    loads[k].abs_diff(streams / healthy) <= 1,
+                    "healthy node {} holds {} of {} streams over {} healthy nodes",
+                    k, loads[k], streams, healthy
+                );
             }
         }
     }

@@ -16,16 +16,15 @@ pub enum DispatchPolicy {
     /// last admitted offset on that disk — the paper's sketched alternative
     /// that tries to keep nearby streams together to shorten seeks.
     OffsetOrdered,
-    /// An ODSA-style optimized ordering (Bhoi et al., PAPERS.md): a
-    /// one-directional elevator pass over the waiting streams. Admission
-    /// prefers the eligible stream with the *lowest frontier at or beyond*
-    /// the last admitted offset on its disk, wrapping to the lowest
-    /// frontier overall once no stream lies ahead. Unlike the greedy
-    /// nearest-offset pick of [`OffsetOrdered`](Self::OffsetOrdered), the
-    /// scan never doubles back mid-pass, bounding total head travel per
-    /// sweep.
-    OdsaScan,
 }
+
+/// Classifier: how far around a request's block the detection bitmap
+/// extends, in blocks (the paper's `offset`; "a few tens" of requests).
+pub(crate) const DETECT_OFFSET_BLOCKS: u64 = 4096;
+
+/// How far ahead of a stream's expected next block an arriving request may
+/// be and still match the stream (tolerates small skips).
+pub(crate) const STREAM_MATCH_SLACK_BLOCKS: u64 = 128;
 
 /// Configuration of the host-level stream scheduler.
 ///
@@ -55,15 +54,10 @@ pub struct ServerConfig {
     /// bound a stream whose client went away would keep cycling through the
     /// dispatch set prefetching data nobody reads.
     pub prefetch_lead_bytes: u64,
-    /// Classifier: how far around a request's block the detection bitmap
-    /// extends, in blocks (the paper's `offset`; "a few tens" of requests).
-    pub detect_offset_blocks: u64,
     /// Classifier: set-bit count within a region that flags a sequential
-    /// stream.
+    /// stream. The region's bitmap covers 4096 blocks on each side of the
+    /// first request, so the threshold is at most 8192.
     pub detect_threshold_blocks: u64,
-    /// How far ahead of a stream's expected next block an arriving request
-    /// may be and still match the stream (tolerates small skips).
-    pub stream_match_slack_blocks: u64,
     /// Buffers idle longer than this are reclaimed by the garbage collector.
     pub buffer_timeout: SimDuration,
     /// Period of the garbage-collection sweep.
@@ -92,9 +86,7 @@ impl ServerConfig {
             requests_per_residency: 8,
             memory_bytes: 64 * MIB,
             prefetch_lead_bytes: 0,
-            detect_offset_blocks: 4096,
             detect_threshold_blocks: 192,
-            stream_match_slack_blocks: 128,
             buffer_timeout: SimDuration::from_secs(10),
             gc_period: SimDuration::from_secs(1),
             issue_path_priority: true,
@@ -225,10 +217,10 @@ impl ServerConfig {
         if self.memory_bytes > 64 * GIB {
             return fail("memory above 64 GiB is surely a misconfiguration".into());
         }
-        if self.detect_offset_blocks == 0 || self.detect_threshold_blocks == 0 {
-            return fail("classifier window and threshold must be positive".into());
+        if self.detect_threshold_blocks == 0 {
+            return fail("classifier threshold must be positive".into());
         }
-        if self.detect_threshold_blocks > 2 * self.detect_offset_blocks {
+        if self.detect_threshold_blocks > 2 * DETECT_OFFSET_BLOCKS {
             return fail("detection threshold exceeds the bitmap window".into());
         }
         Ok(())
@@ -308,7 +300,7 @@ mod tests {
         c.requests_per_residency = 0;
         assert!(c.validate().is_err());
         let mut c = ServerConfig::default_tuning();
-        c.detect_threshold_blocks = c.detect_offset_blocks * 3;
+        c.detect_threshold_blocks = DETECT_OFFSET_BLOCKS * 3;
         assert!(c.validate().is_err());
     }
 }

@@ -17,7 +17,9 @@ use seqio_simcore::{SeqioError, SimDuration, SimTime};
 
 use crate::buffer::{BufferId, BufferPool, Coverage, Lba, StreamId};
 use crate::classifier::{Classification, Classifier};
-use crate::config::{DispatchPolicy, ServerConfig};
+use crate::config::{
+    DispatchPolicy, ServerConfig, DETECT_OFFSET_BLOCKS, STREAM_MATCH_SLACK_BLOCKS,
+};
 use crate::stream::{PendingRequest, StreamTable};
 
 /// A request arriving from a client.
@@ -214,7 +216,7 @@ impl StorageServer {
     pub fn new(cfg: ServerConfig, disk_capacity: Vec<u64>) -> Self {
         cfg.validate().expect("invalid server config");
         assert!(!disk_capacity.is_empty(), "server needs at least one disk");
-        let classifier = Classifier::new(cfg.detect_offset_blocks, cfg.detect_threshold_blocks);
+        let classifier = Classifier::new(DETECT_OFFSET_BLOCKS, cfg.detect_threshold_blocks);
         let pool = BufferPool::new(cfg.memory_bytes);
         let read_ahead_blocks = cfg.read_ahead_blocks();
         let n_disks = disk_capacity.len();
@@ -427,8 +429,7 @@ impl StorageServer {
             return;
         }
 
-        if let Some(sid) =
-            self.streams.match_request(req.disk, req.lba, self.cfg.stream_match_slack_blocks)
+        if let Some(sid) = self.streams.match_request(req.disk, req.lba, STREAM_MATCH_SLACK_BLOCKS)
         {
             if let Some(log) = self.span_log.as_mut() {
                 log.push(SpanEvent::Classified { client: req.id, at: now });
@@ -667,14 +668,13 @@ impl StorageServer {
 
     /// Picks the queue index of the next stream to admit, per the
     /// configured [`DispatchPolicy`]: the first eligible entry (round
-    /// robin), the eligible entry whose frontier is nearest the last
-    /// admitted offset on its disk (offset ordered), or the lowest
-    /// frontier at-or-beyond that offset with wrap-around (the ODSA-style
-    /// elevator scan). Drops stale entries as it scans.
+    /// robin), or the eligible entry whose frontier is nearest the last
+    /// admitted offset on its disk (offset ordered). Drops stale entries
+    /// as it scans.
     fn pick_admission(&mut self) -> Option<usize> {
         let mut chosen: Option<usize> = None;
-        // Lexicographic preference key; ties keep the earliest queue entry.
-        let mut best_key = (u64::MAX, u64::MAX);
+        // Ties keep the earliest queue entry.
+        let mut best_distance = u64::MAX;
         let mut i = 0;
         while i < self.rr.len() {
             let sid = self.rr[i];
@@ -691,22 +691,9 @@ impl StorageServer {
                         match self.cfg.dispatch_policy {
                             DispatchPolicy::RoundRobin => return Some(i),
                             DispatchPolicy::OffsetOrdered => {
-                                let key = (0, s.frontier.abs_diff(last));
-                                if key < best_key {
-                                    best_key = key;
-                                    chosen = Some(i);
-                                }
-                            }
-                            DispatchPolicy::OdsaScan => {
-                                // Ahead of the head: ascending pass. Behind
-                                // it: wrap to the lowest frontier.
-                                let key = if s.frontier >= last {
-                                    (0, s.frontier - last)
-                                } else {
-                                    (1, s.frontier)
-                                };
-                                if key < best_key {
-                                    best_key = key;
+                                let distance = s.frontier.abs_diff(last);
+                                if chosen.is_none() || distance < best_distance {
+                                    best_distance = distance;
                                     chosen = Some(i);
                                 }
                             }
@@ -1369,15 +1356,12 @@ mod dispatch_policy_tests {
         subs
     }
 
-    /// With D=1 and three waiting streams, the offset-ordered and
-    /// ODSA-scan policies admit the stream nearest (ahead of) the
-    /// previously admitted offset, while round robin follows detection
-    /// order.
+    /// With D=1 and three waiting streams, the offset-ordered policy
+    /// admits the stream nearest the previously admitted offset, while
+    /// round robin follows detection order.
     #[test]
     fn offset_ordered_prefers_nearby_streams() {
-        for policy in
-            [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered, DispatchPolicy::OdsaScan]
-        {
+        for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered] {
             let cfg = ServerConfig {
                 dispatch_streams: 1,
                 read_ahead_bytes: 64 * 1024,
@@ -1417,10 +1401,9 @@ mod dispatch_policy_tests {
                         assert!(f < n, "round robin follows arrival order: {order:?}");
                     }
                 }
-                DispatchPolicy::OffsetOrdered | DispatchPolicy::OdsaScan => {
-                    // Both streams wait ahead of the admitted offset, so
-                    // the elevator pass and the nearest-offset greedy agree
-                    // here: the 120K stream goes before the 5M one.
+                DispatchPolicy::OffsetOrdered => {
+                    // The 120K stream is nearer the admitted offset than
+                    // the 5M one, so it goes first.
                     let far_pos = order.iter().position(|&l| l >= 4_000_000);
                     let near_pos = order.iter().position(|&l| (110_000..1_000_000).contains(&l));
                     if let (Some(f), Some(n)) = (far_pos, near_pos) {
@@ -1434,9 +1417,7 @@ mod dispatch_policy_tests {
     /// Every policy preserves the dispatch bound and completes all work.
     #[test]
     fn policies_respect_dispatch_bound() {
-        for policy in
-            [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered, DispatchPolicy::OdsaScan]
-        {
+        for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered] {
             let cfg = ServerConfig {
                 dispatch_streams: 2,
                 read_ahead_bytes: 64 * 1024,

@@ -8,7 +8,8 @@
 
 use seqio_simcore::SimDuration;
 
-/// Host-side cost model (server process + network).
+/// Host-side cost model (server process + network). Every cost may be
+/// zero: the Figure 2 runs are local, so they zero the network term.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Server CPU to accept/classify one client request.
@@ -63,17 +64,6 @@ impl CostModel {
             ..Self::default()
         }
     }
-
-    /// Validates the model. All costs may be zero (e.g. the Figure 2 runs
-    /// are local, so they zero the network term); the hook exists so future
-    /// constraints have a home.
-    ///
-    /// # Errors
-    ///
-    /// Currently never fails.
-    pub fn validate(&self) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -81,15 +71,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid() {
-        assert!(CostModel::default().validate().is_ok());
-    }
-
-    #[test]
     fn local_xdd_adds_contention() {
         let m = CostModel::local_xdd();
         assert!(m.wake_per_stream > SimDuration::ZERO);
-        assert!(m.validate().is_ok());
     }
 
     #[test]

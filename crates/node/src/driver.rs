@@ -27,7 +27,8 @@ use seqio_simcore::{SeqioError, SimDuration, SimTime};
 use seqio_workload::StreamSpec;
 
 use crate::experiment::{Experiment, RunResult};
-use crate::sim::{NodeSim, StreamHandoff};
+use crate::sim::StreamHandoff;
+use crate::system::NodeSim;
 
 /// Runs `work(index, item)` over every item on up to `jobs` scoped worker
 /// threads and returns the results in input order. With one worker (or

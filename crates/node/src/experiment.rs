@@ -12,7 +12,7 @@ use seqio_workload::Pattern;
 
 use crate::calibration::CostModel;
 use crate::span::SpanRecord;
-use crate::system::StorageNode;
+use crate::system::NodeSim;
 
 /// Physical layout of a storage node.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,7 +249,6 @@ impl Experiment {
     /// Returns the first violated constraint as a [`SeqioError`].
     pub fn validate(&self) -> Result<(), SeqioError> {
         self.shape.validate()?;
-        self.costs.validate().map_err(SeqioError::component("cost model"))?;
         if self.streams_per_disk == 0 && !self.open_sessions {
             return Err(SeqioError::Experiment("need at least one stream per disk".into()));
         }
@@ -288,6 +287,11 @@ impl Experiment {
         if self.duration == SimDuration::ZERO {
             return Err(SeqioError::Experiment("measurement window must be positive".into()));
         }
+        let Some(window_end) = (SimTime::ZERO + self.warmup).checked_add(self.duration) else {
+            return Err(SeqioError::Experiment(
+                "the window end (`warmup` + `duration`) overflows the simulated clock".into(),
+            ));
+        };
         if let Frontend::StreamScheduler(cfg) = &self.frontend {
             cfg.validate()?;
         }
@@ -314,6 +318,16 @@ impl Experiment {
                         "fault plan names disk {d} but the node has only {disks} disks"
                     )));
                 }
+            }
+            // A retry is scheduled at most the largest delay past the last
+            // event the node handles, which lies inside the window.
+            let retry = plan.retry_policy().and_then(|r| r.max_delay());
+            if retry.is_some_and(|delay| window_end.checked_add(delay).is_none()) {
+                return Err(SeqioError::Experiment(
+                    "the fault plan's largest retry delay past the window end (`warmup` + \
+                     `duration`) overflows the simulated clock"
+                        .into(),
+                ));
             }
         }
         Ok(())
@@ -387,15 +401,19 @@ impl Experiment {
 }
 
 /// Validates and runs one storage-node simulation — the non-panicking
-/// entry point embedders (the cluster layer, custom harnesses) build on.
-/// [`Experiment::run`] is a thin panicking wrapper over this.
+/// entry point embedders (the cluster layer, custom harnesses) build on:
+/// a [`NodeSim`] stepped through `init`, one `advance_to` the end of
+/// time, and `finish`. [`Experiment::run`] is a thin panicking wrapper
+/// over this.
 ///
 /// # Errors
 ///
 /// Returns the first violated constraint of the specification.
 pub fn run_node(spec: &Experiment) -> Result<RunResult, SeqioError> {
-    spec.validate()?;
-    Ok(StorageNode::new(spec.clone()).run())
+    let mut sim = NodeSim::new(spec)?;
+    sim.init();
+    sim.advance_to(SimTime::MAX);
+    Ok(sim.finish())
 }
 
 /// Builder for [`Experiment`].

@@ -47,6 +47,7 @@ pub use seqio_simcore::{
     FaultPlan, KernelProfile, MetricSeries, ObsConfig, ProfConfig, RetryPolicy, SeqioError,
     SimComponent, SpanPhase,
 };
-pub use sim::{HealthSnapshot, NodeSim, StreamHandoff};
+pub use sim::{HealthSnapshot, StreamHandoff};
 pub use span::{PhaseBreakdown, SpanRecord};
 pub use sweep::{PointOutcome, Sweep, SweepBuilder, SweepReport};
+pub use system::NodeSim;

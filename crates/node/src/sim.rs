@@ -1,18 +1,12 @@
-//! Steppable storage-node simulation.
-//!
-//! [`NodeSim`] exposes the storage-node engine behind the
-//! [`SimComponent`] contract (`init / peek_next_time / advance_to`), so an
-//! outer driver — the cluster co-simulation — can advance several nodes on
-//! one shared clock, observe their health at epoch boundaries, and migrate
-//! live streams between them mid-run. [`Experiment::run`] itself is a thin
-//! `init + advance_to(MAX) + finish` over the same engine, so stepping a
-//! node in epochs is bit-identical to running it standalone.
+//! The steppable surface of [`NodeSim`]: the [`StreamHandoff`] that
+//! carries a live stream between nodes, the model-state
+//! [`HealthSnapshot`] an epoch driver polls, and the [`SimComponent`]
+//! contract the cluster co-simulation steps nodes through.
 
 use seqio_simcore::{SeqioError, SimComponent, SimDuration, SimTime};
 use seqio_workload::StreamSpec;
 
-use crate::experiment::{Experiment, RunResult};
-use crate::system::StorageNode;
+use crate::system::NodeSim;
 
 /// The unissued tail of a live stream, captured by
 /// [`NodeSim::retire_stream`] on the source node and adopted by
@@ -82,141 +76,6 @@ impl HealthSnapshot {
     }
 }
 
-/// A steppable storage-node simulation (see module docs).
-///
-/// # Examples
-///
-/// Drive a node in 50 ms epochs; the result is bit-identical to
-/// [`Experiment::run`]:
-///
-/// ```
-/// use seqio_node::{Experiment, NodeSim};
-/// use seqio_simcore::{SimComponent, SimDuration, SimTime};
-///
-/// let spec = Experiment::builder()
-///     .streams_per_disk(4)
-///     .warmup(SimDuration::from_millis(100))
-///     .duration(SimDuration::from_millis(400))
-///     .build();
-/// let mut sim = NodeSim::new(&spec).unwrap();
-/// sim.init();
-/// let mut t = SimTime::ZERO;
-/// while sim.peek_next_time().is_some() {
-///     t += SimDuration::from_millis(50);
-///     sim.advance_to(t);
-/// }
-/// let stepped = sim.finish();
-/// let plain = spec.run();
-/// assert_eq!(stepped.bytes_delivered, plain.bytes_delivered);
-/// assert_eq!(stepped.events_simulated, plain.events_simulated);
-/// ```
-#[derive(Debug)]
-pub struct NodeSim {
-    inner: StorageNode,
-}
-
-impl NodeSim {
-    /// Validates `spec` and builds the steppable node.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint of the specification.
-    pub fn new(spec: &Experiment) -> Result<NodeSim, SeqioError> {
-        spec.validate()?;
-        Ok(NodeSim { inner: StorageNode::new(spec.clone()) })
-    }
-
-    /// Schedules the node's initial events (see [`SimComponent::init`]).
-    pub fn init(&mut self) {
-        self.inner.init();
-    }
-
-    /// When the node next wants to run, or `None` once it is drained or
-    /// past its stop time.
-    pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.inner.peek_next_time()
-    }
-
-    /// Handles every pending event with timestamp `<= limit`.
-    pub fn advance_to(&mut self, limit: SimTime) {
-        self.inner.advance_to(limit);
-    }
-
-    /// Consumes the node and assembles its [`RunResult`].
-    pub fn finish(self) -> RunResult {
-        self.inner.finish()
-    }
-
-    /// Retires local stream `stream` for migration: captures its unissued
-    /// tail and exhausts the local generator, so the stream issues nothing
-    /// further here (an in-flight request still completes, and counts, on
-    /// this node). Returns `None` when nothing is left to migrate.
-    pub fn retire_stream(&mut self, stream: usize) -> Option<StreamHandoff> {
-        self.inner.retire_stream(stream).map(|remainder| StreamHandoff { remainder })
-    }
-
-    /// Adopts a migrated stream at time `at` and returns its new local
-    /// slot. The injected stream restarts its closed loop immediately;
-    /// its RNG derives from the node seed and an injection counter, so
-    /// runs that perform no injections are unperturbed.
-    pub fn inject_stream(&mut self, at: SimTime, handoff: StreamHandoff) -> usize {
-        self.inner.inject_stream(at, handoff.remainder)
-    }
-
-    /// `true` while local stream `stream` still has requests to issue.
-    pub fn stream_live(&self, stream: usize) -> bool {
-        self.inner.stream_live(stream)
-    }
-
-    /// When local stream `stream`'s final response reached the client, if
-    /// it has finished (the instant the client front-end tier times a
-    /// session's storage completion from).
-    pub fn stream_done_at(&self, stream: usize) -> Option<SimTime> {
-        self.inner.stream_done_at(stream)
-    }
-
-    /// The (node-local) disk index local stream `stream` targets.
-    pub fn stream_disk(&self, stream: usize) -> usize {
-        self.inner.stream_disk(stream)
-    }
-
-    /// Streams on the node that still have requests to issue.
-    pub fn live_streams(&self) -> usize {
-        self.inner.live_streams()
-    }
-
-    /// Assembles a [`HealthSnapshot`] at time `at` from model state only.
-    pub fn health(&self, at: SimTime) -> HealthSnapshot {
-        self.inner.health(at)
-    }
-
-    /// Applies a mid-run retune of the stream scheduler's dynamic knobs —
-    /// `D`, `R`, `N` and the degraded-rotate threshold — between events.
-    /// `M` stays fixed, so the new working set must satisfy
-    /// `D * R * N <= M`. The change takes effect on the scheduler's next
-    /// admission/issue path; a run whose controller never calls this is
-    /// bit-identical to the static tune.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid tunes (leaving the configuration untouched) and
-    /// nodes whose frontend is not the stream scheduler.
-    pub fn retune(
-        &mut self,
-        dispatch_streams: usize,
-        read_ahead_bytes: u64,
-        requests_per_residency: u64,
-        degraded_rotate_threshold: f64,
-    ) -> Result<(), SeqioError> {
-        self.inner.retune(
-            dispatch_streams,
-            read_ahead_bytes,
-            requests_per_residency,
-            degraded_rotate_threshold,
-        )
-    }
-}
-
 impl SimComponent for NodeSim {
     fn init(&mut self) {
         NodeSim::init(self);
@@ -232,7 +91,7 @@ impl SimComponent for NodeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Frontend;
+    use crate::experiment::{Experiment, Frontend, RunResult};
     use seqio_simcore::FaultPlan;
 
     fn spec() -> Experiment {

@@ -177,32 +177,6 @@ pub fn spans_from_csv(csv: &str) -> Result<Vec<SpanRecord>, String> {
     Ok(out)
 }
 
-/// Renders spans as JSON Lines: one object per span with snake_case phase
-/// names, `null` for skipped phases.
-pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        let _ = write!(
-            out,
-            "{{\"stream\":{},\"disk\":{},\"lba\":{},\"blocks\":{},\"from_memory\":{},\
-             \"retries\":{},\"timed_out\":{}",
-            s.stream, s.disk, s.lba, s.blocks, s.from_memory, s.retries, s.timed_out
-        );
-        for (k, p) in SpanPhase::ALL.iter().enumerate() {
-            match s.stamps[k] {
-                Some(at) => {
-                    let _ = write!(out, ",\"{}_ns\":{}", p.name(), at.as_nanos());
-                }
-                None => {
-                    let _ = write!(out, ",\"{}_ns\":null", p.name());
-                }
-            }
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Per-phase latency distributions aggregated over a set of spans.
 #[derive(Debug, Clone)]
 pub struct PhaseBreakdown {
@@ -346,18 +320,6 @@ mod tests {
         // Garbage bool.
         let line = "0,0,0,128,TRUE,0,false,0,,,,,,100";
         assert!(spans_from_csv(line).is_err());
-    }
-
-    #[test]
-    fn jsonl_emits_one_object_per_span() {
-        let spans = vec![span([Some(0), None, None, Some(15), Some(95), None, Some(120), None])];
-        let jsonl = spans_to_jsonl(&spans);
-        assert_eq!(jsonl.lines().count(), 1);
-        let line = jsonl.lines().next().unwrap();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"classified_ns\":null"));
-        assert!(line.contains("\"delivered_ns\":120000"));
-        assert!(line.contains("\"network_delivered_ns\":null"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The storage-node discrete-event engine.
 //!
-//! [`StorageNode`] assembles clients, a request-path front end (direct,
-//! the paper's stream scheduler, or a Linux-like kernel path), controllers
+//! [`NodeSim`] assembles clients, a request-path front end (direct, the
+//! paper's stream scheduler, or a Linux-like kernel path), controllers
 //! and disks, and runs the whole thing on one event queue. The paper's
 //! measurement methodology is reproduced exactly: closed-loop clients with
 //! one outstanding request per stream, header-only network, throughput as
@@ -19,6 +19,7 @@ use seqio_simcore::{
 use seqio_workload::{interval_offsets, uniform_offsets, ClientSet, StreamSpec};
 
 use crate::experiment::{Experiment, Frontend, Placement, RunResult};
+use crate::sim::{HealthSnapshot, StreamHandoff};
 use crate::span::SpanRecord;
 
 #[derive(Debug)]
@@ -135,7 +136,7 @@ fn rank_stream_ids(spans: &mut [SpanRecord]) -> usize {
 }
 
 /// A span being assembled for an in-flight client request (slab-parallel
-/// to `StorageNode::meta`).
+/// to `NodeSim::meta`).
 #[derive(Debug, Clone, Copy, Default)]
 struct PartialSpan {
     stamps: [Option<SimTime>; SpanPhase::COUNT],
@@ -180,7 +181,7 @@ struct Obs {
     /// Last sampled per-disk cumulative busy time, for windowed busy-fraction.
     prev_busy: Vec<SimDuration>,
     prev_at: SimTime,
-    /// Partial spans, slab-parallel to `StorageNode::meta`.
+    /// Partial spans, slab-parallel to `NodeSim::meta`.
     slots: Vec<PartialSpan>,
     /// Finished spans delivered inside the measured window.
     done: Vec<SpanRecord>,
@@ -217,9 +218,46 @@ impl Obs {
     }
 }
 
-/// The assembled storage node (see module docs).
+/// A steppable storage-node simulation: the engine behind every run.
+///
+/// The node follows the [`SimComponent`] contract (`init /
+/// peek_next_time / advance_to`), so an outer driver — the cluster
+/// co-simulation — can advance several nodes on one shared clock,
+/// observe their health at epoch boundaries, and migrate live streams
+/// between them mid-run. [`run_node`](crate::run_node) itself is
+/// `init + advance_to(MAX) + finish` on the same engine, so stepping a
+/// node in epochs is bit-identical to running it standalone.
+///
+/// # Examples
+///
+/// Drive a node in 50 ms epochs; the result is bit-identical to
+/// [`Experiment::run`]:
+///
+/// ```
+/// use seqio_node::{Experiment, NodeSim};
+/// use seqio_simcore::{SimComponent, SimDuration, SimTime};
+///
+/// let spec = Experiment::builder()
+///     .streams_per_disk(4)
+///     .warmup(SimDuration::from_millis(100))
+///     .duration(SimDuration::from_millis(400))
+///     .build();
+/// let mut sim = NodeSim::new(&spec).unwrap();
+/// sim.init();
+/// let mut t = SimTime::ZERO;
+/// while sim.peek_next_time().is_some() {
+///     t += SimDuration::from_millis(50);
+///     sim.advance_to(t);
+/// }
+/// let stepped = sim.finish();
+/// let plain = spec.run();
+/// assert_eq!(stepped.bytes_delivered, plain.bytes_delivered);
+/// assert_eq!(stepped.events_simulated, plain.events_simulated);
+/// ```
+///
+/// [`SimComponent`]: seqio_simcore::SimComponent
 #[derive(Debug)]
-pub(crate) struct StorageNode {
+pub struct NodeSim {
     spec: Experiment,
     q: EventQueue<Ev>,
     rng: SimRng,
@@ -267,9 +305,15 @@ pub(crate) struct StorageNode {
     prof: Option<ProfTally>,
 }
 
-impl StorageNode {
-    /// Builds the node from a validated experiment.
-    pub(crate) fn new(mut spec: Experiment) -> Self {
+impl NodeSim {
+    /// Validates `spec` and builds the steppable node.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint of the specification.
+    pub fn new(spec: &Experiment) -> Result<NodeSim, SeqioError> {
+        spec.validate()?;
+        let mut spec = spec.clone();
         let mut rng = SimRng::seed_from(spec.seed);
         let dpc = spec.shape.disks_per_controller;
         let mut controllers = Vec::with_capacity(spec.shape.controllers);
@@ -335,7 +379,7 @@ impl StorageNode {
         }
         let (drive, n_streams) = match &mut spec.replay {
             None => {
-                let clients = ClientSet::new(specs, 1, disk_blocks, &mut rng);
+                let clients = ClientSet::new(specs, disk_blocks, &mut rng);
                 let n = clients.len();
                 (Drive::Closed(clients), n)
             }
@@ -416,7 +460,7 @@ impl StorageNode {
             }
         });
         let prof = spec.prof.map(|cfg| ProfTally::new(cfg, &EV_CLASS_NAMES));
-        StorageNode {
+        Ok(NodeSim {
             spec,
             q: EventQueue::new(),
             rng,
@@ -442,20 +486,7 @@ impl StorageNode {
             requests_completed: 0,
             obs,
             prof,
-        }
-    }
-
-    /// Runs to the stop time (or workload exhaustion) and reports.
-    ///
-    /// Expressed entirely on the steppable surface ([`init`](Self::init),
-    /// [`advance_to`](Self::advance_to), [`finish`](Self::finish)), so a
-    /// node driven in epochs by the cluster co-simulation executes the
-    /// exact same code path — and therefore the exact same event order —
-    /// as a standalone run.
-    pub(crate) fn run(mut self) -> RunResult {
-        self.init();
-        self.advance_to(SimTime::MAX);
-        self.finish()
+        })
     }
 
     /// Schedules the node's initial events: the kickoff burst (closed
@@ -464,19 +495,15 @@ impl StorageNode {
     ///
     /// Closed loop: every stream sends its first request, slightly
     /// staggered so arrival ties do not all land on one instant.
-    pub(crate) fn init(&mut self) {
+    pub fn init(&mut self) {
         match &mut self.drive {
             Drive::Closed(clients) => {
                 let initial = clients.initial_requests();
                 let net = self.spec.costs.network_oneway;
-                let mut pending = Vec::new();
                 for (i, r) in initial.into_iter().enumerate() {
                     let sent = SimTime::ZERO + SimDuration::from_micros(i as u64 % 997);
-                    pending.push((r, sent, sent + net));
-                }
-                for (r, sent, at) in pending {
                     let id = self.alloc_client_id(r.stream, r.disk, r.lba, r.blocks, sent);
-                    self.q.push(at, Ev::Arrive(id));
+                    self.q.push(sent + net, Ev::Arrive(id));
                 }
             }
             Drive::Replay => {
@@ -509,7 +536,7 @@ impl StorageNode {
     /// pending event, or `None` once it is drained or every remaining
     /// event lies past the stop time (the steppable form of the run
     /// loop's `now > stop_at` break).
-    pub(crate) fn peek_next_time(&self) -> Option<SimTime> {
+    pub fn peek_next_time(&self) -> Option<SimTime> {
         if self.stopped {
             return None;
         }
@@ -520,7 +547,7 @@ impl StorageNode {
     /// order. Chunked calls with non-decreasing limits pop the exact same
     /// event sequence as one call with `limit = SimTime::MAX`, so epoch
     /// driving is bit-identical to a standalone run.
-    pub(crate) fn advance_to(&mut self, limit: SimTime) {
+    pub fn advance_to(&mut self, limit: SimTime) {
         while !self.stopped {
             let Some(t) = self.q.peek_time() else { break };
             if t > limit {
@@ -553,8 +580,9 @@ impl StorageNode {
         }
     }
 
-    /// Assembles the [`RunResult`] from the node's final state.
-    pub(crate) fn finish(self) -> RunResult {
+    /// Consumes the node and assembles its [`RunResult`] from its final
+    /// state.
+    pub fn finish(self) -> RunResult {
         let effective_end = self.last_delivery.min(self.stop_at).max(self.warmup_at);
         let window = effective_end.duration_since(self.warmup_at);
         let secs = window.as_secs_f64();
@@ -736,31 +764,35 @@ impl StorageNode {
 
     // ----- migration & health (cluster co-simulation) -----------------
 
-    /// Retires `stream` for migration: splits off its unissued tail as a
-    /// fresh spec and exhausts the local generator. A request already in
-    /// flight still completes — and is counted — on this node. Returns
-    /// `None` for exhausted streams and replay (open-loop) drives.
-    pub(crate) fn retire_stream(&mut self, stream: usize) -> Option<StreamSpec> {
+    /// Retires local stream `stream` for migration: captures its unissued
+    /// tail and exhausts the local generator, so the stream issues nothing
+    /// further here (a request already in flight still completes, and
+    /// counts, on this node). Returns `None` when nothing is left to
+    /// migrate, and on replay (open-loop) drives.
+    pub fn retire_stream(&mut self, stream: usize) -> Option<StreamHandoff> {
         match &mut self.drive {
-            Drive::Closed(clients) => clients.retire_stream(stream),
+            Drive::Closed(clients) => {
+                clients.retire_stream(stream).map(|remainder| StreamHandoff { remainder })
+            }
             Drive::Replay => None,
         }
     }
 
-    /// Adopts a migrated stream at time `at`: appends a generator for
-    /// `spec`, grows every per-stream table, and restarts the closed loop
-    /// by scheduling the stream's first arrival. Returns the local slot.
+    /// Adopts a migrated stream at time `at` and returns its new local
+    /// slot: appends a generator for the handoff, grows every per-stream
+    /// table, and restarts the closed loop by scheduling the stream's
+    /// first arrival.
     ///
     /// The injection RNG is derived from the node seed and an injection
     /// counter — never drawn from the node's main RNG stream — so a run
-    /// that performs no injections stays bit-identical to one on a build
-    /// without migration support.
+    /// that performs no injections is unperturbed.
     ///
     /// # Panics
     ///
-    /// Panics on replay (open-loop) drives and if `spec` names a disk the
-    /// node does not have.
-    pub(crate) fn inject_stream(&mut self, at: SimTime, spec: StreamSpec) -> usize {
+    /// Panics on replay (open-loop) drives and if the handoff names a
+    /// disk the node does not have.
+    pub fn inject_stream(&mut self, at: SimTime, handoff: StreamHandoff) -> usize {
+        let spec = handoff.remainder;
         let disks = self.spec.shape.total_disks();
         assert!(spec.disk < disks, "injected stream names disk {} of {disks}", spec.disk);
         let seq = self.migrations;
@@ -804,40 +836,42 @@ impl StorageNode {
         slot
     }
 
-    /// `true` while `stream` still has requests to issue.
-    pub(crate) fn stream_live(&self, stream: usize) -> bool {
+    /// `true` while local stream `stream` still has requests to issue.
+    pub fn stream_live(&self, stream: usize) -> bool {
         match &self.drive {
             Drive::Closed(c) => c.stream_live(stream),
             Drive::Replay => false,
         }
     }
 
-    /// When `stream`'s final response reached the client, if it has.
-    pub(crate) fn stream_done_at(&self, stream: usize) -> Option<SimTime> {
+    /// When local stream `stream`'s final response reached the client, if
+    /// it has finished (the instant the client front-end tier times a
+    /// session's storage completion from).
+    pub fn stream_done_at(&self, stream: usize) -> Option<SimTime> {
         self.stream_done_at.get(stream).copied().flatten()
     }
 
-    /// The disk local stream `stream` targets.
-    pub(crate) fn stream_disk(&self, stream: usize) -> usize {
+    /// The (node-local) disk index local stream `stream` targets.
+    pub fn stream_disk(&self, stream: usize) -> usize {
         match &self.drive {
             Drive::Closed(c) => c.stream_spec(stream).disk,
             Drive::Replay => 0,
         }
     }
 
-    /// Streams that still have requests to issue.
-    pub(crate) fn live_streams(&self) -> usize {
+    /// Streams on the node that still have requests to issue.
+    pub fn live_streams(&self) -> usize {
         match &self.drive {
             Drive::Closed(c) => c.live_count(),
             Drive::Replay => 0,
         }
     }
 
-    /// A model-state health view at time `at`. Reads only simulation
-    /// state — disk queues, cumulative busy time, the fault plan — never
-    /// the opt-in recorder, so polling it cannot perturb results or
-    /// depend on whether observability is enabled.
-    pub(crate) fn health(&self, at: SimTime) -> crate::sim::HealthSnapshot {
+    /// A model-state [`HealthSnapshot`] at time `at`. Reads only
+    /// simulation state — disk queues, cumulative busy time, the fault
+    /// plan — never the opt-in recorder, so polling it cannot perturb
+    /// results or depend on whether observability is enabled.
+    pub fn health(&self, at: SimTime) -> HealthSnapshot {
         let disks = self.spec.shape.total_disks();
         let mut queue_depths = Vec::with_capacity(disks);
         let mut busy_time = Vec::with_capacity(disks);
@@ -855,7 +889,7 @@ impl StorageNode {
             Fe::Stream(server) => server.memory_used(),
             Fe::Direct | Fe::Linux(_) => 0,
         };
-        crate::sim::HealthSnapshot {
+        HealthSnapshot {
             queue_depths,
             busy_time,
             straggler_factors,
@@ -864,9 +898,18 @@ impl StorageNode {
         }
     }
 
-    /// Forwards a mid-run retune to the stream scheduler (see
-    /// [`NodeSim::retune`](crate::NodeSim::retune)).
-    pub(crate) fn retune(
+    /// Applies a mid-run retune of the stream scheduler's dynamic knobs —
+    /// `D`, `R`, `N` and the degraded-rotate threshold — between events.
+    /// `M` stays fixed, so the new working set must satisfy
+    /// `D * R * N <= M`. The change takes effect on the scheduler's next
+    /// admission/issue path; a run whose controller never calls this is
+    /// bit-identical to the static tune.
+    ///
+    /// # Errors
+    ///
+    /// Rejects invalid tunes (leaving the configuration untouched) and
+    /// nodes whose frontend is not the stream scheduler.
+    pub fn retune(
         &mut self,
         dispatch_streams: usize,
         read_ahead_bytes: u64,

@@ -15,8 +15,7 @@
 //!   [`EpochController`](seqio_simcore::EpochController) that reads
 //!   model-state [health](seqio_node::HealthSnapshot) at epoch boundaries
 //!   and retunes the scheduler's `D`/`R`/`N` and degraded-rotate
-//!   threshold mid-run; plus the [dispatch-policy comparison
-//!   harness](compare_policies) and the [experiment matrix](run_matrix)
+//!   threshold mid-run; plus the [experiment matrix](run_matrix)
 //!   comparing direct, static tunes and adaptive on every scenario.
 
 #![warn(missing_docs)]
@@ -24,7 +23,6 @@
 mod adaptive;
 mod generators;
 mod matrix;
-mod policy;
 mod run;
 mod trace;
 
@@ -36,7 +34,6 @@ pub use matrix::{
     degraded_rescue, matrix_scenario, matrix_template, run_matrix, run_row, static_candidates,
     wide_reference, MatrixRow, MatrixScale, StaticOutcome,
 };
-pub use policy::{compare_policies, PolicyOutcome, POLICIES};
 pub use run::{RetuneEvent, ScenarioOutcome, ScenarioRun};
 pub use trace::{
     pattern_from_text, pattern_to_text, ScenarioTrace, TraceOp, TraceOpKind, TRACE_HEADER,

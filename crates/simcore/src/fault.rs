@@ -45,15 +45,16 @@ pub struct Straggler {
     pub factor: f64,
     /// Window start (virtual time; experiment runs start at `SimTime::ZERO`).
     pub from: SimTime,
-    /// Window end (exclusive); `None` keeps the disk slow for the whole run.
-    pub until: Option<SimTime>,
+    /// Window length (the end is exclusive); `None` keeps the disk slow
+    /// for the whole run.
+    pub duration: Option<SimDuration>,
 }
 
 impl Straggler {
     /// Whether the window is active at `t`.
     #[must_use]
     pub fn active_at(&self, t: SimTime) -> bool {
-        t >= self.from && self.until.is_none_or(|u| t < u)
+        t >= self.from && self.duration.is_none_or(|d| t.duration_since(self.from) < d)
     }
 }
 
@@ -92,6 +93,21 @@ pub struct RetryPolicy {
     /// this is counted as timed out (and no longer retried).
     /// `SimDuration::ZERO` disables the deadline.
     pub timeout: SimDuration,
+}
+
+impl RetryPolicy {
+    /// The longest delay the controller waits before a retry: `backoff`
+    /// doubled once per earlier attempt, the doubling capped at 20 (zero
+    /// when the policy never retries). `None` when it does not fit on
+    /// the simulated clock.
+    #[must_use]
+    pub fn max_delay(&self) -> Option<SimDuration> {
+        if self.max_retries == 0 {
+            return Some(SimDuration::ZERO);
+        }
+        let doublings = (self.max_retries - 1).min(20);
+        self.backoff.as_nanos().checked_mul(1 << doublings).map(SimDuration::from_nanos)
+    }
 }
 
 impl Default for RetryPolicy {
@@ -172,8 +188,7 @@ impl FaultPlan {
         duration: Option<SimDuration>,
     ) -> Self {
         let from = SimTime::ZERO + from;
-        let until = duration.map(|d| from + d);
-        self.entry(disk).stragglers.push(Straggler { factor, from, until });
+        self.entry(disk).stragglers.push(Straggler { factor, from, duration });
         self
     }
 
@@ -235,8 +250,9 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns the first violated constraint: straggler factors must be
-    /// finite and `>= 1.0`, windows non-empty, error rates in `[0, 1]`,
-    /// and bad regions non-empty.
+    /// finite and `>= 1.0`, windows non-empty and ending on the simulated
+    /// clock, error rates in `[0, 1]`, bad regions non-empty, and the
+    /// longest retry delay ([`RetryPolicy::max_delay`]) on the clock.
     pub fn validate(&self) -> Result<(), SeqioError> {
         let fail = |reason: String| Err(SeqioError::Component { component: "faults", reason });
         for (disk, f) in &self.disks {
@@ -244,8 +260,14 @@ impl FaultPlan {
                 if !s.factor.is_finite() || s.factor < 1.0 {
                     return fail(format!("disk {disk}: straggler factor must be >= 1.0"));
                 }
-                if s.until.is_some_and(|u| u <= s.from) {
+                if s.duration == Some(SimDuration::ZERO) {
                     return fail(format!("disk {disk}: straggler window is empty"));
+                }
+                if s.duration.is_some_and(|d| s.from.checked_add(d).is_none()) {
+                    return fail(format!(
+                        "disk {disk}: straggler window end (`from` + `for`) overflows the \
+                         simulated clock"
+                    ));
                 }
             }
             if !(0.0..=1.0).contains(&f.read_error_rate) {
@@ -255,6 +277,15 @@ impl FaultPlan {
                 if r.blocks == 0 {
                     return fail(format!("disk {disk}: bad region must cover at least one block"));
                 }
+            }
+        }
+        if let Some(r) = self.retry {
+            if r.max_delay().is_none() {
+                return fail(format!(
+                    "retry: `backoff` {} doubled over `max` {} retries overflows the simulated \
+                     clock",
+                    r.backoff, r.max_retries
+                ));
             }
         }
         Ok(())
@@ -408,6 +439,37 @@ mod tests {
         assert!(p.validate().is_err());
         let p = FaultPlan::new().bad_region(0, 10, 0, SimDuration::from_millis(1));
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn clock_overflows_are_rejected() {
+        let p = FaultPlan::new().straggler(
+            0,
+            4.0,
+            SimDuration::from_secs(1),
+            Some(SimDuration::from_nanos(u64::MAX)),
+        );
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains("`from` + `for`"), "{err}");
+        // The whole clock from zero still fits.
+        let p = FaultPlan::new().straggler(0, 4.0, SimDuration::ZERO, Some(SimDuration::MAX));
+        assert!(p.validate().is_ok());
+
+        let retry = |max_retries, backoff| {
+            FaultPlan::new().retry(RetryPolicy { max_retries, backoff, ..RetryPolicy::default() })
+        };
+        let err = retry(3, SimDuration::MAX).validate().unwrap_err().to_string();
+        assert!(err.contains("`backoff`"), "{err}");
+        // One retry waits the backoff itself; none never waits.
+        assert!(retry(1, SimDuration::MAX).validate().is_ok());
+        assert!(retry(0, SimDuration::MAX).validate().is_ok());
+        // The doubling stops at 2^20, however many retries are allowed.
+        let p = retry(u32::MAX, SimDuration::from_nanos(u64::MAX >> 20));
+        assert_eq!(
+            p.retry_policy().unwrap().max_delay(),
+            Some(SimDuration::from_nanos((u64::MAX >> 20) << 20))
+        );
+        assert!(retry(u32::MAX, SimDuration::from_nanos((u64::MAX >> 20) + 1)).validate().is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`SimComponent`] — the steppable-simulation contract
 //!   (`init / peek_next_time / advance_to`) that lets a co-simulation
 //!   driver advance several independent simulations on one shared clock;
-//! * measurement: [`OnlineStats`], [`LatencyHistogram`], [`ThroughputMeter`];
+//! * measurement: [`LatencyHistogram`];
 //! * [`FaultPlan`] — deterministic, seeded per-disk fault schedules
 //!   (stragglers, transient read errors, bad regions) consumed by the
 //!   device models;
@@ -87,5 +87,5 @@ pub use obs::{MetricId, MetricKind, MetricSeries, MetricsHub, ObsConfig, SpanPha
 pub use prof::{EventClassStats, KernelProfile, ProfConfig, ProfTally, QueueStats};
 pub use record::{parse_duration, ClauseFields};
 pub use rng::SimRng;
-pub use stats::{LatencyHistogram, OnlineStats, ThroughputMeter};
+pub use stats::LatencyHistogram;
 pub use time::{SimDuration, SimTime};

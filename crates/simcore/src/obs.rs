@@ -417,8 +417,8 @@ impl MetricSeries {
     /// column per metric (header row carries `name [unit]`). Header
     /// fields containing a comma, quote or newline — possible once
     /// [`merge_labeled`](Self::merge_labeled) prefixes arbitrary node
-    /// labels — are RFC 4180-quoted, so the file always round-trips
-    /// through [`from_csv`](Self::from_csv).
+    /// labels — are RFC 4180-quoted, so any CSV reader sees one column
+    /// per metric.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time_ms");
         for (n, u) in self.names.iter().zip(&self.units) {
@@ -434,63 +434,6 @@ impl MetricSeries {
         }
         out
     }
-
-    /// Parses a CSV written by [`to_csv`](Self::to_csv) back into a
-    /// series. The sampling interval is not encoded in the file; it is
-    /// inferred from the first two rows' spacing (default 10 ms for
-    /// shorter files).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed header field or cell.
-    pub fn from_csv(csv: &str) -> Result<MetricSeries, String> {
-        let mut lines = csv.lines();
-        let header = lines.next().ok_or("metric CSV is empty")?;
-        let fields = split_csv_line(header)?;
-        match fields.first().map(String::as_str) {
-            Some("time_ms") => {}
-            other => return Err(format!("expected a time_ms header column, got {other:?}")),
-        }
-        let mut names = Vec::new();
-        let mut units = Vec::new();
-        for f in &fields[1..] {
-            // `name [unit]`: the unit bracket is the last one on the field.
-            let (name, unit) = match f.rfind(" [") {
-                Some(i) if f.ends_with(']') => (&f[..i], &f[i + 2..f.len() - 1]),
-                _ => return Err(format!("header field {f:?} is not of the form `name [unit]`")),
-            };
-            names.push(name.to_string());
-            units.push(unit.to_string());
-        }
-        let mut times = Vec::new();
-        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let cells = split_csv_line(line)?;
-            if cells.len() != names.len() + 1 {
-                return Err(format!(
-                    "row {}: expected {} fields, got {}",
-                    i + 2,
-                    names.len() + 1,
-                    cells.len()
-                ));
-            }
-            let ms: f64 = cells[0]
-                .parse()
-                .map_err(|_| format!("row {}: bad time_ms {:?}", i + 2, cells[0]))?;
-            times.push(SimTime::from_nanos((ms * 1e6).round() as u64));
-            for (col, cell) in columns.iter_mut().zip(&cells[1..]) {
-                col.push(cell.parse().map_err(|_| format!("row {}: bad sample {cell:?}", i + 2))?);
-            }
-        }
-        let interval = match times.len() {
-            0 | 1 => SimDuration::from_millis(10),
-            _ => times[1].duration_since(times[0]),
-        };
-        Ok(MetricSeries { interval, names, units, times, columns })
-    }
 }
 
 /// Quotes one CSV field per RFC 4180 when it contains a delimiter, quote
@@ -501,34 +444,6 @@ fn csv_field(f: &str) -> String {
     } else {
         f.to_string()
     }
-}
-
-/// Splits one CSV line into fields, honouring RFC 4180 quoting.
-fn split_csv_line(line: &str) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if field.is_empty() && !quoted => quoted = true,
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    quoted = false;
-                }
-            }
-            ',' if !quoted => out.push(std::mem::take(&mut field)),
-            c => field.push(c),
-        }
-    }
-    if quoted {
-        return Err(format!("unterminated quote in CSV line {line:?}"));
-    }
-    out.push(field);
-    Ok(out)
 }
 
 /// Formats a sample compactly: integers without a fraction, everything
@@ -638,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_awkward_column_names() {
+    fn csv_header_quotes_awkward_column_names() {
         // Labels carrying the CSV delimiter and quotes — the shapes a
         // `merge_labeled` node prefix can produce from user-named nodes.
         let mut hub = MetricsHub::new(SimDuration::from_millis(2));
@@ -647,37 +562,19 @@ mod tests {
         hub.set(a, 1.5);
         hub.add(b, 2.0);
         hub.sample(SimTime::from_nanos(2_000_000));
-        hub.set(a, 3.0);
-        hub.sample(SimTime::from_nanos(4_000_000));
-        let series = hub.series();
-        let csv = series.to_csv();
-        let header = csv.lines().next().unwrap();
-        assert!(header.contains("\"rack 0, shelf 1.depth [requests]\""), "{header}");
-        assert!(header.contains("\"say \"\"hi\"\" [events]\""), "{header}");
-        let parsed = MetricSeries::from_csv(&csv).unwrap();
-        assert_eq!(parsed.names(), series.names());
-        assert_eq!(parsed.units, series.units);
-        assert_eq!(parsed.times(), series.times());
-        assert_eq!(parsed.columns, series.columns);
-        assert_eq!(parsed.interval(), series.interval());
-        // A clean series round-trips without any quoting.
+        let csv = hub.series().to_csv();
+        let mut lines = csv.lines();
+        assert_eq!(
+            lines.next().unwrap(),
+            "time_ms,\"rack 0, shelf 1.depth [requests]\",\"say \"\"hi\"\" [events]\""
+        );
+        assert_eq!(lines.next().unwrap(), "2.000,1.500000,2");
+        // A clean series is written without any quoting.
         let mut plain = MetricsHub::new(SimDuration::from_millis(1));
         let g = plain.gauge("depth", "requests");
         plain.set(g, 2.0);
         plain.sample(SimTime::from_nanos(1_000_000));
-        let csv = plain.series().to_csv();
-        assert!(!csv.contains('"'), "{csv}");
-        assert_eq!(MetricSeries::from_csv(&csv).unwrap().names(), plain.series().names());
-    }
-
-    #[test]
-    fn csv_parser_rejects_malformed_input() {
-        assert!(MetricSeries::from_csv("").is_err());
-        assert!(MetricSeries::from_csv("wrong,depth [x]\n").is_err());
-        assert!(MetricSeries::from_csv("time_ms,depth\n").is_err(), "missing unit bracket");
-        assert!(MetricSeries::from_csv("time_ms,depth [x]\n1.000\n").is_err(), "short row");
-        assert!(MetricSeries::from_csv("time_ms,depth [x]\n1.000,abc\n").is_err(), "bad cell");
-        assert!(MetricSeries::from_csv("time_ms,\"depth [x]\n").is_err(), "unterminated quote");
+        assert_eq!(plain.series().to_csv(), "time_ms,depth [requests]\n1.000,2\n");
     }
 
     #[test]

@@ -1,104 +1,6 @@
-//! Measurement utilities: online moments, latency histograms, throughput meters.
+//! Measurement utilities: the latency histogram.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Online mean / variance / extrema (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use seqio_simcore::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample seen, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample seen, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+use crate::time::SimDuration;
 
 /// Fixed-layout log-scale latency histogram.
 ///
@@ -223,84 +125,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Counts bytes delivered over a measurement window and reports MB/s.
-///
-/// Matches the paper's methodology: per-stream meters are summed to obtain
-/// disk/system throughput.
-///
-/// # Examples
-///
-/// ```
-/// use seqio_simcore::{ThroughputMeter, SimTime, SimDuration};
-///
-/// let mut m = ThroughputMeter::new();
-/// m.start(SimTime::ZERO);
-/// m.record_bytes(10 << 20);
-/// m.stop(SimTime::ZERO + SimDuration::from_secs(1));
-/// assert!((m.mbytes_per_sec() - 10.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    started: Option<SimTime>,
-    stopped: Option<SimTime>,
-}
-
-impl ThroughputMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Begins (or restarts) the measurement window, clearing counters.
-    pub fn start(&mut self, at: SimTime) {
-        self.bytes = 0;
-        self.started = Some(at);
-        self.stopped = None;
-    }
-
-    /// Ends the measurement window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the meter was never started or `at` precedes the start.
-    pub fn stop(&mut self, at: SimTime) {
-        let s = self.started.expect("ThroughputMeter::stop before start");
-        assert!(at >= s, "stop before start");
-        self.stopped = Some(at);
-    }
-
-    /// Adds bytes to the window (ignored before `start`).
-    pub fn record_bytes(&mut self, n: u64) {
-        if self.started.is_some() && self.stopped.is_none() {
-            self.bytes += n;
-        }
-    }
-
-    /// Bytes recorded inside the window.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Window length (zero if not started/stopped).
-    pub fn window(&self) -> SimDuration {
-        match (self.started, self.stopped) {
-            (Some(s), Some(e)) => e.duration_since(s),
-            _ => SimDuration::ZERO,
-        }
-    }
-
-    /// Throughput in MBytes/s over the closed window (0 if degenerate).
-    pub fn mbytes_per_sec(&self) -> f64 {
-        let w = self.window().as_secs_f64();
-        if w <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / (1024.0 * 1024.0) / w
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,49 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_merge_matches_single_pass() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &v in &data {
-            whole.record(v);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &v in &data[..37] {
-            a.record(v);
-        }
-        for &v in &data[37..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
     fn histogram_quantiles_are_ordered() {
         let mut h = LatencyHistogram::new();
         for us in [10u64, 100, 1_000, 10_000, 100_000] {
@@ -436,17 +217,5 @@ mod tests {
     #[test]
     fn histogram_empty_quantile_none() {
         assert_eq!(LatencyHistogram::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn meter_computes_mb_per_s() {
-        let mut m = ThroughputMeter::new();
-        m.record_bytes(999); // before start: ignored
-        m.start(SimTime::from_nanos(0));
-        m.record_bytes(50 << 20);
-        m.stop(SimTime::ZERO + SimDuration::from_secs(2));
-        m.record_bytes(999); // after stop: ignored
-        assert_eq!(m.bytes(), 50 << 20);
-        assert!((m.mbytes_per_sec() - 25.0).abs() < 1e-9);
     }
 }

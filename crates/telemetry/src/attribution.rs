@@ -99,7 +99,7 @@ impl TailAttribution {
             let parts = trace.decompose().expect("tail traces completed");
             let mut dom = 0;
             for (b, d) in parts.iter().enumerate() {
-                totals[b] += *d;
+                totals[b] = totals[b].saturating_add(*d);
                 if *d > parts[dom] {
                     dom = b;
                 }

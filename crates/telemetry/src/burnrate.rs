@@ -151,12 +151,25 @@ pub fn monitor(
     monitor_samples(&samples, cfg, tick)
 }
 
+/// Ticks any input may span, on top of [`TICKS_PER_SAMPLE`] per sample.
+const BASE_TICKS: u64 = 1 << 14;
+
+/// Ticks each completed session adds to the grid an input may span.
+const TICKS_PER_SAMPLE: u64 = 64;
+
 /// [`monitor`] over raw `(completion instant, latency)` samples sorted
 /// by instant.
 ///
+/// The tick grid runs from zero to the last completion, so its length is
+/// set by the stamp values, not by the number of samples. It may hold at
+/// most 16,384 ticks plus 64 per sample (at 100 ms ticks: 27 minutes,
+/// plus 6.4 s per session), which bounds the work and the series by the
+/// size of the input.
+///
 /// # Errors
 ///
-/// Returns the first configuration error; `tick` must be positive.
+/// Returns the first configuration error; `tick` must be positive, and
+/// the last completion must lie within the tick grid the input allows.
 pub fn monitor_samples(
     samples: &[(SimTime, SimDuration)],
     cfg: &BurnRateConfig,
@@ -167,6 +180,16 @@ pub fn monitor_samples(
         return Err(SeqioError::Experiment("burn-rate tick must be positive".into()));
     }
     debug_assert!(samples.windows(2).all(|w| w[0].0 <= w[1].0), "samples sorted by instant");
+    let end = samples.last().map(|(t, _)| *t).unwrap_or(SimTime::ZERO);
+    let ticks = end.as_nanos().div_ceil(tick.as_nanos()).max(1);
+    let limit = BASE_TICKS + TICKS_PER_SAMPLE * samples.len() as u64;
+    if ticks > limit || ticks.checked_mul(tick.as_nanos()).is_none() {
+        return Err(SeqioError::Experiment(format!(
+            "burn-rate monitoring: the last completion at {end} needs {ticks} ticks of {tick}, \
+             more than the {limit} that {} completed session(s) allow",
+            samples.len()
+        )));
+    }
 
     let mut hub = MetricsHub::new(tick);
     let fast_id = hub.gauge("slo.fast_burn", "x");
@@ -175,7 +198,6 @@ pub fn monitor_samples(
     let done_id = hub.gauge("slo.completed", "sessions");
     let bad_id = hub.gauge("slo.violations", "sessions");
 
-    let end = samples.last().map(|(t, _)| *t).unwrap_or(SimTime::ZERO);
     let mut alerts = Vec::new();
     let mut state: Option<AlertSeverity> = None;
     let mut peak_fast = 0.0f64;
@@ -355,6 +377,28 @@ mod tests {
         let mut bad = cfg();
         bad.slow_window = ms(1);
         assert!(monitor_samples(&[], &bad, ms(1)).is_err());
+    }
+
+    #[test]
+    fn the_tick_grid_is_bounded_by_the_input() {
+        let one = |at_ns: u64| vec![(SimTime::from_nanos(at_ns), ms(1))];
+        // One session allows 16,384 + 64 ticks, however late it lands.
+        let last = (BASE_TICKS + TICKS_PER_SAMPLE) * 100_000_000;
+        let r = monitor_samples(&one(last), &cfg(), ms(100)).unwrap();
+        assert_eq!(r.series.len() as u64, BASE_TICKS + TICKS_PER_SAMPLE);
+        let err = monitor_samples(&one(last + 1), &cfg(), ms(100)).unwrap_err().to_string();
+        assert!(err.contains("ticks"), "{err}");
+        for at_ns in [10_000_000_000_000_000, 9_200_000_000_000_000_000, u64::MAX] {
+            assert!(monitor_samples(&one(at_ns), &cfg(), ms(100)).is_err());
+        }
+        // A tick so long the grid would step past the end of the clock.
+        assert!(
+            monitor_samples(&one(u64::MAX - 1), &cfg(), ms(1) * (u64::MAX / 2_000_000)).is_err()
+        );
+        // More sessions buy a proportionally longer grid.
+        let many: Vec<_> =
+            (0..1_000).map(|i| (SimTime::from_nanos(i * 6_000_000_000), ms(1))).collect();
+        assert!(monitor_samples(&many, &cfg(), ms(100)).is_ok());
     }
 
     #[test]

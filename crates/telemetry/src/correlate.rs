@@ -103,11 +103,13 @@ impl SessionTrace {
 
     /// Per-phase time summed over every span of the session, in
     /// [`SpanPhase::ALL`] order (the `Enqueued` entry is always zero).
+    /// Sums saturate at [`SimDuration::MAX`], which only stamps near the
+    /// end of the clock reach.
     pub fn phase_totals(&self) -> [SimDuration; SpanPhase::COUNT] {
         let mut out = [SimDuration::ZERO; SpanPhase::COUNT];
         for s in &self.spans {
             for (acc, d) in out.iter_mut().zip(s.record.phase_durations()) {
-                *acc += d;
+                *acc = acc.saturating_add(d);
             }
         }
         out
@@ -126,7 +128,7 @@ impl SessionTrace {
         out[0] = self.arrival_wait()?;
         let phases = self.phase_totals();
         out[1..SpanPhase::COUNT].copy_from_slice(&phases[1..]);
-        let covered: SimDuration = out.iter().copied().sum();
+        let covered = out.iter().fold(SimDuration::ZERO, |acc, &d| acc.saturating_add(d));
         out[BUCKETS - 1] = latency.saturating_sub(covered);
         Some(out)
     }
@@ -386,6 +388,22 @@ mod tests {
         assert_eq!(parts[BUCKETS - 1], SimDuration::from_micros(250));
         assert_eq!(bucket_names()[0], "arrival_wait");
         assert_eq!(bucket_names()[BUCKETS - 1], "gap");
+    }
+
+    #[test]
+    fn stamps_at_the_end_of_the_clock_saturate() {
+        // Both requests deliver at the last representable instant, as a
+        // hostile trace file can claim: the per-phase sums saturate
+        // instead of overflowing.
+        let mut tr = trace();
+        for s in &mut tr.spans {
+            s.record.stamps[SpanPhase::Delivered.index()] = Some(SimTime::MAX);
+        }
+        assert_eq!(tr.phase_totals()[SpanPhase::Delivered.index()], SimDuration::MAX);
+        let parts = tr.decompose().unwrap();
+        assert_eq!(parts[BUCKETS - 1], SimDuration::ZERO, "nothing left for the gap");
+        let tail = crate::TailAttribution::compute(&[tr.clone(), tr], 0.99, 1.0).unwrap();
+        assert!((tail.share_sum_pct() - 100.0).abs() < 1e-6);
     }
 
     #[test]

@@ -27,33 +27,27 @@ pub struct ClientRequest {
     pub blocks: u64,
 }
 
-/// Closed-loop generator over a set of streams.
+/// Closed-loop generator over a set of streams, each with at most one
+/// request in flight.
 #[derive(Debug)]
 pub struct ClientSet {
     streams: Vec<StreamState>,
+    /// Requests in flight per stream: 0 or 1.
     outstanding: Vec<u32>,
-    max_outstanding: u32,
     completed: Vec<u64>,
     disk_blocks: Lba,
 }
 
 impl ClientSet {
-    /// Builds a client set with `max_outstanding` in-flight requests per
-    /// stream (the paper uses 1 throughout) over disks of `disk_blocks`
-    /// blocks each. `specs` may be empty: an open-session node starts
-    /// with no streams and adopts them mid-run via
-    /// [`inject_stream`](Self::inject_stream).
+    /// Builds a client set over disks of `disk_blocks` blocks each, with
+    /// one in-flight request per stream (the paper's setting throughout).
+    /// `specs` may be empty: an open-session node starts with no streams
+    /// and adopts them mid-run via [`inject_stream`](Self::inject_stream).
     ///
     /// # Panics
     ///
-    /// Panics if `max_outstanding == 0` or any spec is invalid.
-    pub fn new(
-        specs: Vec<StreamSpec>,
-        max_outstanding: u32,
-        disk_blocks: Lba,
-        rng: &mut SimRng,
-    ) -> Self {
-        assert!(max_outstanding > 0, "need at least one outstanding request");
+    /// Panics if any spec is invalid.
+    pub fn new(specs: Vec<StreamSpec>, disk_blocks: Lba, rng: &mut SimRng) -> Self {
         let streams: Vec<StreamState> = specs
             .into_iter()
             .enumerate()
@@ -61,7 +55,7 @@ impl ClientSet {
             .collect();
         let n = streams.len();
         let (outstanding, completed) = (vec![0; n], vec![0; n]);
-        ClientSet { streams, outstanding, max_outstanding, completed, disk_blocks }
+        ClientSet { streams, outstanding, completed, disk_blocks }
     }
 
     /// Number of streams.
@@ -75,15 +69,12 @@ impl ClientSet {
         self.streams.is_empty()
     }
 
-    /// Initial burst: fills every stream's window.
+    /// Initial burst: every stream sends its first request.
     pub fn initial_requests(&mut self) -> Vec<ClientRequest> {
         let mut out = Vec::new();
         for s in 0..self.streams.len() {
-            while self.outstanding[s] < self.max_outstanding {
-                match self.try_issue(s) {
-                    Some(r) => out.push(r),
-                    None => break,
-                }
+            if let Some(r) = self.try_issue(s) {
+                out.push(r);
             }
         }
         out
@@ -103,7 +94,7 @@ impl ClientSet {
     }
 
     fn try_issue(&mut self, s: StreamIdx) -> Option<ClientRequest> {
-        if self.outstanding[s] >= self.max_outstanding {
+        if self.outstanding[s] > 0 {
             return None;
         }
         let (lba, blocks) = self.streams[s].next_request()?;
@@ -156,8 +147,8 @@ impl ClientSet {
     }
 
     /// Issues the first request of an injected stream (closed-loop restart
-    /// after migration). Returns `None` if the stream is exhausted or its
-    /// window is already full.
+    /// after migration). Returns `None` if the stream is exhausted or
+    /// already has a request in flight.
     pub fn kickoff(&mut self, stream: StreamIdx) -> Option<ClientRequest> {
         self.try_issue(stream)
     }
@@ -177,17 +168,17 @@ impl ClientSet {
 mod tests {
     use super::*;
 
-    fn set(n_streams: usize, reqs: u64, window: u32) -> ClientSet {
+    fn set(n_streams: usize, reqs: u64) -> ClientSet {
         let specs = (0..n_streams)
             .map(|i| StreamSpec::sequential(0, i as u64 * 1_000_000, 128, reqs))
             .collect();
         let mut rng = SimRng::seed_from(3);
-        ClientSet::new(specs, window, Lba::MAX, &mut rng)
+        ClientSet::new(specs, Lba::MAX, &mut rng)
     }
 
     #[test]
     fn initial_burst_fills_windows() {
-        let mut c = set(5, 10, 1);
+        let mut c = set(5, 10);
         let burst = c.initial_requests();
         assert_eq!(burst.len(), 5);
         assert_eq!(c.total_outstanding(), 5);
@@ -200,18 +191,20 @@ mod tests {
 
     #[test]
     fn closed_loop_window_respected() {
-        let mut c = set(2, 100, 3);
+        let mut c = set(2, 100);
         let burst = c.initial_requests();
-        assert_eq!(burst.len(), 6);
+        assert_eq!(burst.len(), 2);
+        // A stream with a request in flight sends nothing more.
+        assert!(c.kickoff(0).is_none());
         // Completing one opens exactly one slot.
         let next = c.on_complete(0).expect("more requests remain");
         assert_eq!(next.stream, 0);
-        assert_eq!(c.total_outstanding(), 6);
+        assert_eq!(c.total_outstanding(), 2);
     }
 
     #[test]
     fn streams_drain_to_finished() {
-        let mut c = set(3, 4, 1);
+        let mut c = set(3, 4);
         let mut inflight: Vec<ClientRequest> = c.initial_requests();
         let mut served = 0;
         while let Some(r) = inflight.pop() {
@@ -229,7 +222,7 @@ mod tests {
 
     #[test]
     fn requests_within_a_stream_are_sequential() {
-        let mut c = set(1, 5, 1);
+        let mut c = set(1, 5);
         let mut last_end = None;
         let mut r = c.initial_requests().pop().unwrap();
         loop {
@@ -248,8 +241,8 @@ mod tests {
     #[test]
     fn retire_and_inject_conserve_the_workload() {
         // Two client sets model a source and a target node.
-        let mut src = set(2, 10, 1);
-        let mut dst = set(1, 10, 1);
+        let mut src = set(2, 10);
+        let mut dst = set(1, 10);
         let mut inflight = src.initial_requests();
         assert_eq!(inflight.len(), 2);
         // Complete one request on stream 0, leaving 1 in flight + 8 unissued.
@@ -272,7 +265,7 @@ mod tests {
         let first = dst.kickoff(slot).expect("injected stream issues");
         assert_eq!(first.stream, slot);
         assert_eq!(first.lba, rem.start);
-        // Window of 1: a second kickoff is refused until completion.
+        // One request in flight: a second kickoff is refused until completion.
         assert!(dst.kickoff(slot).is_none());
         // Drain the migrated stream: exactly the 8 migrated requests run.
         let mut served = 1;
@@ -285,7 +278,7 @@ mod tests {
 
     #[test]
     fn retire_exhausted_stream_is_none() {
-        let mut c = set(1, 1, 1);
+        let mut c = set(1, 1);
         let _ = c.initial_requests();
         assert!(c.retire_stream(0).is_none(), "no unissued requests left");
     }
@@ -293,7 +286,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "completion without outstanding")]
     fn double_completion_panics() {
-        let mut c = set(1, 5, 1);
+        let mut c = set(1, 5);
         let _ = c.initial_requests();
         let _ = c.on_complete(0);
         // Stream 0 has one outstanding again (refilled); drain it twice.

@@ -2,7 +2,7 @@
 //!
 //! Workload generation for the `seqio` storage-node simulation: stream
 //! specifications ([`StreamSpec`], [`Pattern`]), closed-loop client
-//! emulation with bounded outstanding requests ([`ClientSet`]) and
+//! emulation with one outstanding request per stream ([`ClientSet`]) and
 //! placement helpers ([`uniform_offsets`], [`interval_offsets`]).
 //!
 //! # Examples
@@ -15,7 +15,7 @@
 //! let specs: Vec<_> =
 //!     (0..10).map(|i| StreamSpec::sequential(0, i * 1_000_000, 128, 100)).collect();
 //! let mut rng = SimRng::seed_from(1);
-//! let mut clients = ClientSet::new(specs, 1, 16_000_000, &mut rng);
+//! let mut clients = ClientSet::new(specs, 16_000_000, &mut rng);
 //! let burst = clients.initial_requests();
 //! assert_eq!(burst.len(), 10);
 //! ```
