@@ -3,9 +3,11 @@
 //!
 //! `probe perf` instead runs the kernel performance harness: a few
 //! representative macro points timed wall-clock, reporting events
-//! simulated and events/sec, plus a link point replaying a fixed feed
-//! through `FairShareLink` and reporting deliveries/sec, with
-//! machine-readable JSON written to `bench_results/perf_probe.json`.
+//! simulated and events/sec, a link point replaying a fixed feed through
+//! `FairShareLink` and reporting deliveries/sec, and micro rows timing the
+//! hot data structures (classifier, disk cache, calendar queue) over fixed
+//! op counts, with machine-readable JSON written to
+//! `bench_results/perf_probe.json`.
 //!
 //! `probe faults` exercises the fault-injection layer: straggler
 //! severities and transient-error rates on the direct and scheduler
@@ -50,12 +52,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use seqio_core::ServerConfig;
-use seqio_disk::CacheConfig;
+use seqio_core::{Classifier, ServerConfig};
+use seqio_disk::{CacheConfig, SegmentedCache};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::{CostModel, Experiment, Frontend, NodeShape, ObsConfig};
 use seqio_simcore::units::{KIB, MIB};
-use seqio_simcore::{FairShareLink, ProfConfig, SimComponent, SimDuration, SimRng, SimTime};
+use seqio_simcore::{
+    EventQueue, FairShareLink, ProfConfig, SimComponent, SimDuration, SimRng, SimTime,
+};
 
 /// One timed macro point of the perf harness.
 struct PerfPoint {
@@ -100,8 +104,8 @@ struct LinkPoint {
 
 /// The link point's figures at the previous link, which rebuilt the
 /// max-min allocation of every active transfer on each start and
-/// completion: the same feed, timed by this code against that link on the
-/// 2-vCPU x86-64 VM that recorded `bench_results/perf_probe.json`.
+/// completion: the same feed, timed by this code against that link on a
+/// 2-vCPU x86-64 VM where the current link replays it in 0.736 s.
 const LINK_BEFORE_WALL_SECS: f64 = 5.918;
 
 /// The link point's feed: the start instants of 120k 128 KiB transfers,
@@ -143,6 +147,145 @@ fn time_link(repeats: u32) -> LinkPoint {
     LinkPoint { transfers, peak_active, wall_secs: best, repeats }
 }
 
+/// One micro row of the perf harness: a closure over a fixed op count,
+/// timed like a [`PerfPoint`].
+struct MicroRow {
+    name: &'static str,
+    ops: u64,
+    wall_secs: f64,
+    repeats: u32,
+}
+
+impl MicroRow {
+    fn ns_per_op(&self) -> f64 {
+        self.wall_secs * 1e9 / self.ops as f64
+    }
+}
+
+/// Runs `body` (which performs `ops` operations and returns a checksum the
+/// optimizer cannot see through) `repeats` times and keeps the best wall
+/// time.
+fn time_micro(name: &'static str, ops: u64, repeats: u32, body: impl Fn() -> u64) -> MicroRow {
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        std::hint::black_box(body());
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    MicroRow { name, ops, wall_secs: best, repeats }
+}
+
+/// `rounds` fresh classifiers, each observing 64 requests of 128 blocks
+/// spaced `stride` blocks apart (128: one sequential reader; 1M: scattered
+/// requests that each open a detection region).
+fn observe_rounds(rounds: u64, stride: u64) -> u64 {
+    let mut detections = 0;
+    for _ in 0..rounds {
+        let mut clf = Classifier::new(4096, 192);
+        for i in 0..64u64 {
+            std::hint::black_box(clf.observe(0, i * stride, 128, SimTime::ZERO));
+        }
+        detections += clf.detections();
+    }
+    detections
+}
+
+/// A 32-segment disk cache with 256 KiB segments, as the paper's drive.
+fn micro_cache() -> SegmentedCache {
+    SegmentedCache::new(CacheConfig {
+        segment_count: 32,
+        segment_bytes: 256 * KIB,
+        read_ahead_bytes: 256 * KIB,
+    })
+}
+
+/// Event time for slot `i`, either spread evenly over one second
+/// (uniform) or piled into a handful of tight bursts (clustered) — the
+/// shape a DES produces when many streams complete at nearly the same
+/// instant.
+fn event_time(i: u64, clustered: bool) -> SimTime {
+    SimTime::from_nanos(if clustered {
+        (i % 8) * 100_000_000 + (i * 2_654_435_761) % 20_000
+    } else {
+        (i * 2_654_435_761) % 1_000_000_000
+    })
+}
+
+/// Steady-state churn: prefill `n` events, then for each of `n` steps pop
+/// the earliest event and push a replacement shortly after it, then drain
+/// — the access pattern of a running simulation with a stable
+/// pending-event population. Moves `2n` events through the queue.
+fn queue_churn(n: u64, clustered: bool) -> u64 {
+    let mut q = EventQueue::new();
+    for i in 0..n {
+        q.push(event_time(i, clustered), i);
+    }
+    let mut acc = 0u64;
+    for i in 0..n {
+        let (t, v) = q.pop().expect("queue prefilled");
+        acc = acc.wrapping_add(v);
+        q.push(t + SimDuration::from_nanos(1 + (i * 48_271) % 1_000_000), i);
+    }
+    while let Some((_, v)) = q.pop() {
+        acc = acc.wrapping_add(v);
+    }
+    acc
+}
+
+/// The micro rows: the hot data structures under the kernel, each over a
+/// fixed op count (an event pushed and popped counts as one op).
+fn micro_rows(repeats: u32) -> Vec<MicroRow> {
+    let mut rows = vec![
+        time_micro("classifier-observe-sequential", 4096 * 64, repeats, || {
+            observe_rounds(4096, 128)
+        }),
+        time_micro("classifier-observe-scattered", 4096 * 64, repeats, || {
+            observe_rounds(4096, 1_000_000)
+        }),
+        time_micro("disk-cache-lookup-hit", 1 << 20, repeats, || {
+            let mut cache = micro_cache();
+            let t = cache.begin_fill(0, 512, SimTime::ZERO).expect("cache has segments");
+            cache.commit_fill(t, 0, 512, SimTime::ZERO);
+            (0..1 << 20)
+                .filter(|_| cache.lookup(std::hint::black_box(128), 128, SimTime::ZERO))
+                .count() as u64
+        }),
+        time_micro("disk-cache-fill-cycle", 1 << 18, repeats, || {
+            let mut cache = micro_cache();
+            for i in 0..1 << 18 {
+                let lba = i * 1_000_000;
+                let t = cache.begin_fill(lba, 512, SimTime::ZERO).expect("cache has segments");
+                cache.commit_fill(t, lba, 512, SimTime::ZERO);
+            }
+            cache.metrics().evictions
+        }),
+        time_micro("calendar-push-pop-1k", 1000 * 1000, repeats, || {
+            let mut acc = 0u64;
+            for _ in 0..1000 {
+                let mut q = EventQueue::new();
+                for i in 0..1000u64 {
+                    q.push(SimTime::from_nanos((i * 2_654_435_761) % 1_000_000), i);
+                }
+                while let Some((_, v)) = q.pop() {
+                    acc = acc.wrapping_add(v);
+                }
+            }
+            acc
+        }),
+    ];
+    for (name, n, rounds, clustered) in [
+        ("calendar-churn-1k-uniform", 1_000u64, 1000u64, false),
+        ("calendar-churn-1k-clustered", 1_000, 1000, true),
+        ("calendar-churn-100k-uniform", 100_000, 10, false),
+        ("calendar-churn-100k-clustered", 100_000, 10, true),
+    ] {
+        rows.push(time_micro(name, rounds * 2 * n, repeats, || {
+            (0..rounds).fold(0, |acc, _| acc.wrapping_add(queue_churn(n, clustered)))
+        }));
+    }
+    rows
+}
+
 /// Runs the representative macro points and writes the JSON report.
 fn perf_mode() {
     let secs: u64 =
@@ -180,7 +323,7 @@ fn perf_mode() {
     let _ = write!(json, "{secs},\n  \"points\": [");
     for (i, p) in points.iter().enumerate() {
         println!(
-            "  {:<26} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec",
+            "  {:<29} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec",
             p.name,
             p.wall_secs,
             p.events,
@@ -201,7 +344,7 @@ fn perf_mode() {
     let link = time_link(repeats);
     let rate = |wall: f64| link.transfers as f64 / wall;
     println!(
-        "  {:<26} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active; \
+        "  {:<29} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active; \
          previous link {:.3}s, {:.0}/sec)",
         "link-250mibs-128k",
         link.wall_secs,
@@ -215,7 +358,8 @@ fn perf_mode() {
         json,
         "\n  ],\n  \"link\": {{\"name\": \"link-250mibs-128k\", \"transfers\": {}, \
          \"peak_active\": {}, \"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}, \
-         \"repeats\": {}, \"before\": {{\"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}}}}}\n}}\n",
+         \"repeats\": {}, \"before\": {{\"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}}}}},\n  \
+         \"micro\": [",
         link.transfers,
         link.peak_active,
         link.wall_secs,
@@ -224,6 +368,27 @@ fn perf_mode() {
         LINK_BEFORE_WALL_SECS,
         rate(LINK_BEFORE_WALL_SECS)
     );
+    for (i, row) in micro_rows(repeats).iter().enumerate() {
+        println!(
+            "  {:<29} {:>8.3}s wall  {:>10} ops  {:>12.1} ns/op",
+            row.name,
+            row.wall_secs,
+            row.ops,
+            row.ns_per_op()
+        );
+        let _ = write!(
+            json,
+            "{}\n    {{\"name\": \"{}\", \"ops\": {}, \"wall_secs\": {:.6}, \
+             \"ns_per_op\": {:.2}, \"repeats\": {}}}",
+            if i == 0 { "" } else { "," },
+            row.name,
+            row.ops,
+            row.wall_secs,
+            row.ns_per_op(),
+            row.repeats
+        );
+    }
+    json.push_str("\n  ]\n}\n");
     let dir = seqio_bench::results_dir();
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("perf_probe.json");

@@ -12,16 +12,16 @@
 //! I/O and reports completions and timing, but does not hand data buffers
 //! back to clients (an `xdd`-style exerciser rather than a file server).
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use seqio_simcore::SimTime;
 
 use crate::config::ServerConfig;
@@ -89,42 +89,41 @@ impl RealNode {
             files.push(Arc::new(file));
         }
 
-        let (control_tx, control_rx) = unbounded::<Control>();
-        let (job_tx, job_rx) = unbounded::<Job>();
+        let (control_tx, control_rx) = mpsc::channel::<Control>();
+        // The workers share one job receiver: whichever is idle takes the
+        // next job.
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
         let bytes_read = Arc::new(AtomicU64::new(0));
 
         let mut io_handles = Vec::new();
         for w in 0..io_threads {
-            let rx: Receiver<Job> = job_rx.clone();
+            let jobs = Arc::clone(&job_rx);
             let done = control_tx.clone();
             let files = files.clone();
             let counter = Arc::clone(&bytes_read);
             io_handles.push(
                 std::thread::Builder::new()
                     .name(format!("seqio-io-{w}"))
-                    .spawn(move || {
-                        let trace = std::env::var_os("SEQIO_TRACE_RUNNER").is_some();
-                        while let Ok(job) = rx.recv() {
-                            let t0 = Instant::now();
-                            let result = read_exact_at(&files[job.disk], job.offset, job.len);
-                            if trace && t0.elapsed().as_millis() > 50 {
-                                eprintln!(
-                                    "SLOW pread {}ms id={} len={}",
-                                    t0.elapsed().as_millis(),
-                                    job.backend_id,
-                                    job.len
-                                );
-                            }
-                            if result.is_ok() {
-                                counter.fetch_add(job.len as u64, Ordering::Relaxed);
-                            }
-                            // If the server is gone, just stop.
-                            if done
-                                .send(Control::BackendDone { backend_id: job.backend_id, result })
-                                .is_err()
-                            {
-                                break;
-                            }
+                    .spawn(move || loop {
+                        // The guard drops at the end of this statement, so
+                        // the lock is held while waiting for a job, not
+                        // while reading. The server dropping the job sender
+                        // ends the loop.
+                        let Ok(job) = jobs.lock().expect("job receiver lock poisoned").recv()
+                        else {
+                            break;
+                        };
+                        let result = read_exact_at(&files[job.disk], job.offset, job.len);
+                        if result.is_ok() {
+                            counter.fetch_add(job.len as u64, Ordering::Relaxed);
+                        }
+                        // If the server is gone, just stop.
+                        if done
+                            .send(Control::BackendDone { backend_id: job.backend_id, result })
+                            .is_err()
+                        {
+                            break;
                         }
                     })
                     .expect("spawn io thread"),
@@ -166,16 +165,40 @@ impl RealNode {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the backend, or an error if the server
-    /// has shut down.
+    /// Returns [`io::ErrorKind::InvalidInput`], without contacting the
+    /// server, for an unknown disk, an empty read or one that runs past
+    /// the disk's end. Otherwise returns any I/O error from the backend,
+    /// or an error if the server has shut down.
     pub fn read(&self, disk: usize, lba: u64, blocks: u64) -> io::Result<()> {
+        self.check_read(disk, lba, blocks)?;
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = mpsc::channel();
         let req = ClientRequest { id, disk, lba, blocks, write: false };
         self.control
             .send(Control::Client { req, reply: reply_tx })
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "server stopped"))?;
         reply_rx.recv().map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "server stopped"))?
+    }
+
+    /// The checks [`StorageServer::on_client_request`] asserts, as errors.
+    fn check_read(&self, disk: usize, lba: u64, blocks: u64) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        let Some(&capacity) = self.capacities.get(disk) else {
+            return invalid(format!(
+                "unknown disk {disk} (the node has {})",
+                self.capacities.len()
+            ));
+        };
+        if blocks == 0 {
+            return invalid(format!("empty read at block {lba} of disk {disk}"));
+        }
+        if lba.checked_add(blocks).is_none_or(|end| end > capacity) {
+            return invalid(format!(
+                "read of {blocks} blocks at {lba} runs past the end of disk {disk} \
+                 ({capacity} blocks)"
+            ));
+        }
+        Ok(())
     }
 
     /// Stops the server and returns its final metrics.
@@ -209,6 +232,33 @@ impl Drop for RealNode {
     }
 }
 
+/// Hands the server's outputs on: disk requests to the I/O workers,
+/// completions to their waiting clients.
+fn relay(
+    outs: Vec<ServerOutput>,
+    jobs: &Sender<Job>,
+    waiting: &mut HashMap<u64, Sender<io::Result<()>>>,
+) {
+    for o in outs {
+        match o {
+            ServerOutput::SubmitDisk(b) => {
+                let job = Job {
+                    backend_id: b.id,
+                    disk: b.disk,
+                    offset: b.lba * BLOCK,
+                    len: (b.blocks * BLOCK) as usize,
+                };
+                let _ = jobs.send(job);
+            }
+            ServerOutput::CompleteClient { client, .. } => {
+                if let Some(tx) = waiting.remove(&client) {
+                    let _ = tx.send(Ok(()));
+                }
+            }
+        }
+    }
+}
+
 /// The server event loop: wall time is mapped onto the simulation clock.
 fn server_loop(
     mut server: StorageServer,
@@ -220,85 +270,38 @@ fn server_loop(
     let gc_period = std::time::Duration::from_nanos(server.gc_period().as_nanos());
     let mut next_gc = Instant::now() + gc_period;
 
-    // Client requests waiting for completion, and backend errors to relay.
-    let waiting: Mutex<std::collections::HashMap<u64, Sender<io::Result<()>>>> =
-        Mutex::new(std::collections::HashMap::new());
-    // Map of backend-id -> client ids to fail on error (only direct requests
-    // map 1:1; fills just log).
+    // Client requests waiting for completion, by client id.
+    let mut waiting: HashMap<u64, Sender<io::Result<()>>> = HashMap::new();
+    // A backend error to relay to every waiter (fills and direct reads
+    // alike: a failed read is fatal for the run).
     let mut failed: Option<io::Error> = None;
 
-    let handle_outputs =
-        |outs: Vec<ServerOutput>,
-         jobs: &Sender<Job>,
-         waiting: &Mutex<std::collections::HashMap<u64, Sender<io::Result<()>>>>| {
-            for o in outs {
-                match o {
-                    ServerOutput::SubmitDisk(b) => {
-                        let job = Job {
-                            backend_id: b.id,
-                            disk: b.disk,
-                            offset: b.lba * BLOCK,
-                            len: (b.blocks * BLOCK) as usize,
-                        };
-                        let _ = jobs.send(job);
-                    }
-                    ServerOutput::CompleteClient { client, .. } => {
-                        if let Some(tx) = waiting.lock().remove(&client) {
-                            let _ = tx.send(Ok(()));
-                        }
-                    }
-                }
-            }
-        };
-
-    let trace = std::env::var_os("SEQIO_TRACE_RUNNER").is_some();
-    let mut last_event = Instant::now();
     loop {
         let timeout = next_gc.saturating_duration_since(Instant::now());
         match control.recv_timeout(timeout) {
             Ok(Control::Client { req, reply }) => {
-                if trace && last_event.elapsed().as_millis() > 50 {
-                    eprintln!(
-                        "STALL {}ms before client req disk={} lba={} (mem={} live={} dispatched={})",
-                        last_event.elapsed().as_millis(), req.disk, req.lba,
-                        server.memory_used(), server.live_streams(), server.dispatched_streams()
-                    );
-                }
-                last_event = Instant::now();
-                waiting.lock().insert(req.id, reply);
+                waiting.insert(req.id, reply);
                 let outs = server.on_client_request(now(started), req);
-                handle_outputs(outs, &jobs, &waiting);
+                relay(outs, &jobs, &mut waiting);
             }
             Ok(Control::BackendDone { backend_id, result }) => {
-                if trace && last_event.elapsed().as_millis() > 50 {
-                    eprintln!(
-                        "STALL {}ms before backend done id={} (mem={} live={} dispatched={})\n{}",
-                        last_event.elapsed().as_millis(),
-                        backend_id,
-                        server.memory_used(),
-                        server.live_streams(),
-                        server.dispatched_streams(),
-                        server.debug_dump()
-                    );
-                }
-                last_event = Instant::now();
                 if let Err(e) = result {
                     failed = Some(e);
                 }
                 let outs = server.on_disk_complete(now(started), backend_id);
-                handle_outputs(outs, &jobs, &waiting);
+                relay(outs, &jobs, &mut waiting);
             }
             Ok(Control::Shutdown) => break,
             Err(RecvTimeoutError::Timeout) => {
                 let outs = server.on_gc(now(started));
-                handle_outputs(outs, &jobs, &waiting);
+                relay(outs, &jobs, &mut waiting);
                 next_gc = Instant::now() + gc_period;
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
         if let Some(e) = failed.take() {
             // Fail every waiter: a backend error is fatal for the run.
-            for (_, tx) in waiting.lock().drain() {
+            for (_, tx) in waiting.drain() {
                 let _ = tx.send(Err(io::Error::new(e.kind(), e.to_string())));
             }
         }
@@ -480,12 +483,20 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_read_panics_cleanly() {
+    fn invalid_reads_are_rejected_before_the_server() {
         let path = temp_file(1);
         let node = RealNode::open(&[&path], small_cfg(), 1, false).unwrap();
-        // Past EOF: the server panics in its thread; the client sees an error.
-        let r = node.read(0, 1 << 30, 8);
-        assert!(r.is_err());
-        // Do not call shutdown (the server thread is gone); drop handles it.
+        let end = node.capacity_blocks(0);
+        // Past the end, an unknown disk, no blocks, and an end that wraps
+        // past `u64::MAX`.
+        for (disk, lba, blocks) in [(0, end - 4, 8), (1, 0, 8), (0, 0, 0), (0, u64::MAX - 3, 8)] {
+            let e = node.read(disk, lba, blocks).expect_err("invalid read");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{disk}/{lba}/{blocks}: {e}");
+        }
+        // The server never saw them: it is still up and counts only this one.
+        node.read(0, end - 8, 8).expect("read the last 8 blocks");
+        let m = node.shutdown();
+        assert_eq!(m.client_requests, 1);
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -370,30 +370,6 @@ impl StorageServer {
         self.cfg.gc_period
     }
 
-    /// One-line-per-stream diagnostic dump (for debugging hangs).
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "mem={}/{} dispatched={} rr_len={} pending_disk={}",
-            self.pool.used_bytes(),
-            self.cfg.memory_bytes,
-            self.dispatched_count,
-            self.rr.len(),
-            self.pending_count
-        );
-        for s in self.streams.iter() {
-            let _ = writeln!(
-                out,
-                "  stream {:?} disk={} next={} frontier={} pending={} dispatched={} waiting={} inflight={} issued={}",
-                s.id, s.disk, s.client_next, s.frontier, s.pending.len(), s.dispatched, s.waiting,
-                s.inflight, s.issued_in_residency
-            );
-        }
-        out
-    }
-
     /// Handles an arriving client request.
     ///
     /// # Panics

@@ -1,10 +1,11 @@
 //! Closed-form throughput estimates.
 //!
-//! First-order analytic expectations for the disk model, used to sanity
-//! check the simulator (and to reason about experiments before running
-//! them). The estimator deliberately captures only the dominant terms —
-//! positioning amortization and cache reuse — so simulator agreement within
-//! a few tens of percent is the bar, not equality.
+//! First-order analytic expectations for the disk model: the test oracle
+//! that `model.rs`'s `analytic_agreement` test holds the simulator to
+//! (compiled only for tests). The estimator deliberately captures only the
+//! dominant terms — positioning amortization and cache reuse — so
+//! simulator agreement within a few tens of percent is the bar, not
+//! equality.
 
 use seqio_simcore::SimDuration;
 

@@ -39,7 +39,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analytic;
+#[cfg(test)]
+mod analytic;
 mod cache;
 mod config;
 mod geometry;

@@ -6,8 +6,12 @@
 //! corrupted copies of a recorded file through the parser and the replay
 //! validation.
 
+#[path = "../../../tests/support/mutator.rs"]
+mod mutator;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use mutator::Mutator;
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::span::{spans_from_csv, spans_to_csv};
 use seqio_node::{run_node, Experiment, Frontend, NodeShape, ObsConfig, SpanPhase};
@@ -99,69 +103,23 @@ fn recorded_corpus() -> (Experiment, String) {
     (spec, spans_to_csv(&spans))
 }
 
-/// Applies one random mutation to `bytes`: a bit flip, a byte swapped for
-/// a CSV-significant one, a truncation, a line splice (the head of one
-/// line joined to the tail of another, inserted at a line boundary), a
-/// dropped line, or a field replaced by an edge-case number.
-fn mutate(bytes: &mut Vec<u8>, corpus: &[&str], rng: &mut SimRng) {
-    let pos = |rng: &mut SimRng, len: usize| rng.below(len.max(1) as u64) as usize;
-    match rng.below(6) {
-        0 if !bytes.is_empty() => {
-            let i = pos(rng, bytes.len());
-            bytes[i] ^= 1 << rng.below(8);
-        }
-        1 if !bytes.is_empty() => {
-            const ALPHABET: &[u8] = b"0123456789,,,\n-+.eE tfalsruNn";
-            let i = pos(rng, bytes.len());
-            bytes[i] = ALPHABET[pos(rng, ALPHABET.len())];
-        }
-        2 => bytes.truncate(pos(rng, bytes.len() + 1)),
-        3 => {
-            let (a, b) = (corpus[pos(rng, corpus.len())], corpus[pos(rng, corpus.len())]);
-            let (cut_a, cut_b) = (pos(rng, a.len() + 1), pos(rng, b.len() + 1));
-            let line = format!("{}{}\n", &a[..cut_a], &b[cut_b..]);
-            let starts: Vec<usize> = std::iter::once(0)
-                .chain(bytes.iter().enumerate().filter(|(_, &c)| c == b'\n').map(|(i, _)| i + 1))
-                .collect();
-            let at = starts[pos(rng, starts.len())];
-            bytes.splice(at..at, line.bytes());
-        }
-        4 => {
-            let text = String::from_utf8_lossy(bytes).into_owned();
-            let lines: Vec<&str> = text.lines().collect();
-            let drop = pos(rng, lines.len());
-            let kept: Vec<&str> =
-                lines.iter().enumerate().filter(|&(i, _)| i != drop).map(|(_, l)| *l).collect();
-            *bytes = (kept.join("\n") + "\n").into_bytes();
-        }
-        _ => {
-            // Replace one comma-delimited field with an edge-case number:
-            // zero, a disk past the shape, the disk's block count, values at
-            // and past `u64::MAX`, and a stream id too large to size a table.
-            const EDGES: [&str; 8] = [
-                "0",
-                "8",
-                "156263510",
-                "18446744073709551615",
-                "18446744073709551616",
-                "18446744073709551487",
-                "99999999999999999999999999",
-                "5000000000",
-            ];
-            let commas: Vec<usize> =
-                bytes.iter().enumerate().filter(|(_, &c)| c == b',').map(|(i, _)| i).collect();
-            if commas.is_empty() {
-                return;
-            }
-            let start = commas[pos(rng, commas.len())] + 1;
-            let end = bytes[start..]
-                .iter()
-                .position(|&c| c == b',' || c == b'\n')
-                .map_or(bytes.len(), |n| start + n);
-            bytes.splice(start..end, EDGES[pos(rng, EDGES.len())].bytes());
-        }
-    }
-}
+/// The span CSV format for the shared mutator. The edge cases are zero,
+/// a disk past the shape, the disk's block count, values at and past
+/// `u64::MAX`, and a stream id too large to size a table.
+const SPAN_CSV: Mutator = Mutator {
+    alphabet: b"0123456789,,,\n-+.eE tfalsruNn",
+    edges: &[
+        "0",
+        "8",
+        "156263510",
+        "18446744073709551615",
+        "18446744073709551616",
+        "18446744073709551487",
+        "99999999999999999999999999",
+        "5000000000",
+    ],
+    drops_lines: true,
+};
 
 /// The no-panic bar for the replay input: every mutant of a recorded
 /// span file reads, parses and validates to `Ok` or a typed error — never
@@ -180,15 +138,11 @@ fn replay_input_mutants_never_panic() {
         },
         spec.frontend.clone(),
     ];
-    let corpus: Vec<&str> = csv.lines().collect();
     let mut rng = SimRng::seed_from(0x5eed_5a4e);
     let (mut not_utf8, mut parse_err, mut invalid, mut replayed) = (0u64, 0u64, 0u64, 0u64);
     let mut panics: Vec<String> = Vec::new();
     for k in 0..MUTANTS {
-        let mut bytes = csv.clone().into_bytes();
-        for _ in 0..1 + rng.below(3) {
-            mutate(&mut bytes, &corpus, &mut rng);
-        }
+        let bytes = SPAN_CSV.mutant(&csv, &mut rng);
         let Ok(text) = std::str::from_utf8(&bytes) else {
             not_utf8 += 1;
             continue;

@@ -19,6 +19,8 @@
 //! Timestamps are integer nanoseconds (`at=1500000000`), never floats, so
 //! replaying a recorded trace reproduces the original run bit-for-bit.
 
+use std::collections::HashSet;
+
 use seqio_disk::Lba;
 use seqio_simcore::{ClauseFields, SeqioError, SimTime};
 use seqio_workload::{Pattern, StreamSpec};
@@ -139,8 +141,10 @@ impl ScenarioTrace {
         if self.nodes == 0 {
             return Err(scenario_err("trace must address at least one node".into()));
         }
-        let mut injected: Vec<Vec<usize>> = vec![Vec::new(); self.nodes];
-        let mut retired: Vec<Vec<usize>> = vec![Vec::new(); self.nodes];
+        // `(node, stream)` pairs seen so far; sized by the ops, never by
+        // the declared node count.
+        let mut injected: HashSet<(usize, usize)> = HashSet::new();
+        let mut retired: HashSet<(usize, usize)> = HashSet::new();
         for (i, op) in self.ops.iter().enumerate() {
             if op.node >= self.nodes {
                 return Err(scenario_err(format!(
@@ -155,7 +159,7 @@ impl ScenarioTrace {
             }
             match op.kind {
                 TraceOpKind::Inject { .. } => {
-                    if injected[op.node].contains(&op.stream) {
+                    if !injected.insert((op.node, op.stream)) {
                         return Err(scenario_err(format!(
                             "stream {} on node {} is injected twice",
                             op.stream, op.node
@@ -165,22 +169,20 @@ impl ScenarioTrace {
                     spec.validate().map_err(|r| {
                         scenario_err(format!("stream {} on node {}: {r}", op.stream, op.node))
                     })?;
-                    injected[op.node].push(op.stream);
                 }
                 TraceOpKind::Retire => {
-                    if !injected[op.node].contains(&op.stream) {
+                    if !injected.contains(&(op.node, op.stream)) {
                         return Err(scenario_err(format!(
                             "stream {} on node {} is retired before it is injected",
                             op.stream, op.node
                         )));
                     }
-                    if retired[op.node].contains(&op.stream) {
+                    if !retired.insert((op.node, op.stream)) {
                         return Err(scenario_err(format!(
                             "stream {} on node {} is retired twice",
                             op.stream, op.node
                         )));
                     }
-                    retired[op.node].push(op.stream);
                 }
             }
         }
@@ -472,5 +474,19 @@ mod tests {
         t.nodes = 1;
         let e = t.validate().unwrap_err().to_string();
         assert!(e.contains("declares nodes=1"), "{e}");
+    }
+
+    #[test]
+    fn a_huge_declared_node_count_is_not_allocated() {
+        // The declared count only bounds the ops' node indices: nothing is
+        // sized by it, so neither line overflows a capacity or stalls on a
+        // multi-gigabyte allocation before returning.
+        for line in ["meta:name=x,nodes=18446744073709551615", "meta:name=x,nodes=50000000"] {
+            let started = std::time::Instant::now();
+            let t = ScenarioTrace::from_text(&format!("{line}\n")).unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(format!("meta:name=x,nodes={}", t.nodes), line);
+            assert!(elapsed < std::time::Duration::from_secs(1), "`{line}` took {elapsed:?}");
+        }
     }
 }

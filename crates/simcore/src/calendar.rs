@@ -1,7 +1,7 @@
 //! Calendar event queue — the default DES kernel queue.
 //!
-//! [`EventQueue`] implements the same contract as the binary-heap reference
-//! queue ([`HeapEventQueue`](crate::HeapEventQueue)) — strict
+//! [`EventQueue`] implements the same contract as the test-only binary-heap
+//! reference queue (`HeapEventQueue` in `event.rs`) — strict
 //! `(time, insertion-seq)` pop order, panic on scheduling into the past —
 //! but stores pending events in a *calendar*: a ring of time buckets, each
 //! `width` nanoseconds wide, that together cover one "year" of

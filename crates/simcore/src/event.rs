@@ -3,10 +3,10 @@
 //! [`HeapEventQueue`] is the original `BinaryHeap`-backed queue: a priority
 //! queue of `(SimTime, payload)` pairs with ties on time broken by insertion
 //! order (FIFO), which makes every simulation run bit-for-bit reproducible
-//! for a given seed and event-generation order. The default kernel queue is
-//! now the calendar queue ([`EventQueue`](crate::EventQueue)); this
-//! implementation is kept as the semantic reference that the differential
-//! property tests compare against.
+//! for a given seed and event-generation order. The kernel queue is the
+//! calendar queue ([`EventQueue`](crate::EventQueue)); this test-only
+//! implementation is the semantic reference that its differential property
+//! tests compare against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,43 +40,10 @@ impl<E> Ord for Entry<E> {
 /// A time-ordered event queue with stable FIFO tie-breaking, backed by a
 /// binary heap. Reference implementation for the default
 /// [`EventQueue`](crate::EventQueue).
-///
-/// # Examples
-///
-/// ```
-/// use seqio_simcore::{HeapEventQueue, SimTime};
-///
-/// let mut q = HeapEventQueue::new();
-/// q.push(SimTime::from_nanos(20), "late");
-/// q.push(SimTime::from_nanos(10), "early");
-/// q.push(SimTime::from_nanos(10), "early-second");
-///
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early")));
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early-second")));
-/// assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: std::fmt::Debug> std::fmt::Debug for Entry<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Entry")
-            .field("at", &self.at)
-            .field("seq", &self.seq)
-            .field("payload", &self.payload)
-            .finish()
-    }
 }
 
 impl<E> HeapEventQueue<E> {

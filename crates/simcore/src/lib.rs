@@ -10,8 +10,8 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time;
 //! * [`EventQueue`] — a calendar (bucket-ring) queue with stable FIFO
 //!   tie-breaking, so simulations are bit-for-bit reproducible; amortized
-//!   O(1) push/pop. [`HeapEventQueue`] is the `BinaryHeap` reference
-//!   implementation with identical semantics, kept for differential testing;
+//!   O(1) push/pop, held to the pop order of a `BinaryHeap` reference
+//!   queue by differential property tests;
 //! * [`SimRng`] — explicitly seeded randomness with per-component forking;
 //! * [`SimComponent`] — the steppable-simulation contract
 //!   (`init / peek_next_time / advance_to`) that lets a co-simulation
@@ -65,6 +65,7 @@ mod calendar;
 mod component;
 mod controller;
 mod error;
+#[cfg(test)]
 mod event;
 mod fault;
 mod link;
@@ -80,7 +81,6 @@ pub use calendar::EventQueue;
 pub use component::SimComponent;
 pub use controller::EpochController;
 pub use error::SeqioError;
-pub use event::HeapEventQueue;
 pub use fault::{BadRegion, DiskFaults, FaultPlan, RetryPolicy, Straggler};
 pub use link::{max_min_rates, FairShareLink, LinkDelivery};
 pub use obs::{MetricId, MetricKind, MetricSeries, MetricsHub, ObsConfig, SpanPhase};

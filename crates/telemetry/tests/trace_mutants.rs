@@ -4,9 +4,13 @@
 //! and every one must end in a result or a typed error — never a panic,
 //! never a long stall.
 
+#[path = "../../../tests/support/mutator.rs"]
+mod mutator;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use mutator::Mutator;
 use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig};
 use seqio_cluster::SessionSlo;
 use seqio_node::{Experiment, ObsConfig};
@@ -43,70 +47,29 @@ fn recorded_corpus() -> String {
     traces_to_jsonl(&traces)
 }
 
-/// Applies one random mutation to `bytes`: a bit flip, a byte swapped for
-/// a JSON-significant one, a truncation, a line splice (the head of one
-/// line joined to the tail of another, inserted at a line boundary), or —
-/// half the time, since it mostly keeps the file parseable and so reaches
-/// the analyses — a number replaced by an edge-case one.
-fn mutate(bytes: &mut Vec<u8>, corpus: &[&str], rng: &mut SimRng) {
-    let pos = |rng: &mut SimRng, len: usize| rng.below(len.max(1) as u64) as usize;
-    match rng.below(8) {
-        0 if !bytes.is_empty() => {
-            let i = pos(rng, bytes.len());
-            bytes[i] ^= 1 << rng.below(8);
-        }
-        1 if !bytes.is_empty() => {
-            const ALPHABET: &[u8] = b"0123456789,:[]{}\"\\\n-+.eE nultrfas";
-            let i = pos(rng, bytes.len());
-            bytes[i] = ALPHABET[pos(rng, ALPHABET.len())];
-        }
-        2 => bytes.truncate(pos(rng, bytes.len() + 1)),
-        3 => {
-            let (a, b) = (corpus[pos(rng, corpus.len())], corpus[pos(rng, corpus.len())]);
-            let (cut_a, cut_b) = (pos(rng, a.len() + 1), pos(rng, b.len() + 1));
-            let line = format!("{}{}\n", &a[..cut_a], &b[cut_b..]);
-            let starts: Vec<usize> = std::iter::once(0)
-                .chain(bytes.iter().enumerate().filter(|(_, &c)| c == b'\n').map(|(i, _)| i + 1))
-                .collect();
-            let at = starts[pos(rng, starts.len())];
-            bytes.splice(at..at, line.bytes());
-        }
-        _ => {
-            // Replace one number with an edge case: zero, small ids, an
-            // id too large to size a table, stamps far past the run, values
-            // at and past `u64::MAX`, a negative, a fraction and an exponent.
-            const EDGES: [&str; 13] = [
-                "0",
-                "1",
-                "7",
-                "4294967296",
-                "10000000000000000",
-                "9200000000000000000",
-                "18446744073709551614",
-                "18446744073709551615",
-                "18446744073709551616",
-                "99999999999999999999999999",
-                "-1",
-                "0.5",
-                "1e300",
-            ];
-            let digits: Vec<usize> = (0..bytes.len())
-                .filter(|&i| {
-                    bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit())
-                })
-                .collect();
-            if digits.is_empty() {
-                return;
-            }
-            let start = digits[pos(rng, digits.len())];
-            let end = bytes[start..]
-                .iter()
-                .position(|c| !c.is_ascii_digit())
-                .map_or(bytes.len(), |n| start + n);
-            bytes.splice(start..end, EDGES[pos(rng, EDGES.len())].bytes());
-        }
-    }
-}
+/// The correlated-trace JSONL format for the shared mutator. The edge
+/// cases are zero, small ids, an id too large to size a table, stamps far
+/// past the run, values at and past `u64::MAX`, a negative, a fraction and
+/// an exponent.
+const TRACE_JSONL: Mutator = Mutator {
+    alphabet: b"0123456789,:[]{}\"\\\n-+.eE nultrfas",
+    edges: &[
+        "0",
+        "1",
+        "7",
+        "4294967296",
+        "10000000000000000",
+        "9200000000000000000",
+        "18446744073709551614",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999999",
+        "-1",
+        "0.5",
+        "1e300",
+    ],
+    drops_lines: false,
+};
 
 /// What `seqio report --trace FILE --attribute p99 --burn` does with the
 /// file, minus the printing: parse, attribute the p99 band, then monitor
@@ -133,17 +96,13 @@ fn report(text: &str) -> Result<(bool, bool), String> {
 fn trace_input_mutants_never_panic() {
     const MUTANTS: u64 = 10_000;
     let jsonl = recorded_corpus();
-    let corpus: Vec<&str> = jsonl.lines().collect();
     let mut rng = SimRng::seed_from(0x7ace_5eed);
     let (mut not_utf8, mut parse_err, mut parsed, mut monitored) = (0u64, 0u64, 0u64, 0u64);
     let mut unmonitored = 0u64;
     let mut panics: Vec<String> = Vec::new();
     let mut slowest = Duration::ZERO;
     for _ in 0..MUTANTS {
-        let mut bytes = jsonl.clone().into_bytes();
-        for _ in 0..1 + rng.below(3) {
-            mutate(&mut bytes, &corpus, &mut rng);
-        }
+        let bytes = TRACE_JSONL.mutant(&jsonl, &mut rng);
         let Ok(text) = std::str::from_utf8(&bytes) else {
             not_utf8 += 1;
             continue;
