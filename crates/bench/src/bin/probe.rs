@@ -5,9 +5,9 @@
 //! representative macro points timed wall-clock, reporting events
 //! simulated and events/sec, a link point replaying a fixed feed through
 //! `FairShareLink` and reporting deliveries/sec, and micro rows timing the
-//! hot data structures (classifier, disk cache, calendar queue) over fixed
-//! op counts, with machine-readable JSON written to
-//! `bench_results/perf_probe.json`.
+//! hot data structures (classifier, disk cache, calendar queue) and the
+//! `StorageServer` state machine over fixed op counts, with
+//! machine-readable JSON written to `bench_results/perf_probe.json`.
 //!
 //! `probe faults` exercises the fault-injection layer: straggler
 //! severities and transient-error rates on the direct and scheduler
@@ -49,10 +49,11 @@
 //! asserts the adaptive-vs-static acceptance bars, and writes
 //! `bench_results/scenario_probe.json`.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use seqio_core::{Classifier, ServerConfig};
+use seqio_core::{Classifier, ClientRequest, ServerConfig, ServerOutput, StorageServer};
 use seqio_disk::{CacheConfig, SegmentedCache};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::{CostModel, Experiment, Frontend, NodeShape, ObsConfig};
@@ -71,12 +72,29 @@ struct PerfPoint {
 
 impl PerfPoint {
     fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
+        self.rate(self.wall_secs)
+    }
+
+    fn rate(&self, wall_secs: f64) -> f64 {
+        if wall_secs > 0.0 {
+            self.events as f64 / wall_secs
         } else {
             0.0
         }
     }
+}
+
+/// Wall times of rows at the stream scheduler before its stream table and
+/// buffered set moved to slots and sorted vectors: the same code, timed
+/// against that scheduler on the 2-vCPU x86-64 VM that recorded
+/// `perf_probe.json` (median of five runs alternated with the current
+/// scheduler). Rows not listed have no before figure.
+const SCHED_BEFORE_WALL_SECS: [(&str, f64); 2] =
+    [("stream-sched-100streams", 0.033730), ("server-feed-100readers", 0.516641)];
+
+/// The before wall time of row `name`, if it has one.
+fn sched_before(name: &str) -> Option<f64> {
+    SCHED_BEFORE_WALL_SECS.iter().find(|(n, _)| *n == name).map(|&(_, secs)| secs)
 }
 
 /// Times `spec` `repeats` times and keeps the best (minimum) wall time —
@@ -158,7 +176,11 @@ struct MicroRow {
 
 impl MicroRow {
     fn ns_per_op(&self) -> f64 {
-        self.wall_secs * 1e9 / self.ops as f64
+        self.ns_per_op_at(self.wall_secs)
+    }
+
+    fn ns_per_op_at(&self, wall_secs: f64) -> f64 {
+        wall_secs * 1e9 / self.ops as f64
     }
 }
 
@@ -232,8 +254,110 @@ fn queue_churn(n: u64, clustered: bool) -> u64 {
     acc
 }
 
+/// Requests per reader in the server feed row.
+const FEED_REQUESTS_PER_READER: u64 = 10_000;
+
+/// The server feed's state: a server, its instant in-order disk and the
+/// readers' progress.
+struct Feed {
+    srv: StorageServer,
+    readers: usize,
+    outs: Vec<ServerOutput>,
+    disk: VecDeque<u64>,
+    busy: Vec<bool>,
+    clock: u64,
+    done: u64,
+}
+
+impl Feed {
+    /// Relays outputs until the disk queue drains; completions free their
+    /// readers.
+    fn settle(&mut self) {
+        loop {
+            for o in self.outs.drain(..) {
+                match o {
+                    ServerOutput::SubmitDisk(b) => self.disk.push_back(b.id),
+                    ServerOutput::CompleteClient { client, .. } => {
+                        self.busy[client as usize % self.readers] = false;
+                        self.done += 1;
+                    }
+                }
+            }
+            let Some(id) = self.disk.pop_front() else { return };
+            self.clock += 10_000;
+            self.srv.on_disk_complete_into(SimTime::from_nanos(self.clock), id, &mut self.outs);
+        }
+    }
+
+    fn gc(&mut self) {
+        self.srv.on_gc_into(SimTime::from_nanos(self.clock), &mut self.outs);
+        self.settle();
+    }
+}
+
+/// Drives a `default_tuning` server on one disk with `readers` sequential
+/// readers of 64 KiB requests, one outstanding each, issued round robin:
+/// each reader issues `per_reader` requests from its own region of the
+/// disk, and the disk completes every request instantly and in order. The
+/// garbage collection runs every simulated second, as a node runs it, and
+/// when no reader can proceed. Returns the client completions.
+fn server_feed(readers: usize, per_reader: u64) -> u64 {
+    const BLOCKS: u64 = 128;
+    let cfg = ServerConfig::default_tuning();
+    let gc_period = cfg.gc_period.as_nanos();
+    let stall_jump = cfg.buffer_timeout.as_nanos() + gc_period;
+    let spacing = per_reader * BLOCKS * 2;
+    let mut feed = Feed {
+        srv: StorageServer::new(cfg, vec![readers as u64 * spacing]),
+        readers,
+        outs: Vec::new(),
+        disk: VecDeque::new(),
+        busy: vec![false; readers],
+        clock: 0,
+        done: 0,
+    };
+    let mut next_lba: Vec<u64> = (0..readers as u64).map(|r| r * spacing).collect();
+    let mut issued = vec![0; readers];
+    let (mut next_gc, mut stalls) = (gc_period, 0);
+    let total = readers as u64 * per_reader;
+    while feed.done < total {
+        let mut progress = false;
+        for r in 0..readers {
+            if feed.busy[r] || issued[r] == per_reader {
+                continue;
+            }
+            feed.clock += 50_000;
+            let id = issued[r] * readers as u64 + r as u64;
+            let req = ClientRequest::read(id, 0, next_lba[r], BLOCKS);
+            feed.srv.on_client_request_into(SimTime::from_nanos(feed.clock), req, &mut feed.outs);
+            feed.busy[r] = true;
+            issued[r] += 1;
+            next_lba[r] += BLOCKS;
+            progress = true;
+            feed.settle();
+            if feed.clock >= next_gc {
+                feed.gc();
+                next_gc = feed.clock + gc_period;
+            }
+        }
+        if !progress {
+            // Finished readers pin read-ahead nobody will consume: let it
+            // time out, as a node's periodic collection would.
+            stalls += 1;
+            assert!(stalls < 1_000, "server feed stalled at {} of {total}", feed.done);
+            feed.clock += stall_jump;
+            feed.gc();
+            next_gc = feed.clock + gc_period;
+        }
+    }
+    assert_eq!(feed.srv.metrics().completions, total, "every request completes once");
+    feed.done
+}
+
 /// The micro rows: the hot data structures under the kernel, each over a
-/// fixed op count (an event pushed and popped counts as one op).
+/// fixed op count (an event pushed and popped counts as one op), and the
+/// server state machine (a client request and the disk completions it
+/// causes count as one op).
 fn micro_rows(repeats: u32) -> Vec<MicroRow> {
     let mut rows = vec![
         time_micro("classifier-observe-sequential", 4096 * 64, repeats, || {
@@ -283,6 +407,12 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
             (0..rounds).fold(0, |acc, _| acc.wrapping_add(queue_churn(n, clustered)))
         }));
     }
+    rows.push(time_micro(
+        "server-feed-100readers",
+        100 * FEED_REQUESTS_PER_READER,
+        repeats,
+        || server_feed(100, FEED_REQUESTS_PER_READER),
+    ));
     rows
 }
 
@@ -322,23 +452,32 @@ fn perf_mode() {
     let mut json = String::from("{\n  \"window_secs\": ");
     let _ = write!(json, "{secs},\n  \"points\": [");
     for (i, p) in points.iter().enumerate() {
+        let before = sched_before(p.name);
         println!(
-            "  {:<29} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec",
+            "  {:<29} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec{}",
             p.name,
             p.wall_secs,
             p.events,
-            p.events_per_sec()
+            p.events_per_sec(),
+            before.map_or(String::new(), |b| format!(
+                "  (previous scheduler {b:.3}s, {:.0}/sec)",
+                p.rate(b)
+            ))
         );
         let _ = write!(
             json,
             "{}\n    {{\"name\": \"{}\", \"wall_secs\": {:.6}, \"events\": {}, \
-             \"events_per_sec\": {:.1}, \"repeats\": {}}}",
+             \"events_per_sec\": {:.1}, \"repeats\": {}{}}}",
             if i == 0 { "" } else { "," },
             p.name,
             p.wall_secs,
             p.events,
             p.events_per_sec(),
-            p.repeats
+            p.repeats,
+            before.map_or(String::new(), |b| format!(
+                ", \"before\": {{\"wall_secs\": {b:.6}, \"events_per_sec\": {:.1}}}",
+                p.rate(b)
+            ))
         );
     }
     let link = time_link(repeats);
@@ -369,23 +508,32 @@ fn perf_mode() {
         rate(LINK_BEFORE_WALL_SECS)
     );
     for (i, row) in micro_rows(repeats).iter().enumerate() {
+        let before = sched_before(row.name);
         println!(
-            "  {:<29} {:>8.3}s wall  {:>10} ops  {:>12.1} ns/op",
+            "  {:<29} {:>8.3}s wall  {:>10} ops  {:>12.1} ns/op{}",
             row.name,
             row.wall_secs,
             row.ops,
-            row.ns_per_op()
+            row.ns_per_op(),
+            before.map_or(String::new(), |b| format!(
+                "  (previous scheduler {b:.3}s, {:.1} ns/op)",
+                row.ns_per_op_at(b)
+            ))
         );
         let _ = write!(
             json,
             "{}\n    {{\"name\": \"{}\", \"ops\": {}, \"wall_secs\": {:.6}, \
-             \"ns_per_op\": {:.2}, \"repeats\": {}}}",
+             \"ns_per_op\": {:.2}, \"repeats\": {}{}}}",
             if i == 0 { "" } else { "," },
             row.name,
             row.ops,
             row.wall_secs,
             row.ns_per_op(),
-            row.repeats
+            row.repeats,
+            before.map_or(String::new(), |b| format!(
+                ", \"before\": {{\"wall_secs\": {b:.6}, \"ns_per_op\": {:.2}}}",
+                row.ns_per_op_at(b)
+            ))
         );
     }
     json.push_str("\n  ]\n}\n");

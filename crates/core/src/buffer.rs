@@ -6,17 +6,13 @@
 //! the last byte is consumed — or reclaimed by the garbage collector if its
 //! stream goes quiet (paper §4.3). Total allocation never exceeds `M`.
 
-use std::collections::HashMap;
-
 use seqio_simcore::SimTime;
 
-/// Identifier of one staging buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BufferId(pub u64);
+use crate::stream::StreamId;
 
-/// Identifier of a detected stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamId(pub u64);
+/// Identifier of one staging buffer, in allocation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct BufferId(u64);
 
 /// Block address (512-byte units).
 pub type Lba = u64;
@@ -25,11 +21,9 @@ const BLOCK: u64 = 512;
 
 /// One staging buffer.
 #[derive(Debug, Clone)]
-pub struct IoBuffer {
-    /// Owning stream.
-    pub stream: StreamId,
-    /// Target disk.
-    pub disk: usize,
+pub(crate) struct IoBuffer {
+    /// Identifier.
+    pub id: BufferId,
     /// First block staged.
     pub start: Lba,
     /// Length in blocks.
@@ -51,7 +45,7 @@ impl IoBuffer {
 
 /// Outcome of trying to serve a client request from the buffered set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Coverage {
+pub(crate) enum Coverage {
     /// Entirely covered by filled buffers: serve from memory now.
     Ready,
     /// Covered, but part of it is still being filled by an in-flight
@@ -62,31 +56,25 @@ pub enum Coverage {
 }
 
 /// The buffered set with `M`-bounded accounting.
+///
+/// Each stream's buffers sit in one `Vec`, indexed by the stream's slot
+/// and sorted by `(start, id)`. When buffers overlap (a fill restarted
+/// behind the frontier), that is the order the coverage walks chain them
+/// in. A stream's list must be empty when its slot is handed to a new
+/// stream; [`free_stream`](Self::free_stream) checks it.
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     capacity: u64,
     used: u64,
     peak: u64,
-    buffers: HashMap<BufferId, IoBuffer>,
-    by_stream: HashMap<StreamId, Vec<BufferId>>,
+    by_slot: Vec<Vec<IoBuffer>>,
     next_id: u64,
-    allocations: u64,
-    gc_freed: u64,
 }
 
 impl BufferPool {
     /// Creates a pool bounded at `capacity` bytes (`M`).
     pub fn new(capacity: u64) -> Self {
-        BufferPool {
-            capacity,
-            used: 0,
-            peak: 0,
-            buffers: HashMap::new(),
-            by_stream: HashMap::new(),
-            next_id: 0,
-            allocations: 0,
-            gc_freed: 0,
-        }
+        BufferPool { capacity, used: 0, peak: 0, by_slot: Vec::new(), next_id: 0 }
     }
 
     /// Bytes currently allocated.
@@ -104,22 +92,16 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Total buffers ever allocated.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
+    /// The buffers of `stream`, sorted by `(start, id)`.
+    fn list(&self, stream: StreamId) -> &[IoBuffer] {
+        self.by_slot.get(stream.slot()).map_or(&[], Vec::as_slice)
     }
 
-    /// Buffers reclaimed by the garbage collector.
-    pub fn gc_freed(&self) -> u64 {
-        self.gc_freed
-    }
-
-    /// Allocates a buffer for `[start, start+blocks)` of `stream` on `disk`,
-    /// or returns `None` if that would exceed `M`.
+    /// Allocates a buffer for `[start, start+blocks)` of `stream`, or
+    /// returns `None` if that would exceed `M`.
     pub fn try_alloc(
         &mut self,
         stream: StreamId,
-        disk: usize,
         start: Lba,
         blocks: u64,
         now: SimTime,
@@ -132,22 +114,32 @@ impl BufferPool {
         self.next_id += 1;
         self.used += bytes;
         self.peak = self.peak.max(self.used);
-        self.allocations += 1;
-        self.buffers.insert(
-            id,
-            IoBuffer { stream, disk, start, blocks, filled: false, consumed: 0, last_access: now },
+        let slot = stream.slot();
+        if slot >= self.by_slot.len() {
+            self.by_slot.resize_with(slot + 1, Vec::new);
+        }
+        // The new id is the greatest yet, so it goes after every buffer
+        // with the same start: at the end for a fill at the frontier.
+        let list = &mut self.by_slot[slot];
+        let at = list.partition_point(|b| b.start <= start);
+        list.insert(
+            at,
+            IoBuffer { id, start, blocks, filled: false, consumed: 0, last_access: now },
         );
-        self.by_stream.entry(stream).or_default().push(id);
         Some(id)
     }
 
-    /// Marks a buffer as filled by the disk.
+    /// Marks buffer `id` of `stream` as filled by the disk.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer does not exist.
-    pub fn mark_filled(&mut self, id: BufferId, now: SimTime) {
-        let b = self.buffers.get_mut(&id).expect("mark_filled: unknown buffer");
+    /// Panics if the stream holds no such buffer.
+    pub fn mark_filled(&mut self, stream: StreamId, id: BufferId, now: SimTime) {
+        let b = self
+            .by_slot
+            .get_mut(stream.slot())
+            .and_then(|list| list.iter_mut().find(|b| b.id == id))
+            .expect("mark_filled: unknown buffer");
         b.filled = true;
         b.last_access = now;
     }
@@ -156,16 +148,13 @@ impl BufferPool {
     /// stream's buffers (chaining across contiguous buffers).
     pub fn coverage(&self, stream: StreamId, lba: Lba, blocks: u64) -> Coverage {
         let end = lba + blocks;
-        let Some(ids) = self.by_stream.get(&stream) else { return Coverage::Missing };
-        let mut bufs: Vec<&IoBuffer> = ids.iter().filter_map(|i| self.buffers.get(i)).collect();
-        bufs.sort_by_key(|b| b.start);
         let mut at = lba;
         let mut any_unfilled = false;
-        for b in bufs {
-            if b.end() <= at || b.start > at {
-                if b.start > at {
-                    break; // gap
-                }
+        for b in self.list(stream) {
+            if b.start > at {
+                break; // gap
+            }
+            if b.end() <= at {
                 continue;
             }
             if !b.filled {
@@ -183,16 +172,13 @@ impl BufferPool {
     /// no buffer of `stream` covers — filled or in flight. Used to resume
     /// fetching exactly at the gap instead of re-reading staged data.
     pub fn covered_until(&self, stream: StreamId, from: Lba, limit: Lba) -> Lba {
-        let Some(ids) = self.by_stream.get(&stream) else { return from };
-        let mut bufs: Vec<&IoBuffer> = ids.iter().filter_map(|i| self.buffers.get(i)).collect();
-        bufs.sort_by_key(|b| b.start);
         let mut at = from;
-        for b in bufs {
-            if b.end() <= at {
-                continue;
-            }
+        for b in self.list(stream) {
             if b.start > at {
                 break; // gap
+            }
+            if b.end() <= at {
+                continue;
             }
             at = b.end();
             if at >= limit {
@@ -209,11 +195,9 @@ impl BufferPool {
     /// bytes freed.
     pub fn consume(&mut self, stream: StreamId, lba: Lba, blocks: u64, now: SimTime) -> u64 {
         let end = lba + blocks;
-        let buffers = &mut self.buffers;
-        let Some(ids) = self.by_stream.get_mut(&stream) else { return 0 };
+        let Some(list) = self.by_slot.get_mut(stream.slot()) else { return 0 };
         let mut freed = 0;
-        ids.retain(|id| {
-            let b = buffers.get_mut(id).expect("index out of sync");
+        list.retain_mut(|b| {
             if b.start < end && b.filled {
                 let new_consumed = (end.min(b.end())) - b.start;
                 b.consumed = b.consumed.max(new_consumed);
@@ -221,137 +205,116 @@ impl BufferPool {
             }
             if b.filled && b.consumed >= b.blocks {
                 freed += b.blocks * BLOCK;
-                buffers.remove(id);
                 false
             } else {
                 true
             }
         });
         self.used -= freed;
-        if freed > 0 {
-            self.prune_stream_index(stream);
-        }
         freed
     }
 
-    fn prune_stream_index(&mut self, stream: StreamId) {
-        if let Some(v) = self.by_stream.get(&stream) {
-            if v.is_empty() {
-                self.by_stream.remove(&stream);
-            }
-        }
-    }
-
-    /// Frees every buffer of `stream` (used when a stream is torn down).
-    /// Returns bytes freed. In-flight (unfilled) buffers are kept — their
-    /// disk request is still outstanding — unless `force` is set.
-    pub fn free_stream(&mut self, stream: StreamId, force: bool) -> u64 {
-        let buffers = &mut self.buffers;
-        let Some(ids) = self.by_stream.get_mut(&stream) else { return 0 };
-        let mut freed = 0;
-        ids.retain(|id| {
-            let b = &buffers[id];
-            if b.filled || force {
-                freed += b.blocks * BLOCK;
-                buffers.remove(id);
-                false
-            } else {
-                true
-            }
-        });
+    /// Frees every buffer of `stream` when the stream is torn down, leaving
+    /// its slot's list empty for the next stream. Returns bytes freed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer of `stream` is still being filled: streams are
+    /// torn down only with no fill in flight.
+    pub fn free_stream(&mut self, stream: StreamId) -> u64 {
+        let Some(list) = self.by_slot.get_mut(stream.slot()) else { return 0 };
+        assert!(list.iter().all(|b| b.filled), "free_stream: a fill is still in flight");
+        let freed = list.drain(..).map(|b| b.blocks * BLOCK).sum();
         self.used -= freed;
-        self.prune_stream_index(stream);
         freed
     }
 
-    /// Reclaims filled buffers idle since before `cutoff`; returns the
-    /// affected streams and bytes freed.
-    pub fn gc(&mut self, cutoff: SimTime) -> (Vec<StreamId>, u64) {
-        let victims: Vec<BufferId> = self
-            .buffers
-            .iter()
-            .filter(|(_, b)| b.filled && b.last_access < cutoff)
-            .map(|(&id, _)| id)
-            .collect();
+    /// Reclaims filled buffers idle since before `cutoff`; returns the bytes
+    /// freed.
+    pub fn gc(&mut self, cutoff: SimTime) -> u64 {
         let mut freed = 0;
-        let mut streams = Vec::new();
-        for id in victims {
-            let b = self.buffers.remove(&id).expect("victim exists");
-            freed += b.blocks * BLOCK;
-            self.gc_freed += 1;
-            if let Some(v) = self.by_stream.get_mut(&b.stream) {
-                v.retain(|x| *x != id);
-            }
-            self.prune_stream_index(b.stream);
-            if !streams.contains(&b.stream) {
-                streams.push(b.stream);
-            }
+        for list in &mut self.by_slot {
+            list.retain(|b| {
+                let idle = b.filled && b.last_access < cutoff;
+                if idle {
+                    freed += b.blocks * BLOCK;
+                }
+                !idle
+            });
         }
         self.used -= freed;
-        (streams, freed)
-    }
-
-    /// `true` if `stream` has no buffers at all.
-    pub fn stream_is_empty(&self, stream: StreamId) -> bool {
-        !self.by_stream.contains_key(&stream)
+        freed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamTable;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
-    const S: StreamId = StreamId(1);
+    /// Ids of `n` live streams, in slots `0..n`.
+    fn streams(n: usize) -> Vec<StreamId> {
+        let mut tb = StreamTable::new();
+        (0..n).map(|_| tb.create(0, 0, 0, SimTime::ZERO)).collect()
+    }
+
+    fn one_stream() -> StreamId {
+        streams(1)[0]
+    }
 
     #[test]
     fn alloc_respects_capacity() {
+        let s = one_stream();
         let mut p = BufferPool::new(1024 * 1024); // 2048 blocks
-        let a = p.try_alloc(S, 0, 0, 1024, t(0));
+        let a = p.try_alloc(s, 0, 1024, t(0));
         assert!(a.is_some());
-        let b = p.try_alloc(S, 0, 1024, 1024, t(0));
+        let b = p.try_alloc(s, 1024, 1024, t(0));
         assert!(b.is_some());
         assert_eq!(p.used_bytes(), 1024 * 1024);
-        assert!(p.try_alloc(S, 0, 2048, 1, t(0)).is_none(), "over capacity");
+        assert!(p.try_alloc(s, 2048, 1, t(0)).is_none(), "over capacity");
         assert_eq!(p.peak_bytes(), 1024 * 1024);
     }
 
     #[test]
     fn coverage_transitions() {
+        let s = one_stream();
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        assert_eq!(p.coverage(S, 0, 128), Coverage::Missing);
-        let id = p.try_alloc(S, 0, 0, 1024, t(0)).unwrap();
-        assert_eq!(p.coverage(S, 0, 128), Coverage::InFlight);
-        p.mark_filled(id, t(1));
-        assert_eq!(p.coverage(S, 0, 128), Coverage::Ready);
-        assert_eq!(p.coverage(S, 896, 128), Coverage::Ready);
-        assert_eq!(p.coverage(S, 1000, 128), Coverage::Missing, "past the end");
+        assert_eq!(p.coverage(s, 0, 128), Coverage::Missing);
+        let id = p.try_alloc(s, 0, 1024, t(0)).unwrap();
+        assert_eq!(p.coverage(s, 0, 128), Coverage::InFlight);
+        p.mark_filled(s, id, t(1));
+        assert_eq!(p.coverage(s, 0, 128), Coverage::Ready);
+        assert_eq!(p.coverage(s, 896, 128), Coverage::Ready);
+        assert_eq!(p.coverage(s, 1000, 128), Coverage::Missing, "past the end");
     }
 
     #[test]
     fn coverage_chains_across_contiguous_buffers() {
+        let s = one_stream();
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(S, 0, 0, 1024, t(0)).unwrap();
-        let b = p.try_alloc(S, 0, 1024, 1024, t(0)).unwrap();
-        p.mark_filled(a, t(1));
-        assert_eq!(p.coverage(S, 1000, 48), Coverage::InFlight, "straddles into unfilled");
-        p.mark_filled(b, t(2));
-        assert_eq!(p.coverage(S, 1000, 48), Coverage::Ready);
+        let a = p.try_alloc(s, 0, 1024, t(0)).unwrap();
+        let b = p.try_alloc(s, 1024, 1024, t(0)).unwrap();
+        p.mark_filled(s, a, t(1));
+        assert_eq!(p.coverage(s, 1000, 48), Coverage::InFlight, "straddles into unfilled");
+        p.mark_filled(s, b, t(2));
+        assert_eq!(p.coverage(s, 1000, 48), Coverage::Ready);
         // A gap breaks the chain.
-        assert_eq!(p.coverage(S, 2048, 8), Coverage::Missing);
+        assert_eq!(p.coverage(s, 2048, 8), Coverage::Missing);
     }
 
     #[test]
     fn consume_frees_fully_used_buffers() {
+        let s = one_stream();
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(S, 0, 0, 1024, t(0)).unwrap();
-        p.mark_filled(a, t(1));
+        let a = p.try_alloc(s, 0, 1024, t(0)).unwrap();
+        p.mark_filled(s, a, t(1));
         // Consume in four quarters; only the last frees.
         for q in 0..4u64 {
-            let freed = p.consume(S, q * 256, 256, t(2 + q));
+            let freed = p.consume(s, q * 256, 256, t(2 + q));
             if q < 3 {
                 assert_eq!(freed, 0);
             } else {
@@ -359,65 +322,91 @@ mod tests {
             }
         }
         assert_eq!(p.used_bytes(), 0);
-        assert!(p.stream_is_empty(S));
+        assert_eq!(p.coverage(s, 0, 1), Coverage::Missing, "the stream holds no buffer");
     }
 
     #[test]
     fn consume_with_skip_frees_bypassed_buffers() {
+        let s = one_stream();
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(S, 0, 0, 512, t(0)).unwrap();
-        let b = p.try_alloc(S, 0, 512, 512, t(0)).unwrap();
-        p.mark_filled(a, t(1));
-        p.mark_filled(b, t(1));
+        let a = p.try_alloc(s, 0, 512, t(0)).unwrap();
+        let b = p.try_alloc(s, 512, 512, t(0)).unwrap();
+        p.mark_filled(s, a, t(1));
+        p.mark_filled(s, b, t(1));
         // A near-sequential client skips the first buffer entirely.
-        let freed = p.consume(S, 512, 512, t(2));
+        let freed = p.consume(s, 512, 512, t(2));
         // Both buffers end at or below 1024: both are freed.
         assert_eq!(freed, 1024 * 512);
     }
 
     #[test]
     fn gc_reclaims_idle_filled_buffers_only() {
+        let ids = streams(2);
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(S, 0, 0, 512, t(0)).unwrap();
-        let _inflight = p.try_alloc(StreamId(2), 0, 9000, 512, t(0)).unwrap();
-        p.mark_filled(a, t(1));
-        let (streams, freed) = p.gc(t(100));
-        assert_eq!(streams, vec![S]);
+        let a = p.try_alloc(ids[0], 0, 512, t(0)).unwrap();
+        let _inflight = p.try_alloc(ids[1], 9000, 512, t(0)).unwrap();
+        p.mark_filled(ids[0], a, t(1));
+        let freed = p.gc(t(100));
         assert_eq!(freed, 512 * 512);
-        assert_eq!(p.gc_freed(), 1);
+        assert_eq!(p.coverage(ids[0], 0, 1), Coverage::Missing, "the idle buffer is gone");
         // The unfilled buffer survives (its disk request is outstanding).
+        assert_eq!(p.coverage(ids[1], 9000, 1), Coverage::InFlight);
         assert_eq!(p.used_bytes(), 512 * 512);
     }
 
     #[test]
     fn gc_respects_recent_access() {
+        let s = one_stream();
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(S, 0, 0, 512, t(0)).unwrap();
-        p.mark_filled(a, t(50));
-        let (_, freed) = p.gc(t(10));
+        let a = p.try_alloc(s, 0, 512, t(0)).unwrap();
+        p.mark_filled(s, a, t(50));
+        let freed = p.gc(t(10));
         assert_eq!(freed, 0, "recently touched buffer must survive");
     }
 
     #[test]
-    fn free_stream_keeps_inflight_unless_forced() {
+    fn free_stream_frees_every_filled_buffer() {
+        let s = one_stream();
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(S, 0, 0, 512, t(0)).unwrap();
-        let _b = p.try_alloc(S, 0, 512, 512, t(0)).unwrap();
-        p.mark_filled(a, t(1));
-        let freed = p.free_stream(S, false);
-        assert_eq!(freed, 512 * 512);
-        let freed2 = p.free_stream(S, true);
-        assert_eq!(freed2, 512 * 512);
+        let a = p.try_alloc(s, 0, 512, t(0)).unwrap();
+        let b = p.try_alloc(s, 512, 512, t(0)).unwrap();
+        p.mark_filled(s, a, t(1));
+        p.mark_filled(s, b, t(1));
+        assert_eq!(p.free_stream(s), 2 * 512 * 512);
         assert_eq!(p.used_bytes(), 0);
+        assert_eq!(p.coverage(s, 0, 1), Coverage::Missing);
+        assert_eq!(p.free_stream(s), 0, "nothing left to free");
+    }
+
+    #[test]
+    #[should_panic(expected = "fill is still in flight")]
+    fn free_stream_with_a_fill_in_flight_panics() {
+        let s = one_stream();
+        let mut p = BufferPool::new(10 * 1024 * 1024);
+        let _inflight = p.try_alloc(s, 0, 512, t(0)).unwrap();
+        p.free_stream(s);
     }
 
     #[test]
     fn per_stream_isolation() {
+        let ids = streams(2);
         let mut p = BufferPool::new(10 * 1024 * 1024);
-        let a = p.try_alloc(StreamId(1), 0, 0, 512, t(0)).unwrap();
-        p.mark_filled(a, t(1));
-        assert_eq!(p.coverage(StreamId(2), 0, 8), Coverage::Missing);
-        assert_eq!(p.consume(StreamId(2), 0, 512, t(2)), 0);
-        assert_eq!(p.coverage(StreamId(1), 0, 8), Coverage::Ready);
+        let a = p.try_alloc(ids[0], 0, 512, t(0)).unwrap();
+        p.mark_filled(ids[0], a, t(1));
+        assert_eq!(p.coverage(ids[1], 0, 8), Coverage::Missing);
+        assert_eq!(p.consume(ids[1], 0, 512, t(2)), 0);
+        assert_eq!(p.coverage(ids[0], 0, 8), Coverage::Ready);
+    }
+
+    #[test]
+    fn overlapping_buffers_keep_start_then_allocation_order() {
+        let s = one_stream();
+        let mut p = BufferPool::new(10 * 1024 * 1024);
+        let late = p.try_alloc(s, 256, 256, t(0)).unwrap();
+        let early = p.try_alloc(s, 0, 128, t(0)).unwrap();
+        let again = p.try_alloc(s, 0, 512, t(0)).unwrap();
+        let order: Vec<_> = p.list(s).iter().map(|b| b.id).collect();
+        assert_eq!(order, [early, again, late]);
+        assert_eq!(p.covered_until(s, 0, 1024), 512);
     }
 }

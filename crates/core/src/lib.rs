@@ -12,8 +12,8 @@
 //! 2. **dispatches** up to `D` streams at a time, issuing `R`-sized
 //!    read-ahead disk requests, `N` per residency, replacing streams
 //!    round-robin;
-//! 3. **stages** prefetched data in host memory bounded by `M`
-//!    ([`BufferPool`]), serving clients from memory and garbage-collecting
+//! 3. **stages** prefetched data in host memory bounded by `M` (the
+//!    buffered set), serving clients from memory and garbage-collecting
 //!    idle buffers.
 //!
 //! Configuration lives in [`ServerConfig`] with the paper's invariant
@@ -40,16 +40,16 @@ mod bitmap;
 mod buffer;
 mod classifier;
 mod config;
+#[cfg(test)]
+mod reference;
 mod runner;
 mod server;
 mod stream;
 
 pub use bitmap::RegionBitmap;
-pub use buffer::{BufferId, BufferPool, Coverage, IoBuffer, StreamId};
 pub use classifier::{Classification, Classifier};
 pub use config::{DispatchPolicy, ServerConfig};
 pub use runner::RealNode;
 pub use server::{
     BackendRequest, ClientRequest, ServerMetrics, ServerOutput, SpanEvent, StorageServer,
 };
-pub use stream::{PendingRequest, Stream, StreamTable};

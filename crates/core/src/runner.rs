@@ -483,6 +483,37 @@ mod tests {
     }
 
     #[test]
+    fn oversized_read_after_detection_returns() {
+        // M = D * R * N = 512 KiB: once the first read detects a stream, a
+        // 2 MiB read on it can never be staged and goes straight to the
+        // file when the stream is next admitted.
+        let path = temp_file(8);
+        let cfg = ServerConfig {
+            dispatch_streams: 2,
+            read_ahead_bytes: 256 * 1024,
+            requests_per_residency: 1,
+            memory_bytes: 512 * 1024,
+            ..ServerConfig::default_tuning()
+        };
+        let node = Arc::new(RealNode::open(&[&path], cfg, 2, false).unwrap());
+        node.read(0, 0, 256).expect("detecting read");
+        let (tx, rx) = mpsc::channel();
+        let reader = Arc::clone(&node);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(reader.read(0, 256, 4096));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the oversized read must not hang");
+        result.expect("oversized read");
+        handle.join().unwrap();
+        let node = Arc::into_inner(node).expect("sole owner");
+        let m = node.shutdown();
+        assert_eq!(m.completions, 2);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
     fn invalid_reads_are_rejected_before_the_server() {
         let path = temp_file(1);
         let node = RealNode::open(&[&path], small_cfg(), 1, false).unwrap();

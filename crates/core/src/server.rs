@@ -15,12 +15,12 @@ use std::collections::VecDeque;
 
 use seqio_simcore::{SeqioError, SimDuration, SimTime};
 
-use crate::buffer::{BufferId, BufferPool, Coverage, Lba, StreamId};
+use crate::buffer::{BufferId, BufferPool, Coverage, Lba};
 use crate::classifier::{Classification, Classifier};
 use crate::config::{
     DispatchPolicy, ServerConfig, DETECT_OFFSET_BLOCKS, STREAM_MATCH_SLACK_BLOCKS,
 };
-use crate::stream::{PendingRequest, StreamTable};
+use crate::stream::{PendingRequest, StreamId, StreamTable};
 
 /// A request arriving from a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -522,7 +522,7 @@ impl StorageServer {
                 out.push(ServerOutput::CompleteClient { client, from_memory: false });
             }
             PendingDisk::Fill { stream, buffer } => {
-                self.pool.mark_filled(buffer, now);
+                self.pool.mark_filled(stream, buffer, now);
                 let state = self.streams.get_mut(stream).map(|s| {
                     s.inflight = false;
                     s.last_active = now;
@@ -587,9 +587,11 @@ impl StorageServer {
     pub fn on_gc_into(&mut self, now: SimTime, out: &mut Vec<ServerOutput>) {
         let cutoff =
             SimTime::from_nanos(now.as_nanos().saturating_sub(self.cfg.buffer_timeout.as_nanos()));
-        let (_streams, _freed) = self.pool.gc(cutoff);
+        self.pool.gc(cutoff);
         for sid in self.streams.idle_streams(cutoff) {
-            self.pool.free_stream(sid, false);
+            // Idle streams have no fill in flight, so this empties the
+            // stream's buffer list before its slot is reused.
+            self.pool.free_stream(sid);
             self.streams.remove(sid);
             self.metrics.streams_gced += 1;
             // If the stream sat in the round-robin queue, try_admit skips it
@@ -689,8 +691,9 @@ impl StorageServer {
             let Some(i) = self.pick_admission() else { break };
             let sid = self.rr[i];
             // Tentatively admit: the fill only happens if memory allows.
-            let mut probe = Vec::new();
-            match self.issue_fill(now, sid, true, &mut probe) {
+            // Only `Issued` and a `NoDemand` that sent oversized requests
+            // straight to the disk push outputs.
+            match self.issue_fill(now, sid, true, out) {
                 IssueOutcome::NoMemory => break, // round-robin head waits for memory
                 IssueOutcome::NoDemand => {
                     self.rr.remove(i);
@@ -720,7 +723,6 @@ impl StorageServer {
                     }
                 }
             }
-            out.extend(probe);
         }
     }
 
@@ -784,7 +786,7 @@ impl StorageServer {
             }
             return IssueOutcome::NoDemand;
         }
-        let Some(buffer) = self.pool.try_alloc(stream, disk, frontier, blocks, now) else {
+        let Some(buffer) = self.pool.try_alloc(stream, frontier, blocks, now) else {
             self.metrics.issue_no_memory += 1;
             return IssueOutcome::NoMemory;
         };
@@ -876,7 +878,7 @@ impl StorageServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqio_simcore::units::KIB;
+    use seqio_simcore::units::{KIB, MIB};
 
     const DISK_BLOCKS: u64 = 10_000_000;
 
@@ -1285,6 +1287,34 @@ mod tests {
         let _ = srv.on_disk_complete(t(10), b.id);
         // Unknown backend id is a no-op, not a panic.
         srv.annotate_backend_fault(9999, 1, false);
+    }
+
+    #[test]
+    fn oversized_request_sent_direct_on_admission_completes() {
+        // M = 16 MiB, R = 8 MiB, N = 1: the first fill's completion retires
+        // the stream and re-admits it, and the parked 64 MiB request can
+        // never be staged, so admission sends it straight to the disk.
+        let mut srv = server(ServerConfig::memory_limited(16 * MIB, 8 * MIB, 1));
+        let mut outs = srv.on_client_request(t(0), ClientRequest::read(0, 0, 0, 4096));
+        assert_eq!(srv.live_streams(), 1, "one large request is enough to detect");
+        outs.extend(srv.on_client_request(t(1), ClientRequest::read(1, 0, 4096, 131_072)));
+        // An instant in-order disk.
+        let mut completed = Vec::new();
+        let mut clock = 1;
+        let mut next = 0;
+        while let Some(&o) = outs.get(next) {
+            next += 1;
+            match o {
+                ServerOutput::SubmitDisk(b) => {
+                    clock += 1;
+                    outs.extend(srv.on_disk_complete(t(clock), b.id));
+                }
+                ServerOutput::CompleteClient { client, .. } => completed.push(client),
+            }
+        }
+        completed.sort_unstable();
+        assert_eq!(completed, [0, 1], "both requests complete: {outs:?}");
+        assert_eq!(srv.metrics().direct_requests, 2);
     }
 
     #[test]

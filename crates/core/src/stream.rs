@@ -1,15 +1,38 @@
 //! The stream table: state for every detected sequential stream.
+//!
+//! Streams live in a slab. A [`StreamId`] carries the stream's slot, so a
+//! lookup is one bounds-checked index, and its creation sequence number,
+//! which orders ids and tells a live stream from a stale id whose slot was
+//! since reused. Each disk keeps a `Vec` of `(client_next, id)` sorted
+//! ascending for prefix matching; a request that advances a stream past
+//! none of its neighbours overwrites its entry in place.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use seqio_simcore::SimTime;
 
-use crate::buffer::{Lba, StreamId};
+use crate::buffer::Lba;
+
+/// Identifier of a detected stream: its creation sequence number and its
+/// slab slot. Ids order by sequence number, so the latest-created of two
+/// streams compares greater whatever slots they hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct StreamId {
+    seq: u64,
+    slot: usize,
+}
+
+impl StreamId {
+    /// The slab slot, which the buffered set also indexes by.
+    pub(crate) fn slot(self) -> usize {
+        self.slot
+    }
+}
 
 /// A client request parked on a stream's private queue until its data is
 /// staged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingRequest {
+pub(crate) struct PendingRequest {
     /// Caller-side request identifier.
     pub client: u64,
     /// First block requested.
@@ -20,7 +43,7 @@ pub struct PendingRequest {
 
 /// State of one detected sequential stream.
 #[derive(Debug)]
-pub struct Stream {
+pub(crate) struct Stream {
     /// Identifier.
     pub id: StreamId,
     /// Destination disk.
@@ -45,11 +68,14 @@ pub struct Stream {
 
 /// Lookup structure over all live streams.
 #[derive(Debug, Default)]
-pub struct StreamTable {
-    streams: HashMap<StreamId, Stream>,
-    /// Per disk: (client_next, id) ordered index for prefix matching.
-    index: HashMap<usize, BTreeMap<(Lba, StreamId), ()>>,
-    next_id: u64,
+pub(crate) struct StreamTable {
+    /// The slab, indexed by [`StreamId::slot`].
+    slots: Vec<Option<Stream>>,
+    /// Vacant slots, reused last-freed first.
+    free: Vec<usize>,
+    /// Per disk: `(client_next, id)` sorted ascending, for prefix matching.
+    index: Vec<Vec<(Lba, StreamId)>>,
+    next_seq: u64,
 }
 
 impl StreamTable {
@@ -60,12 +86,7 @@ impl StreamTable {
 
     /// Number of live streams.
     pub fn len(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// `true` when no streams are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
+        self.slots.len() - self.free.len()
     }
 
     /// Registers a new stream whose client is expected to continue at
@@ -77,45 +98,55 @@ impl StreamTable {
         frontier: Lba,
         now: SimTime,
     ) -> StreamId {
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
-        self.streams.insert(
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        let id = StreamId { seq: self.next_seq, slot };
+        self.next_seq += 1;
+        self.slots[slot] = Some(Stream {
             id,
-            Stream {
-                id,
-                disk,
-                client_next,
-                frontier,
-                pending: VecDeque::new(),
-                dispatched: false,
-                waiting: false,
-                inflight: false,
-                issued_in_residency: 0,
-                last_active: now,
-            },
-        );
-        self.index.entry(disk).or_default().insert((client_next, id), ());
+            disk,
+            client_next,
+            frontier,
+            pending: VecDeque::new(),
+            dispatched: false,
+            waiting: false,
+            inflight: false,
+            issued_in_residency: 0,
+            last_active: now,
+        });
+        if disk >= self.index.len() {
+            self.index.resize_with(disk + 1, Vec::new);
+        }
+        // The new id is the greatest yet, so it sorts after every entry
+        // with the same `client_next`.
+        let idx = &mut self.index[disk];
+        let at = idx.partition_point(|&(lba, _)| lba <= client_next);
+        idx.insert(at, (client_next, id));
         id
     }
 
-    /// Borrows a stream.
+    /// Borrows a stream; `None` once it was removed, even if its slot has
+    /// been reused since.
     pub fn get(&self, id: StreamId) -> Option<&Stream> {
-        self.streams.get(&id)
+        self.slots.get(id.slot())?.as_ref().filter(|s| s.id == id)
     }
 
-    /// Mutably borrows a stream.
+    /// Mutably borrows a stream; `None` once it was removed.
     pub fn get_mut(&mut self, id: StreamId) -> Option<&mut Stream> {
-        self.streams.get_mut(&id)
+        self.slots.get_mut(id.slot())?.as_mut().filter(|s| s.id == id)
     }
 
     /// Finds the stream on `disk` whose expected next block is at or up to
     /// `slack` blocks behind `lba` (i.e. `client_next <= lba <=
-    /// client_next + slack`). Prefers the closest (largest `client_next`).
+    /// client_next + slack`). Prefers the closest (largest `client_next`),
+    /// then the latest created.
     pub fn match_request(&self, disk: usize, lba: Lba, slack: u64) -> Option<StreamId> {
-        let idx = self.index.get(&disk)?;
-        let lo = (lba.saturating_sub(slack), StreamId(0));
-        let hi = (lba, StreamId(u64::MAX));
-        idx.range(lo..=hi).next_back().map(|(&(_, id), ())| id)
+        let idx = self.index.get(disk)?;
+        let below = idx.partition_point(|&(next, _)| next <= lba);
+        let (next, id) = idx[below.checked_sub(1)?];
+        (next >= lba.saturating_sub(slack)).then_some(id)
     }
 
     /// Moves a stream's expected-next pointer (reindexing it).
@@ -124,35 +155,46 @@ impl StreamTable {
     ///
     /// Panics if the stream does not exist.
     pub fn advance_client_next(&mut self, id: StreamId, new_next: Lba) {
-        let s = self.streams.get_mut(&id).expect("advance on unknown stream");
-        if s.client_next == new_next {
+        let s = self.get_mut(id).expect("advance on unknown stream");
+        let old = s.client_next;
+        if old == new_next {
             return;
         }
-        let idx = self.index.get_mut(&s.disk).expect("index out of sync");
-        idx.remove(&(s.client_next, id));
-        idx.insert((new_next, id), ());
         s.client_next = new_next;
-    }
-
-    /// Removes a stream, returning it.
-    pub fn remove(&mut self, id: StreamId) -> Option<Stream> {
-        let s = self.streams.remove(&id)?;
-        if let Some(idx) = self.index.get_mut(&s.disk) {
-            idx.remove(&(s.client_next, id));
+        let disk = s.disk;
+        let idx = &mut self.index[disk];
+        let at = idx.binary_search(&(old, id)).expect("index out of sync");
+        let key = (new_next, id);
+        // Shift the entries the stream passes by one and drop it into the
+        // gap; with no entry passed this overwrites it in place.
+        if new_next > old {
+            let to = at + idx[at + 1..].partition_point(|e| *e < key);
+            idx[at..=to].rotate_left(1);
+            idx[to] = key;
+        } else {
+            let to = idx[..at].partition_point(|e| *e < key);
+            idx[to..=at].rotate_right(1);
+            idx[to] = key;
         }
-        Some(s)
     }
 
-    /// Iterates over all streams.
-    pub fn iter(&self) -> impl Iterator<Item = &Stream> {
-        self.streams.values()
+    /// Removes a stream, returning it. Its slot is reused by a later
+    /// [`create`](Self::create).
+    pub fn remove(&mut self, id: StreamId) -> Option<Stream> {
+        let s = self.slots.get_mut(id.slot)?.take_if(|s| s.id == id)?;
+        self.free.push(id.slot);
+        let idx = &mut self.index[s.disk];
+        let at = idx.binary_search(&(s.client_next, id)).expect("index out of sync");
+        idx.remove(at);
+        Some(s)
     }
 
     /// Ids of streams idle since before `cutoff` with nothing pending or in
     /// flight — garbage-collection candidates.
     pub fn idle_streams(&self, cutoff: SimTime) -> Vec<StreamId> {
-        self.streams
-            .values()
+        self.slots
+            .iter()
+            .flatten()
             .filter(|s| {
                 s.last_active < cutoff && s.pending.is_empty() && !s.inflight && !s.dispatched
             })
@@ -211,7 +253,7 @@ mod tests {
         assert!(tb.remove(id).is_some());
         assert!(tb.remove(id).is_none());
         assert_eq!(tb.match_request(0, 1000, 0), None);
-        assert!(tb.is_empty());
+        assert_eq!(tb.len(), 0);
     }
 
     #[test]
@@ -238,5 +280,29 @@ mod tests {
         assert_eq!(tb.len(), 2);
         tb.remove(m);
         assert!(tb.match_request(0, 1000, 0).is_some(), "the other remains indexed");
+    }
+
+    #[test]
+    fn stale_id_resolves_to_none_after_slot_reuse() {
+        let mut tb = StreamTable::new();
+        let old = tb.create(0, 1000, 1000, t(0));
+        tb.remove(old);
+        let new = tb.create(0, 1000, 1000, t(0));
+        assert_eq!(new.slot(), old.slot(), "the freed slot is reused");
+        assert!(tb.get(old).is_none());
+        assert!(tb.get_mut(old).is_none());
+        assert!(tb.remove(old).is_none());
+        assert_eq!(tb.get(new).unwrap().id, new);
+    }
+
+    #[test]
+    fn advance_past_neighbours_keeps_the_index_sorted() {
+        let mut tb = StreamTable::new();
+        let ids: Vec<_> = (0..4).map(|i| tb.create(0, i * 100, i * 100, t(0))).collect();
+        tb.advance_client_next(ids[0], 250);
+        tb.advance_client_next(ids[3], 50);
+        assert!(tb.index[0].windows(2).all(|w| w[0] < w[1]), "{:?}", tb.index[0]);
+        assert_eq!(tb.match_request(0, 260, 20), Some(ids[0]));
+        assert_eq!(tb.match_request(0, 60, 20), Some(ids[3]));
     }
 }
