@@ -4,37 +4,21 @@
 //! straggler fault (a service-time multiplier on every media operation of
 //! disk 0) and sweeps its severity. The question: does the stream
 //! scheduler's advantage over the direct path survive a degraded disk, or
-//! does a slow spindle erase the benefit of staged sequential fills? The
-//! issue's acceptance bar — scheduler >= 2x direct at 100 streams on the
-//! degraded disk — is asserted here and in
-//! `crates/node/tests/fault_injection.rs`.
+//! does a slow spindle erase the benefit of staged sequential fills?
+//! Every point is [`fault_point`]; the quick grid is the straggler rows of
+//! `probe faults`, whose report checks the acceptance bars (scheduler >=
+//! 2x direct at every severity, and the 8x straggler costs throughput).
 
+use seqio_bench::reports::fault_point;
 use seqio_bench::{window_secs, Figure, Grid};
-use seqio_node::{Experiment, FaultPlan, Frontend};
-use seqio_simcore::units::MIB;
 
 fn main() {
-    let (warmup, duration) = window_secs((3, 3), (4, 8));
-    let severities = [1.0, 2.0, 4.0, 8.0];
-
+    let window = window_secs((3, 3), (4, 8));
     let mut grid = Grid::new();
-    for (label, fe) in
-        [("Direct", None), ("Scheduler", Some(Frontend::stream_scheduler_with_readahead(4 * MIB)))]
-    {
-        for &factor in &severities {
-            // The disk degrades when the measured window opens: the warmup
-            // (stream detection, staging ramp-up) runs on healthy hardware,
-            // the measurement captures how each path sustains the straggler.
-            let mut b = Experiment::builder()
-                .streams_per_disk(100)
-                .faults(FaultPlan::new().straggler(0, factor, warmup, None))
-                .warmup(warmup)
-                .duration(duration)
-                .seed(11);
-            if let Some(f) = &fe {
-                b = b.frontend(f.clone());
-            }
-            grid = grid.point(label, format!("{factor:.0}x"), b.build());
+    for (label, scheduler) in [("Direct", false), ("Scheduler", true)] {
+        for factor in [1.0, 2.0, 4.0, 8.0] {
+            grid =
+                grid.point(label, format!("{factor:.0}x"), fault_point(factor, scheduler, window));
         }
     }
 
@@ -46,27 +30,4 @@ fn main() {
     );
     grid.run().fill(&mut fig, |r| r.total_throughput_mbs());
     fig.report("ablation_faults");
-
-    let direct = fig.series[0].ys();
-    let sched = fig.series[1].ys();
-    for (i, &factor) in severities.iter().enumerate() {
-        assert!(
-            sched[i] >= 2.0 * direct[i],
-            "scheduler must sustain >= 2x direct at {factor}x straggler: \
-             {:.1} vs {:.1} MB/s",
-            sched[i],
-            direct[i]
-        );
-    }
-    // Severity must actually bite: the healthiest point outruns the worst.
-    assert!(
-        sched[0] > sched[severities.len() - 1],
-        "an 8x straggler should cost the scheduler throughput: {:?}",
-        sched
-    );
-    println!(
-        "scheduler advantage: {:.1}x at healthy, {:.1}x at 8x straggler",
-        sched[0] / direct[0],
-        sched[3] / direct[3]
-    );
 }

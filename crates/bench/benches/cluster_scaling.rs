@@ -1,50 +1,16 @@
 //! Cluster scale-out: aggregate throughput vs node count, healthy and
 //! with one straggler node, for the hash and straggler-aware routers.
 //!
-//! Every node runs the same batch workload (a fixed request budget per
-//! stream from time zero), so a node's realized window is its drain time
-//! and the cluster window is the makespan across nodes. The issue's two
-//! acceptance bars — >= 3.5x aggregate scaling from 1 to 4 healthy nodes
-//! and straggler-aware >= 1.5x hash under one factor-4 straggler, both at
-//! 100 streams per disk — are asserted here and in
-//! `crates/cluster/tests/cluster_scaling.rs`, and recorded by
-//! `probe cluster` into `bench_results/cluster_probe.json`.
+//! Every point is [`cluster_point`], the batch workload of `probe
+//! cluster`: a fixed request budget per stream from time zero, so a
+//! node's realized window is its drain time and the cluster window is
+//! the makespan across nodes. The scale-out acceptance bars are checked
+//! by `seqio_bench::reports::cluster`, which `probe cluster` and the
+//! `probe_reports` test run.
 
+use seqio_bench::reports::cluster_point;
 use seqio_bench::{quick_mode, Figure, Series};
-use seqio_cluster::{ClusterExperiment, ClusterResult, ShardPolicy};
-use seqio_node::{Experiment, FaultPlan, Frontend};
-use seqio_simcore::units::KIB;
-use seqio_simcore::SimDuration;
-
-const BASE_SEED: u64 = 2026;
-
-fn template(streams_per_disk: usize) -> Experiment {
-    Experiment::builder()
-        .streams_per_disk(streams_per_disk)
-        .request_size(64 * KIB)
-        .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
-        .requests_per_stream(16)
-        .warmup(SimDuration::ZERO)
-        .duration(SimDuration::from_secs(120))
-        .build()
-}
-
-fn run(
-    nodes: usize,
-    spd: usize,
-    policy: ShardPolicy,
-    straggler_node: Option<usize>,
-) -> ClusterResult {
-    let mut b = ClusterExperiment::builder()
-        .template(template(spd))
-        .nodes(nodes)
-        .policy(policy)
-        .base_seed(BASE_SEED);
-    if let Some(k) = straggler_node {
-        b = b.node_fault(k, FaultPlan::new().straggler(0, 4.0, SimDuration::ZERO, None));
-    }
-    b.run().unwrap()
-}
+use seqio_cluster::ShardPolicy;
 
 fn main() {
     let node_counts = [1usize, 2, 4, 8];
@@ -56,12 +22,6 @@ fn main() {
         "Nodes",
         "Aggregate throughput (MBytes/s)",
     );
-
-    // Remember the spd=100 operating points the acceptance bars read.
-    let mut healthy_at = [0.0f64; 9];
-    let mut hash_straggler_4 = 0.0f64;
-    let mut aware_straggler_4 = 0.0f64;
-
     for &spd in spds {
         let mut healthy = Series::new(format!("Healthy S/disk={spd}"));
         let mut hash = Series::new(format!("Straggler hash S/disk={spd}"));
@@ -71,42 +31,16 @@ fn main() {
             // (node 0 on a 1-node cluster, where there is nowhere to
             // steer and both routers degenerate to the same deal).
             let straggler = Some(1usize.min(nodes - 1));
-            let h = run(nodes, spd, ShardPolicy::HashByStream, None);
-            let sh = run(nodes, spd, ShardPolicy::HashByStream, straggler);
-            let sa = run(nodes, spd, ShardPolicy::StragglerAware, straggler);
-            if spd == 100 {
-                healthy_at[nodes] = h.total_throughput_mbs();
-                if nodes == 4 {
-                    hash_straggler_4 = sh.total_throughput_mbs();
-                    aware_straggler_4 = sa.total_throughput_mbs();
-                }
-            }
-            healthy.push(format!("{nodes}"), h.total_throughput_mbs());
-            hash.push(format!("{nodes}"), sh.total_throughput_mbs());
-            aware.push(format!("{nodes}"), sa.total_throughput_mbs());
+            let mbs = |policy, straggler| {
+                cluster_point(nodes, spd, policy, straggler).total_throughput_mbs()
+            };
+            healthy.push(format!("{nodes}"), mbs(ShardPolicy::HashByStream, None));
+            hash.push(format!("{nodes}"), mbs(ShardPolicy::HashByStream, straggler));
+            aware.push(format!("{nodes}"), mbs(ShardPolicy::StragglerAware, straggler));
         }
         fig.add(healthy);
         fig.add(hash);
         fig.add(aware);
     }
     fig.report("cluster_scaling");
-
-    let scale = healthy_at[4] / healthy_at[1];
-    assert!(
-        scale >= 3.5,
-        "1 -> 4 healthy node scaling {scale:.2}x below 3.5x \
-         ({:.2} -> {:.2} MB/s)",
-        healthy_at[1],
-        healthy_at[4]
-    );
-    let ratio = aware_straggler_4 / hash_straggler_4;
-    assert!(
-        ratio >= 1.5,
-        "straggler-aware routing held only {ratio:.2}x of hash routing \
-         ({aware_straggler_4:.2} vs {hash_straggler_4:.2} MB/s)"
-    );
-    println!(
-        "1->4 healthy scaling {scale:.2}x; straggler-aware vs hash {ratio:.2}x \
-         at 4 nodes, 100 streams/disk"
-    );
 }

@@ -11,7 +11,9 @@
 //! (video-style segment churn).
 
 use seqio_bench::{quick_mode, Figure, Series};
-use seqio_scenario::{degraded_rescue, run_matrix, MatrixScale};
+use seqio_scenario::{
+    check_adaptive_bar, check_rescue_bar, degraded_rescue, run_matrix, MatrixScale,
+};
 
 fn main() {
     let scale = if quick_mode() { MatrixScale::quick() } else { MatrixScale::full() };
@@ -40,27 +42,7 @@ fn main() {
     fig.add(adaptive);
     fig.report("scenario_matrix");
 
-    // Shape checks mirroring the matrix test: adaptive never loses to the
-    // static candidate panel, and the degraded-rescue point strictly wins.
-    for r in &rows {
-        assert!(
-            r.adaptive_mbs >= r.best_static().mbs,
-            "{}: adaptive {:.2} MB/s lost to static {:.2} MB/s",
-            r.scenario,
-            r.adaptive_mbs,
-            r.best_static().mbs
-        );
-    }
-    let (static_mbs, adaptive_mbs, retunes) =
-        degraded_rescue(&scale, seed).expect("the rescue point runs");
-    assert!(
-        adaptive_mbs > static_mbs && retunes >= 1,
-        "degraded rescue did not strictly win: {static_mbs:.2} -> {adaptive_mbs:.2}"
-    );
-    println!(
-        "shape ok: adaptive >= best static on all {} scenarios; rescue {:.2} -> {:.2} MB/s",
-        rows.len(),
-        static_mbs,
-        adaptive_mbs
-    );
+    // The matrix's own bars, at this bench's scale.
+    check_adaptive_bar(&rows).unwrap();
+    check_rescue_bar(degraded_rescue(&scale, seed).expect("the rescue point runs")).unwrap();
 }

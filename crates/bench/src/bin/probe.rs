@@ -1,5 +1,10 @@
-//! Calibration probe: prints the key operating points the figures depend
-//! on, so model constants can be sanity-checked quickly.
+//! The probe binary. With no mode it prints the calibration points: the
+//! key operating points the figures depend on, so model constants can be
+//! sanity-checked quickly.
+//!
+//! `probe cluster`, `migrate`, `faults`, `timeline` and `scenario` each
+//! write one deterministic report under `bench_results/`, defined once in
+//! [`seqio_bench::reports`] together with its acceptance bars.
 //!
 //! `probe perf` instead runs the kernel performance harness: a few
 //! representative macro points timed wall-clock, reporting events
@@ -9,50 +14,33 @@
 //! `StorageServer` state machine over fixed op counts, with
 //! machine-readable JSON written to `bench_results/perf_probe.json`.
 //!
-//! `probe faults` exercises the fault-injection layer: straggler
-//! severities and transient-error rates on the direct and scheduler
-//! paths, with throughput and error/retry/timeout counters written to
-//! `bench_results/fault_probe.json`.
-//!
-//! `probe timeline` runs the scheduler-vs-direct pair with the metric
-//! sampler on and writes `bench_results/timeline_probe.json`: per-disk
-//! utilization timelines plus the scheduler's staged-memory high-water
-//! mark, cross-checked against the runs' aggregate counters.
-//!
-//! `probe cluster` runs the multi-node scale-out points (1/2/4/8 healthy
-//! nodes, plus the hash-vs-straggler-aware pair under one factor-4
-//! straggler node) and writes `bench_results/cluster_probe.json` with the
-//! scaling factor and routing ratio the issue's acceptance bars read.
-//!
-//! `probe migrate` runs the mid-run migration point: a straggler lands on
-//! one of two nodes *after* the batch is underway, and the shared-clock
-//! rebalancer's live migration is compared against the best static
-//! routings. Writes `bench_results/migrate_probe.json` and asserts the
-//! >= 1.3x migration win.
-//!
 //! `probe slo` runs the user-scale open-loop point: a million diurnally
 //! modulated sessions (override with `SEQIO_SLO_SESSIONS`) against a
 //! 4-node cluster behind a 250 MiB/s fair-share link, writing end-to-end
 //! session SLO percentiles to `bench_results/slo_probe.json` alongside a
 //! closed-loop companion run for contrast.
 //!
-//! `probe tail` runs the slo scenario at a reduced default scale
+//! `probe tail` runs the slo operating point at a reduced default scale
 //! (override with `SEQIO_TAIL_SESSIONS`) with span recording on,
 //! correlates the run into cross-tier session traces, attributes the
 //! p99.9 latency band, and monitors the SLO burn rate. Writes
 //! `bench_results/tail_probe.json` plus the correlated traces to
 //! `bench_results/tail_trace.jsonl`.
 //!
-//! `probe scenario` runs the scenario experiment matrix (every named
-//! scenario under direct, the static candidate panel, the over-wide
-//! reference and the adaptive tuner) plus the degraded-rescue point,
-//! asserts the adaptive-vs-static acceptance bars, and writes
-//! `bench_results/scenario_probe.json`.
+//! A failed acceptance bar, a report that cannot be written or an unknown
+//! mode exits non-zero.
 
 use std::collections::VecDeque;
+use std::error::Error;
 use std::fmt::Write as _;
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
+use seqio_bench::reports::REPORTS;
+use seqio_bench::write_result;
+use seqio_client::{ArrivalConfig, ClientExperiment, DriveMode, LinkConfig, RateModulation};
+use seqio_cluster::ShardPolicy;
 use seqio_core::{Classifier, ClientRequest, ServerConfig, ServerOutput, StorageServer};
 use seqio_disk::{CacheConfig, SegmentedCache};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
@@ -60,6 +48,9 @@ use seqio_node::{CostModel, Experiment, Frontend, NodeShape, ObsConfig};
 use seqio_simcore::units::{KIB, MIB};
 use seqio_simcore::{
     EventQueue, FairShareLink, ProfConfig, SimComponent, SimDuration, SimRng, SimTime,
+};
+use seqio_telemetry::{
+    correlate, monitor, parse_percentile, traces_to_jsonl, BurnRateConfig, TailAttribution,
 };
 
 /// One timed macro point of the perf harness.
@@ -416,8 +407,9 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
     rows
 }
 
-/// Runs the representative macro points and writes the JSON report.
-fn perf_mode() {
+/// Runs the representative macro points and writes the JSON report to
+/// `dir`.
+fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let secs: u64 =
         std::env::var("SEQIO_PERF_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(58);
     let repeats: u32 =
@@ -537,13 +529,7 @@ fn perf_mode() {
         );
     }
     json.push_str("\n  ]\n}\n");
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("perf_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_result(dir, "perf_probe.json", &json)?;
 
     // SEQIO_PERF_OBS=1: guard the observability layer's zero-cost promise.
     // The recorder is always compiled in now; a run carrying a disabled
@@ -586,396 +572,65 @@ fn perf_mode() {
             "count-only profiling cost more than 10%: {c:.0} vs {b:.0} events/sec"
         );
     }
+    Ok(())
 }
 
-/// Runs the scheduler-vs-direct pair with metric sampling on and writes
-/// per-disk utilization timelines plus the scheduler's staged-memory
-/// high-water mark to `bench_results/timeline_probe.json`.
-fn timeline_mode() {
-    let secs: u64 =
-        std::env::var("SEQIO_TIMELINE_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
-    let w = SimDuration::from_secs(1);
-    let d = SimDuration::from_secs(secs);
-    let interval = SimDuration::from_millis(20);
-    let run = |sched: bool| {
-        let mut b = Experiment::builder()
-            .shape(NodeShape::eight_disk())
-            .streams_per_disk(30)
-            .warmup(w)
-            .duration(d)
-            .seed(17);
-        if sched {
-            b = b.frontend(Frontend::stream_scheduler_with_readahead(MIB));
-        }
-        b.build().observe(ObsConfig::new().with_metrics().sample_every(interval)).run()
-    };
+/// Sessions per second the open-loop operating point offers.
+const SESSION_RATE: f64 = 1600.0;
 
-    println!("-- timeline probe: 8 disks, 30 streams/disk, sampled every {interval} --");
-    let mut json = String::from("{\n  \"sample_interval_ms\": 20,\n  \"runs\": [");
-    let run_secs = (w + d).as_secs_f64();
-    for (i, (name, r)) in [("direct", run(false)), ("scheduler", run(true))].iter().enumerate() {
-        let series = r.metrics.as_ref().expect("sampling enabled");
-        let _ = write!(
-            json,
-            "{}\n    {{\"name\": \"{name}\", \"throughput_mbs\": {:.4}, \"disks\": [",
-            if i == 0 { "" } else { "," },
-            r.total_throughput_mbs()
-        );
-        for (disk, busy) in r.disk_busy.iter().enumerate() {
-            let col = format!("disk{disk}.busy_frac");
-            let sampled = series.column_mean(&col);
-            let aggregate = busy.as_secs_f64() / run_secs;
-            // The acceptance bar for the sampler: the timeline's mean must
-            // reproduce the run's aggregate utilization within 5%.
-            assert!(
-                (sampled - aggregate).abs() <= 0.05 * aggregate.max(0.01),
-                "{name} disk {disk}: sampled utilization {sampled:.4} \
-                 drifted from aggregate {aggregate:.4}"
-            );
-            let timeline: Vec<String> = series
-                .column_by_name(&col)
-                .expect("registered column")
-                .iter()
-                .map(|v| format!("{v:.4}"))
-                .collect();
-            let _ = write!(
-                json,
-                "{}\n      {{\"disk\": {disk}, \"mean_util\": {sampled:.4}, \
-                 \"aggregate_util\": {aggregate:.4}, \"timeline\": [{}]}}",
-                if disk == 0 { "" } else { "," },
-                timeline.join(",")
-            );
-        }
-        let staged_hw = series.column_max("server.staged_bytes");
-        let _ = write!(json, "\n    ], \"staged_high_water_bytes\": {}}}", staged_hw as u64);
-        println!(
-            "  {name:<10} {:>8.2} MB/s  mean util {:.3}  staged high-water {} KiB",
-            r.total_throughput_mbs(),
-            (0..r.disk_busy.len())
-                .map(|disk| series.column_mean(&format!("disk{disk}.busy_frac")))
-                .sum::<f64>()
-                / r.disk_busy.len() as f64,
-            staged_hw as u64 / 1024
-        );
-    }
-    json.push_str("\n  ]\n}\n");
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("timeline_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Sweeps straggler severity and error rate through both request paths
-/// and writes `bench_results/fault_probe.json`.
-fn faults_mode() {
-    use seqio_simcore::FaultPlan;
-
-    let secs: u64 =
-        std::env::var("SEQIO_FAULT_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-    let w = SimDuration::from_secs(secs);
-    let d = SimDuration::from_secs(secs);
-    let run = |plan: FaultPlan, sched: bool| {
-        let mut b =
-            Experiment::builder().streams_per_disk(100).faults(plan).warmup(w).duration(d).seed(11);
-        if sched {
-            b = b.frontend(Frontend::stream_scheduler_with_readahead(4 * MIB));
-        }
-        b.run()
-    };
-
-    println!("-- fault probe: {secs}s warmup + {secs}s window, 100 streams, 1 disk --");
-    let mut json = String::from("{\n  \"window_secs\": ");
-    let _ = write!(json, "{secs},\n  \"points\": [");
-    let mut first = true;
-    let mut emit = |name: String, direct: &seqio_node::RunResult, sched: &seqio_node::RunResult| {
-        println!(
-            "  {:<22} direct {:>7.2} MB/s  scheduler {:>7.2} MB/s  \
-             errors {} retries {} timeouts {}",
-            name,
-            direct.total_throughput_mbs(),
-            sched.total_throughput_mbs(),
-            direct.disk_read_errors[0] + sched.disk_read_errors[0],
-            direct.disk_retries[0] + sched.disk_retries[0],
-            direct.disk_timeouts[0] + sched.disk_timeouts[0],
-        );
-        let _ = write!(
-            json,
-            "{}\n    {{\"name\": \"{}\", \"direct_mbs\": {:.4}, \"scheduler_mbs\": {:.4}, \
-             \"read_errors\": {}, \"retries\": {}, \"timeouts\": {}}}",
-            if first { "" } else { "," },
-            name,
-            direct.total_throughput_mbs(),
-            sched.total_throughput_mbs(),
-            direct.disk_read_errors[0] + sched.disk_read_errors[0],
-            direct.disk_retries[0] + sched.disk_retries[0],
-            direct.disk_timeouts[0] + sched.disk_timeouts[0],
-        );
-        first = false;
-    };
-
-    for factor in [1.0, 2.0, 4.0, 8.0] {
-        let plan = || FaultPlan::new().straggler(0, factor, w, None);
-        let direct = run(plan(), false);
-        let sched = run(plan(), true);
-        emit(format!("straggler-{factor:.0}x"), &direct, &sched);
-    }
-    for rate in [0.001, 0.01] {
-        let plan = || FaultPlan::new().read_errors(0, rate);
-        let direct = run(plan(), false);
-        let sched = run(plan(), true);
-        emit(format!("errors-{rate}"), &direct, &sched);
-    }
-
-    json.push_str("\n  ]\n}\n");
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("fault_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Runs the cluster scale-out points and writes
-/// `bench_results/cluster_probe.json`: aggregate throughput and makespan
-/// for 1/2/4/8 healthy nodes, plus the hash-vs-straggler-aware routing
-/// pair with one factor-4 straggler node at 4 nodes.
-fn cluster_mode() {
-    use seqio_cluster::{ClusterExperiment, ClusterResult, ShardPolicy};
-    use seqio_node::FaultPlan;
-
-    let spd: usize =
-        std::env::var("SEQIO_CLUSTER_STREAMS").ok().and_then(|v| v.parse().ok()).unwrap_or(100);
-    let requests: u64 = 16;
-    let template = || {
-        Experiment::builder()
-            .streams_per_disk(spd)
-            .request_size(64 * KIB)
-            .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
-            .requests_per_stream(requests)
-            .warmup(SimDuration::ZERO)
-            .duration(SimDuration::from_secs(120))
-            .build()
-    };
-    let run = |nodes: usize, policy: ShardPolicy, straggler: Option<usize>| -> ClusterResult {
-        let mut b = ClusterExperiment::builder()
-            .template(template())
-            .nodes(nodes)
-            .policy(policy)
-            .base_seed(2026);
-        if let Some(k) = straggler {
-            b = b.node_fault(k, FaultPlan::new().straggler(0, 4.0, SimDuration::ZERO, None));
-        }
-        b.run().expect("cluster probe point")
-    };
-
-    println!("-- cluster probe: {spd} streams/disk, {requests} requests/stream, batch drain --");
-    let mut json = String::from("{\n  \"streams_per_disk\": ");
-    let _ = write!(json, "{spd},\n  \"requests_per_stream\": {requests},\n  \"healthy\": [");
-    let mut healthy = [0.0f64; 9];
-    for (i, nodes) in [1usize, 2, 4, 8].into_iter().enumerate() {
-        let r = run(nodes, ShardPolicy::HashByStream, None);
-        healthy[nodes] = r.total_throughput_mbs();
-        assert_eq!(r.requests_completed, (nodes * spd) as u64 * requests);
-        println!(
-            "  nodes={nodes}  {:>8.2} MB/s aggregate  makespan {:.1} ms",
-            r.total_throughput_mbs(),
-            r.window.as_millis_f64()
-        );
-        let _ = write!(
-            json,
-            "{}\n    {{\"nodes\": {nodes}, \"aggregate_mbs\": {:.4}, \"makespan_ms\": {:.3}}}",
-            if i == 0 { "" } else { "," },
-            r.total_throughput_mbs(),
-            r.window.as_millis_f64()
-        );
-    }
-    let scaling = healthy[4] / healthy[1];
-
-    let hash = run(4, ShardPolicy::HashByStream, Some(1));
-    let aware = run(4, ShardPolicy::StragglerAware, Some(1));
-    let ratio = aware.total_throughput_mbs() / hash.total_throughput_mbs();
-    println!(
-        "  straggler(4x on node 1): hash {:>7.2} MB/s  aware {:>7.2} MB/s  ratio {ratio:.2}x",
-        hash.total_throughput_mbs(),
-        aware.total_throughput_mbs()
-    );
-    println!("  1->4 healthy scaling: {scaling:.2}x");
-    let _ = write!(
-        json,
-        "\n  ],\n  \"scaling_1_to_4\": {scaling:.4},\n  \"straggler\": {{\
-         \"factor\": 4.0, \"node\": 1, \"nodes\": 4, \
-         \"hash_mbs\": {:.4}, \"aware_mbs\": {:.4}, \"aware_over_hash\": {ratio:.4}}}\n}}\n",
-        hash.total_throughput_mbs(),
-        aware.total_throughput_mbs()
-    );
-
-    // The issue's acceptance bars, enforced at probe time too so the CI
-    // smoke step fails loudly if scale-out regresses.
-    assert!(scaling >= 3.5, "1 -> 4 node scaling {scaling:.2}x below 3.5x");
-    assert!(ratio >= 1.5, "straggler-aware routing held only {ratio:.2}x of hash");
-
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("cluster_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Runs the mid-run migration point and writes
-/// `bench_results/migrate_probe.json`: one of two nodes develops a
-/// factor-8 straggler at 60% of the healthy makespan, and the rebalanced
-/// run must beat both the hash deal and the fault-aware static router by
-/// the issue's >= 1.3x bar.
-fn migrate_mode() {
-    use seqio_cluster::{ClusterExperiment, ClusterResult, RebalanceConfig, ShardPolicy};
-    use seqio_node::FaultPlan;
-
-    let spd: usize =
-        std::env::var("SEQIO_MIGRATE_STREAMS").ok().and_then(|v| v.parse().ok()).unwrap_or(16);
-    let requests: u64 = 16;
-    let run = |policy: ShardPolicy,
-               fault: Option<FaultPlan>,
-               rebalance: Option<RebalanceConfig>|
-     -> ClusterResult {
-        let template = Experiment::builder()
-            .streams_per_disk(spd)
-            .request_size(64 * KIB)
-            .requests_per_stream(requests)
-            .warmup(SimDuration::ZERO)
-            .duration(SimDuration::from_secs(300))
-            .build();
-        let mut b = ClusterExperiment::builder()
-            .template(template)
-            .nodes(2)
-            .policy(policy)
-            .base_seed(19)
-            .jobs(2);
-        if let Some(f) = fault {
-            b = b.node_fault(1, f);
-        }
-        if let Some(r) = rebalance {
-            b = b.rebalance(r);
-        }
-        b.run().expect("migrate probe point")
-    };
-
-    // Calibrate the straggler onset off the healthy makespan so the fault
-    // genuinely lands mid-run, whatever the stream count.
-    let healthy = run(ShardPolicy::HashByStream, None, None);
-    let onset = SimDuration::from_millis((healthy.window.as_millis_f64() * 0.6) as u64);
-    let fault = || FaultPlan::new().straggler(0, 8.0, onset, None);
-    let epoch = SimDuration::from_millis(((healthy.window.as_millis_f64() / 25.0) as u64).max(1));
-
-    let hash = run(ShardPolicy::HashByStream, Some(fault()), None);
-    let aware = run(ShardPolicy::StragglerAware, Some(fault()), None);
-    let migrated = run(ShardPolicy::HashByStream, Some(fault()), Some(RebalanceConfig::new(epoch)));
-
-    let (tp_hash, tp_aware, tp_mig) = (
-        hash.total_throughput_mbs(),
-        aware.total_throughput_mbs(),
-        migrated.total_throughput_mbs(),
-    );
-    let win = tp_mig / tp_hash.max(tp_aware);
-    println!("-- migrate probe: 2 nodes, {spd} streams/node, 8x straggler from {onset} --");
-    println!(
-        "  static hash      {tp_hash:>8.2} MB/s  makespan {:.1} ms",
-        hash.window.as_millis_f64()
-    );
-    println!(
-        "  static aware     {tp_aware:>8.2} MB/s  makespan {:.1} ms",
-        aware.window.as_millis_f64()
-    );
-    println!(
-        "  migrated         {tp_mig:>8.2} MB/s  makespan {:.1} ms  ({} move(s))",
-        migrated.window.as_millis_f64(),
-        migrated.migrations.len()
-    );
-    println!("  migration win over best static: {win:.2}x");
-
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"streams_per_node\": {spd},\n  \"requests_per_stream\": {requests},\n  \
-         \"straggler_factor\": 8.0,\n  \"onset_ms\": {:.3},\n  \"epoch_ms\": {:.3},\n  \
-         \"hash_mbs\": {tp_hash:.4},\n  \"aware_mbs\": {tp_aware:.4},\n  \
-         \"migrated_mbs\": {tp_mig:.4},\n  \"migrations\": {},\n  \
-         \"win_over_best_static\": {win:.4}\n}}\n",
-        onset.as_millis_f64(),
-        epoch.as_millis_f64(),
-        migrated.migrations.len()
-    );
-
-    // The issue's acceptance bar, enforced at probe time so the CI smoke
-    // step fails loudly if the migration win regresses.
-    assert!(!migrated.migrations.is_empty(), "the straggler must trigger migrations");
-    assert!(win >= 1.3, "migration win {win:.2}x below the 1.3x bar");
-
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("migrate_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Runs the user-scale open-loop point: a diurnally modulated million-
-/// session day against a 4-node cluster behind a shared fair-share link,
-/// plus a closed-loop companion for contrast, and writes the end-to-end
-/// session SLO percentiles to `bench_results/slo_probe.json`.
-fn slo_mode() {
-    use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig, RateModulation};
-
-    let target: u64 =
-        std::env::var("SEQIO_SLO_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(1_000_000);
-    let nodes = 4usize;
-    let rate = 1600.0;
-    // 5% horizon margin over target/rate: Poisson count noise is a few
-    // thousand sessions at the million-session scale.
-    let duration = SimDuration::from_secs_f64((target as f64 / rate) * 1.05);
+/// The open-loop operating point `probe slo` and `probe tail` share,
+/// sized for `target` sessions: four eight-disk nodes of 64 KiB requests
+/// (base seed 2026) behind a 250 MiB/s link, 1600 sessions/s modulated
+/// diurnally (depth 0.3, one period over the horizon) over 8192 titles at
+/// Zipf 0.8, two requests per session and a 10 s lifetime. The horizon is
+/// `target / rate` plus 5%, since Poisson count noise is a few thousand
+/// sessions at the million-session scale.
+fn open_loop(target: u64) -> ClientExperiment {
+    let duration = SimDuration::from_secs_f64((target as f64 / SESSION_RATE) * 1.05);
     // Eight-disk nodes: the title placement spreads the catalogue over
     // all 32 disks, keeping per-disk concurrency low enough that the
     // storage tier sustains the 200 MiB/s mean demand — the *link* is the
-    // contended resource in this probe, not the disks.
-    let template = || {
-        Experiment::builder()
-            .shape(NodeShape::eight_disk())
-            .request_size(64 * KIB)
-            .warmup(SimDuration::ZERO)
-            .duration(duration)
-            .build()
-    };
+    // contended resource here, not the disks.
+    let template = Experiment::builder()
+        .shape(NodeShape::eight_disk())
+        .request_size(64 * KIB)
+        .warmup(SimDuration::ZERO)
+        .duration(duration)
+        .build();
     let arrivals = ArrivalConfig {
-        rate_per_sec: rate,
+        rate_per_sec: SESSION_RATE,
         // One full diurnal cycle across the horizon: the mean factor is 1,
-        // so the session volume still tracks `rate`, but the peak runs 30%
-        // hot — the tail percentiles have to survive the busy hour.
+        // so the session volume still tracks the rate, but the peak runs
+        // 30% hot — the tail percentiles have to survive the busy hour.
         modulation: RateModulation::Diurnal { period: duration, depth: 0.3 },
         titles: 8192,
         zipf_exponent: 0.8,
         requests_per_session: 2,
         session_lifetime: Some(SimDuration::from_secs(10)),
     };
-    // 250 MiB/s shared across all live sessions: ~25% headroom over the
-    // mean demand of rate x 128 KiB = 200 MiB/s, so the diurnal peak
-    // genuinely contends for the link.
-    let link = LinkConfig { capacity_bps: 250.0 * MIB as f64, ..LinkConfig::default() };
-
-    let start = Instant::now();
-    let open = ClientExperiment::builder()
-        .template(template())
-        .nodes(nodes)
+    ClientExperiment::builder()
+        .template(template)
+        .nodes(4)
         .base_seed(2026)
         .arrivals(arrivals)
-        .link(link)
-        .run()
-        .expect("open-loop slo point");
+        // ~25% headroom over the mean demand of rate x 128 KiB = 200
+        // MiB/s, so the diurnal peak genuinely contends for the link.
+        .link(LinkConfig { capacity_bps: 250.0 * MIB as f64, ..LinkConfig::default() })
+        .build()
+}
+
+/// Runs the user-scale open-loop point: a diurnally modulated million-
+/// session day on [`open_loop`], plus a closed-loop companion for
+/// contrast, and writes the end-to-end session SLO percentiles to
+/// `dir/slo_probe.json`.
+fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
+    let target: u64 =
+        std::env::var("SEQIO_SLO_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(1_000_000);
+    let xp = open_loop(target);
+    let (nodes, duration) = (xp.nodes, xp.template.duration);
+
+    let start = Instant::now();
+    let open = xp.run().expect("open-loop slo point");
     let wall = start.elapsed().as_secs_f64();
     let slo = open.slo.clone().expect("sessions completed");
 
@@ -984,22 +639,17 @@ fn slo_mode() {
     // start together, so the latency spread reflects batch drain, not
     // user-perceived arrival-to-delivery time — the contrast the open
     // loop exists to fix.
-    let mut closed_template = template();
-    closed_template.streams_per_disk = 32;
-    closed_template.requests_per_stream = Some(2);
-    let closed = ClientExperiment::builder()
-        .template(closed_template)
-        .nodes(nodes)
-        .policy(seqio_cluster::ShardPolicy::HashByStream)
-        .base_seed(2026)
-        .link(link)
-        .run()
-        .expect("closed-loop slo companion");
+    let mut companion = open_loop(target);
+    companion.template.streams_per_disk = 32;
+    companion.template.requests_per_stream = Some(2);
+    companion.mode = DriveMode::ClosedLoop;
+    companion.policy = ShardPolicy::HashByStream;
+    let closed = companion.run().expect("closed-loop slo companion");
     let closed_slo = closed.slo.clone().expect("finite streams complete");
 
     println!(
-        "-- slo probe: {} sessions/s open loop, {nodes} nodes, link 250 MiB/s, {} horizon --",
-        rate, duration
+        "-- slo probe: {SESSION_RATE} sessions/s open loop, {nodes} nodes, link 250 MiB/s, \
+         {duration} horizon --"
     );
     println!(
         "  open loop    {:>9} arrived  {:>9} completed ({:.2}%)  {:.1}s wall",
@@ -1031,7 +681,7 @@ fn slo_mode() {
     let mut json = String::from("{\n");
     let _ = write!(
         json,
-        "  \"nodes\": {nodes},\n  \"rate_per_sec\": {rate},\n  \
+        "  \"nodes\": {nodes},\n  \"rate_per_sec\": {SESSION_RATE},\n  \
          \"horizon_secs\": {:.3},\n  \"link_mibs\": 250,\n  \
          \"requests_per_session\": 2,\n  \"request_kib\": 64,\n  \
          \"titles\": 8192,\n  \"zipf_exponent\": 0.8,\n  \"diurnal_depth\": 0.3,\n  \
@@ -1061,60 +711,23 @@ fn slo_mode() {
         closed_slo.mean_ms,
     );
 
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("slo_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    Ok(write_result(dir, "slo_probe.json", &json)?)
 }
 
-/// Runs the tail-attribution point: the slo probe's open-loop scenario
-/// at a reduced default scale with span recording on. The run is
-/// correlated into cross-tier session traces, the p99.9 latency band is
-/// attributed to its dominant phases, and the SLO burn rate is monitored
-/// against the run's own p99. Writes `bench_results/tail_probe.json` and
-/// the correlated traces to `bench_results/tail_trace.jsonl`.
-fn tail_mode() {
-    use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig, RateModulation};
-    use seqio_telemetry::{
-        correlate, monitor, parse_percentile, traces_to_jsonl, BurnRateConfig, TailAttribution,
-    };
-
+/// Runs the tail-attribution point: [`open_loop`] at a reduced default
+/// scale with span recording on, so the attribution describes the
+/// operating point the SLO numbers come from (spans cost memory, hence
+/// the smaller horizon). The run is correlated into cross-tier session
+/// traces, the p99.9 latency band is attributed to its dominant phases,
+/// and the SLO burn rate is monitored against the run's own p99. Writes
+/// `dir/tail_probe.json` and the correlated traces to
+/// `dir/tail_trace.jsonl`.
+fn tail_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let target: u64 =
         std::env::var("SEQIO_TAIL_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(50_000);
-    let nodes = 4usize;
-    let rate = 1600.0;
-    // The slo probe's operating point (same cluster, link, catalogue and
-    // diurnal shape) so the attribution describes the figure the SLO
-    // numbers come from — just with span recording on and a smaller
-    // default horizon, since per-request spans cost memory.
-    let duration = SimDuration::from_secs_f64((target as f64 / rate) * 1.05);
-    let template = Experiment::builder()
-        .shape(NodeShape::eight_disk())
-        .request_size(64 * KIB)
-        .warmup(SimDuration::ZERO)
-        .duration(duration)
-        .observe(ObsConfig::new().with_spans())
-        .build();
-    let arrivals = ArrivalConfig {
-        rate_per_sec: rate,
-        modulation: RateModulation::Diurnal { period: duration, depth: 0.3 },
-        titles: 8192,
-        zipf_exponent: 0.8,
-        requests_per_session: 2,
-        session_lifetime: Some(SimDuration::from_secs(10)),
-    };
-    let link = LinkConfig { capacity_bps: 250.0 * MIB as f64, ..LinkConfig::default() };
-
-    let xp = ClientExperiment::builder()
-        .template(template)
-        .nodes(nodes)
-        .base_seed(2026)
-        .arrivals(arrivals)
-        .link(link)
-        .build();
+    let mut xp = open_loop(target);
+    xp.template.obs = Some(ObsConfig::new().with_spans());
+    let (nodes, duration) = (xp.nodes, xp.template.duration);
     let schedule = xp.session_schedule().expect("valid open-loop config");
     let start = Instant::now();
     let result = xp.run().expect("tail probe point");
@@ -1128,7 +741,7 @@ fn tail_mode() {
         .expect("valid burn config");
 
     println!(
-        "-- tail probe: {rate} sessions/s open loop, {nodes} nodes, link 250 MiB/s, \
+        "-- tail probe: {SESSION_RATE} sessions/s open loop, {nodes} nodes, link 250 MiB/s, \
          {duration} horizon --"
     );
     println!(
@@ -1155,18 +768,13 @@ fn tail_mode() {
     assert_eq!(tail.completed as u64, slo.completed, "attribution lost completed sessions");
     assert_eq!(burn.completed, slo.completed, "burn monitor lost completed sessions");
 
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let trace_path = dir.join("tail_trace.jsonl");
-    match std::fs::write(&trace_path, traces_to_jsonl(&traces)) {
-        Ok(()) => println!("   -> {} ({} traces)", trace_path.display(), traces.len()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", trace_path.display()),
-    }
+    println!("  {} correlated traces", traces.len());
+    write_result(dir, "tail_trace.jsonl", &traces_to_jsonl(&traces))?;
 
     let mut json = String::from("{\n");
     let _ = write!(
         json,
-        "  \"nodes\": {nodes},\n  \"rate_per_sec\": {rate},\n  \
+        "  \"nodes\": {nodes},\n  \"rate_per_sec\": {SESSION_RATE},\n  \
          \"horizon_secs\": {:.3},\n  \"link_mibs\": 250,\n  \"band\": \"p99.9\",\n  \
          \"sessions\": {},\n  \"completed\": {},\n  \"wall_secs\": {wall:.3},\n  \
          \"attribution\": {},\n  \
@@ -1182,143 +790,43 @@ fn tail_mode() {
         burn.peak_fast_burn,
         burn.alerts.len()
     );
-    let path = dir.join("tail_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    Ok(write_result(dir, "tail_probe.json", &json)?)
+}
+
+fn main() -> ExitCode {
+    match run(std::env::args().nth(1).as_deref(), &seqio_bench::results_dir()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("probe: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// `probe scenario`: the scenario experiment matrix at the quick scale —
-/// every named scenario under the direct frontend, the static candidate
-/// panel, the over-wide reference tune and the adaptive tuner — plus the
-/// degraded-rescue point. Asserts the issue's acceptance bars (adaptive
-/// matches or beats the best static candidate on every scenario; the
-/// rescue strictly wins) and writes `bench_results/scenario_probe.json`.
-fn scenario_mode() {
-    use seqio_scenario::{degraded_rescue, run_matrix, MatrixScale};
-
-    let scale = MatrixScale::quick();
-    let seed = 11;
-    let start = Instant::now();
-    let rows = run_matrix(&scale, seed).expect("the scenario matrix runs");
-    let rescue = degraded_rescue(&scale, seed).expect("the rescue point runs");
-    let wall = start.elapsed().as_secs_f64();
-
-    println!("-- scenario matrix: quick scale, seed {seed}, {wall:.2}s wall --");
-    println!(
-        "  {:<13} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "scenario", "direct", "auto", "default", "wide", "adaptive", "retunes"
-    );
-    for r in &rows {
-        let cell = |name: &str| {
-            r.statics.iter().find(|s| s.name == name).expect("candidate panel is fixed").mbs
-        };
-        println!(
-            "  {:<13} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>8}",
-            r.scenario,
-            r.direct_mbs,
-            cell("auto"),
-            cell("default"),
-            r.wide_mbs,
-            r.adaptive_mbs,
-            r.retunes
-        );
-    }
-    let (rescue_static, rescue_adaptive, rescue_retunes) = rescue;
-    println!(
-        "  degraded rescue (narrow D=4 tune): static {rescue_static:.2} MB/s -> adaptive \
-         {rescue_adaptive:.2} MB/s ({rescue_retunes} retune(s))"
-    );
-
-    // Acceptance bars — the same ones the scenario matrix test pins.
-    for r in &rows {
-        let best = r.best_static();
-        assert!(
-            r.adaptive_mbs >= best.mbs,
-            "{}: adaptive {:.2} MB/s lost to static {} {:.2} MB/s",
-            r.scenario,
-            r.adaptive_mbs,
-            best.name,
-            best.mbs
-        );
-    }
-    assert!(
-        rescue_adaptive > rescue_static && rescue_retunes >= 1,
-        "degraded rescue did not strictly win: {rescue_static:.2} -> {rescue_adaptive:.2} \
-         with {rescue_retunes} retune(s)"
-    );
-
-    let mut json = String::from("{\n  \"scale\": \"quick\",\n");
-    let _ = write!(json, "  \"seed\": {seed},\n  \"wall_secs\": {wall:.3},\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scenario\": \"{}\", \"direct_mbs\": {:.4}",
-            r.scenario, r.direct_mbs
-        );
-        for s in &r.statics {
-            let _ = write!(json, ", \"{}_mbs\": {:.4}", s.name, s.mbs);
+/// Runs probe `mode`, writing its files under `dir`; no mode prints the
+/// calibration points. An unknown mode is an error, so a mistyped gate
+/// cannot pass on a report it never rewrote.
+fn run(mode: Option<&str>, dir: &Path) -> Result<(), Box<dyn Error>> {
+    match mode {
+        None => {
+            calibrate();
+            Ok(())
         }
-        let _ = writeln!(
-            json,
-            ", \"wide_mbs\": {:.4}, \"adaptive_mbs\": {:.4}, \"retunes\": {}}}{}",
-            r.wide_mbs,
-            r.adaptive_mbs,
-            r.retunes,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"degraded_rescue\": {{\"static_mbs\": {rescue_static:.4}, \
-         \"adaptive_mbs\": {rescue_adaptive:.4}, \"retunes\": {rescue_retunes}}}\n}}\n"
-    );
-    let dir = seqio_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("scenario_probe.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("   -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        Some("perf") => perf_mode(dir),
+        Some("slo") => slo_mode(dir),
+        Some("tail") => tail_mode(dir),
+        Some(mode) => {
+            let (_, file, report) = REPORTS
+                .iter()
+                .find(|(name, ..)| *name == mode)
+                .ok_or_else(|| format!("unknown mode {mode:?}"))?;
+            Ok(write_result(dir, file, &report()?)?)
+        }
     }
 }
 
-fn main() {
-    match std::env::args().nth(1).as_deref() {
-        Some("perf") => {
-            perf_mode();
-            return;
-        }
-        Some("faults") => {
-            faults_mode();
-            return;
-        }
-        Some("timeline") => {
-            timeline_mode();
-            return;
-        }
-        Some("cluster") => {
-            cluster_mode();
-            return;
-        }
-        Some("migrate") => {
-            migrate_mode();
-            return;
-        }
-        Some("slo") => {
-            slo_mode();
-            return;
-        }
-        Some("tail") => {
-            tail_mode();
-            return;
-        }
-        Some("scenario") => {
-            scenario_mode();
-            return;
-        }
-        _ => {}
-    }
+/// Prints the calibration points.
+fn calibrate() {
     let w = SimDuration::from_secs(6);
     let d = SimDuration::from_secs(6);
 
@@ -1419,5 +927,23 @@ fn main() {
                 .run();
             println!("  {:<13} S={s:<4} {:>7.2} MB/s", kind.name(), r.total_throughput_mbs());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_report_that_cannot_be_written_fails_the_probe() {
+        // No directory can carry a NUL byte in its name.
+        let err = run(Some("migrate"), Path::new("no\0dir")).unwrap_err().to_string();
+        assert!(err.contains("could not write") && err.contains("migrate_probe.json"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_mode_is_an_error() {
+        let err = run(Some("fault"), Path::new("unused")).unwrap_err().to_string();
+        assert!(err.contains("unknown mode"), "{err}");
     }
 }

@@ -6,17 +6,20 @@
 //!
 //! Each `benches/figNN_*.rs` target is a `harness = false` binary that
 //! regenerates one figure of the paper; run them all with
-//! `cargo bench --workspace`.
+//! `cargo bench --workspace`. [`reports`] holds the one definition of
+//! each deterministic probe report.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod grid;
+pub mod reports;
 
 pub use grid::{Grid, GridRun};
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// One curve of a figure: a label plus `(x, y)` points.
@@ -146,21 +149,37 @@ impl Figure {
     }
 
     /// Prints the table to stdout and writes `bench_results/<slug>.csv`
-    /// relative to the workspace root. Returns the CSV path.
-    pub fn report(&self, slug: &str) -> PathBuf {
+    /// relative to the workspace root.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the CSV cannot be written, so a bench that could not
+    /// record its figure fails.
+    pub fn report(&self, slug: &str) {
         print!("{}", self.to_table());
-        let dir = results_dir();
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join(format!("{slug}.csv"));
-        if let Err(e) = fs::write(&path, self.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
+        if let Err(e) = write_result(&results_dir(), &format!("{slug}.csv"), &self.to_csv()) {
+            panic!("{e}");
         }
-        println!("   -> {}\n", path.display());
-        path
+        println!();
     }
 }
 
-/// Resolves `bench_results/` at the workspace root (falls back to CWD).
+/// Writes `text` to `dir/name`, creating `dir` first, and prints the
+/// path: the one way a bench or probe writes a result file.
+///
+/// # Errors
+///
+/// Returns the I/O error of either step, naming the path.
+pub fn write_result(dir: &Path, name: &str, text: &str) -> io::Result<()> {
+    let path = dir.join(name);
+    fs::create_dir_all(dir).and_then(|()| fs::write(&path, text)).map_err(|e| {
+        io::Error::new(e.kind(), format!("could not write {}: {e}", path.display()))
+    })?;
+    println!("   -> {}", path.display());
+    Ok(())
+}
+
+/// Resolves `bench_results/` at the workspace root.
 pub fn results_dir() -> PathBuf {
     let mut dir = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
     dir.pop(); // crates/
@@ -227,6 +246,13 @@ mod tests {
         let d = results_dir();
         assert!(d.ends_with("bench_results"));
         assert!(!d.to_string_lossy().contains("crates"));
+    }
+
+    #[test]
+    fn an_unwritable_result_is_an_error() {
+        // No directory can carry a NUL byte in its name.
+        let err = write_result(Path::new("no\0dir"), "x.csv", "a,b\n").unwrap_err();
+        assert!(err.to_string().contains("could not write"), "{err}");
     }
 
     #[test]

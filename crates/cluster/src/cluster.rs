@@ -6,7 +6,7 @@ use seqio_node::sweep::{derive_seed, resolve_jobs};
 use seqio_node::{Experiment, RunResult};
 use seqio_simcore::{FaultPlan, LatencyHistogram, MetricSeries, SeqioError, SimDuration, SimTime};
 
-use crate::rebalance::{MigratableStream, MigrationRecord, NodeView, RebalanceConfig, Rebalancer};
+use crate::rebalance::{plan, MigratableStream, MigrationRecord, NodeView, RebalanceConfig};
 use crate::router::{degraded_threshold, NodeHealth, Router, ShardPolicy};
 
 /// A multi-node cluster experiment: `K` copies of a per-node
@@ -18,8 +18,8 @@ use crate::router::{degraded_threshold, NodeHealth, Router, ShardPolicy};
 /// [`driver`](seqio_node::driver), and the per-node [`RunResult`]s merge
 /// into one [`ClusterResult`].
 ///
-/// With [`rebalance`](ClusterExperimentBuilder::rebalance) set, a
-/// cluster-level [`Rebalancer`] inspects every node's health at each
+/// With [`rebalance`](ClusterExperimentBuilder::rebalance) set, the
+/// cluster-level planner [`plan`] reads every node's health at each
 /// epoch boundary and migrates live streams off disks degraded past the
 /// rotate threshold, mid-run. Decisions derive only from the shared
 /// clock and the seeds, so results stay bit-identical at any
@@ -211,11 +211,10 @@ impl ClusterExperiment {
         let runs = match &self.rebalance {
             None => driver::run(nodes, jobs),
             Some(cfg) => {
-                let rebalancer = Rebalancer::new(cfg.clone());
                 let pos = |k: usize| live.binary_search(&k).expect("plans name live nodes only");
                 driver::run_lockstep(nodes, jobs, cfg.check_interval, |t, nodes| {
                     let views = build_views(nodes, &live, &slot_map, t);
-                    for mv in rebalancer.plan(&views) {
+                    for mv in plan(&views) {
                         // Slots only grow, so a stream's live slot on a
                         // node is its last one there.
                         let src_slot = slot_map[mv.from]

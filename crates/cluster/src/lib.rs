@@ -12,7 +12,7 @@
 //! from fault plans). The node [`driver`](seqio_node::driver) then runs
 //! every node on a single simulated clock: independently to completion,
 //! or — with a [`RebalanceConfig`] — in
-//! deterministic lockstep epochs, where a [`Rebalancer`] watches each
+//! deterministic lockstep epochs, where the planner [`plan`] reads each
 //! node's health and migrates live streams off degraded nodes, carrying
 //! each stream's exact remainder to its new home. Per-node results merge
 //! into a [`ClusterResult`] over the cluster **makespan** (exactly, per
@@ -61,7 +61,7 @@ mod slo;
 
 pub use cluster::{ClusterExperiment, ClusterExperimentBuilder, ClusterResult, NodeOutcome};
 pub use rebalance::{
-    MigratableStream, MigrationRecord, MoveDecision, NodeView, RebalanceConfig, Rebalancer,
+    plan, MigratableStream, MigrationRecord, MoveDecision, NodeView, RebalanceConfig,
 };
 pub use router::{NodeHealth, Router, ShardPolicy};
 pub use slo::{percentile, SessionSlo};

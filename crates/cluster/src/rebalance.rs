@@ -2,13 +2,13 @@
 //!
 //! At every epoch boundary the cluster driver snapshots each live node's
 //! health ([`seqio_node::HealthSnapshot`], assembled purely from model
-//! state) and hands the [`Rebalancer`] a list of [`NodeView`]s. The
-//! rebalancer returns [`MoveDecision`]s — which global streams to migrate
-//! off disks degraded past the rotate threshold, and to which node. The
-//! planning function is pure: decisions depend only on the views (which are
-//! themselves deterministic functions of the shared clock and the seeds),
-//! never on worker count, wall-clock time, or recorder state — so a
-//! rebalanced run is bit-identical at any `SEQIO_JOBS` count.
+//! state) and hands [`plan`] a list of [`NodeView`]s. The planner returns
+//! [`MoveDecision`]s — which global streams to migrate off disks degraded
+//! past the rotate threshold, and to which node. It is pure: decisions
+//! depend only on the views (which are themselves deterministic functions
+//! of the shared clock and the seeds), never on worker count, wall-clock
+//! time, or recorder state — so a rebalanced run is bit-identical at any
+//! `SEQIO_JOBS` count.
 
 use seqio_simcore::{SeqioError, SimDuration, SimTime};
 
@@ -91,70 +91,48 @@ pub struct MigrationRecord {
     pub to: usize,
 }
 
-/// Plans migrations off degraded disks (see module docs).
-#[derive(Debug, Clone)]
-pub struct Rebalancer {
-    cfg: RebalanceConfig,
-}
-
-impl Rebalancer {
-    /// Builds a rebalancer from its configuration.
-    pub fn new(cfg: RebalanceConfig) -> Self {
-        Rebalancer { cfg }
-    }
-
-    /// The configuration this rebalancer plans with.
-    pub fn config(&self) -> &RebalanceConfig {
-        &self.cfg
-    }
-
-    /// Plans this epoch's migrations. Pure: the same views always produce
-    /// the same moves, in the same order.
-    ///
-    /// For every migratable stream whose disk factor meets the threshold
-    /// (taken in ascending node order, then the node's own stream order),
-    /// the target is the least-loaded node that is not degraded and is
-    /// strictly healthier than the stream's disk — ties broken by lowest
-    /// node index. Streams with no eligible target stay put: the
-    /// rebalancer never moves a stream to a node it knows to be at least
-    /// as degraded as the stream's source disk.
-    pub fn plan(&self, views: &[NodeView]) -> Vec<MoveDecision> {
-        let threshold = degraded_threshold();
-        let mut loads: Vec<usize> = views.iter().map(|v| v.live_streams).collect();
-        let mut moves = Vec::new();
-        for (vi, v) in views.iter().enumerate() {
-            for m in &v.migratable {
-                if m.factor < threshold {
-                    continue;
-                }
-                let target = views
-                    .iter()
-                    .enumerate()
-                    .filter(|(wi, w)| {
-                        *wi != vi && w.worst_factor < threshold && w.worst_factor < m.factor
-                    })
-                    .min_by(|(ai, a), (bi, b)| {
-                        loads[*ai].cmp(&loads[*bi]).then(a.node.cmp(&b.node)).then(ai.cmp(bi))
-                    });
-                if let Some((wi, w)) = target {
-                    moves.push(MoveDecision { global: m.global, from: v.node, to: w.node });
-                    loads[wi] += 1;
-                    loads[vi] = loads[vi].saturating_sub(1);
-                }
+/// Plans this epoch's migrations off degraded disks (see module docs).
+/// Pure: the same views always produce the same moves, in the same order.
+///
+/// For every migratable stream whose disk factor meets the threshold
+/// (taken in ascending node order, then the node's own stream order), the
+/// target is the least-loaded node that is not degraded and is strictly
+/// healthier than the stream's disk — ties broken by lowest node index.
+/// Streams with no eligible target stay put: the planner never moves a
+/// stream to a node it knows to be at least as degraded as the stream's
+/// source disk.
+pub fn plan(views: &[NodeView]) -> Vec<MoveDecision> {
+    let threshold = degraded_threshold();
+    let mut loads: Vec<usize> = views.iter().map(|v| v.live_streams).collect();
+    let mut moves = Vec::new();
+    for (vi, v) in views.iter().enumerate() {
+        for m in &v.migratable {
+            if m.factor < threshold {
+                continue;
+            }
+            let target = views
+                .iter()
+                .enumerate()
+                .filter(|(wi, w)| {
+                    *wi != vi && w.worst_factor < threshold && w.worst_factor < m.factor
+                })
+                .min_by(|(ai, a), (bi, b)| {
+                    loads[*ai].cmp(&loads[*bi]).then(a.node.cmp(&b.node)).then(ai.cmp(bi))
+                });
+            if let Some((wi, w)) = target {
+                moves.push(MoveDecision { global: m.global, from: v.node, to: w.node });
+                loads[wi] += 1;
+                loads[vi] = loads[vi].saturating_sub(1);
             }
         }
-        moves
     }
+    moves
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn cfg() -> RebalanceConfig {
-        RebalanceConfig::new(SimDuration::from_millis(100))
-    }
 
     fn view(node: usize, live: usize, worst: f64, migratable: &[(usize, f64)]) -> NodeView {
         NodeView {
@@ -170,7 +148,7 @@ mod tests {
 
     #[test]
     fn config_validates() {
-        assert!(cfg().validate().is_ok());
+        assert!(RebalanceConfig::new(SimDuration::from_millis(100)).validate().is_ok());
         assert!(RebalanceConfig::new(SimDuration::ZERO).validate().is_err());
     }
 
@@ -181,7 +159,7 @@ mod tests {
             view(1, 6, 1.0, &[]),
             view(2, 4, 1.0, &[]),
         ];
-        let moves = Rebalancer::new(cfg()).plan(&views);
+        let moves = plan(&views);
         assert_eq!(
             moves,
             vec![
@@ -194,7 +172,7 @@ mod tests {
     #[test]
     fn ties_break_toward_the_lowest_node_index() {
         let views = vec![view(0, 5, 1.0, &[]), view(1, 2, 4.0, &[(9, 4.0)]), view(2, 5, 1.0, &[])];
-        let moves = Rebalancer::new(cfg()).plan(&views);
+        let moves = plan(&views);
         assert_eq!(moves, vec![MoveDecision { global: 9, from: 1, to: 0 }]);
     }
 
@@ -202,14 +180,14 @@ mod tests {
     fn no_healthy_target_means_no_move() {
         // Every other node is itself at or past the threshold.
         let views = vec![view(0, 5, 8.0, &[(1, 8.0)]), view(1, 5, 2.0, &[])];
-        assert!(Rebalancer::new(cfg()).plan(&views).is_empty());
+        assert!(plan(&views).is_empty());
         // A lone node has nowhere to go.
         let views = vec![view(0, 5, 8.0, &[(1, 8.0)])];
-        assert!(Rebalancer::new(cfg()).plan(&views).is_empty());
+        assert!(plan(&views).is_empty());
     }
 
     proptest! {
-        /// The rebalancer never migrates a stream to a node it knows to be
+        /// The planner never migrates a stream to a node it knows to be
         /// more degraded than the stream's source disk — for any mix of
         /// node factors, loads and candidate streams.
         #[test]
@@ -233,8 +211,7 @@ mod tests {
                     NodeView { node: k, live_streams: loads[k], worst_factor: worst, migratable }
                 })
                 .collect();
-            let cfg = RebalanceConfig::new(SimDuration::from_millis(50));
-            let moves = Rebalancer::new(cfg).plan(&views);
+            let moves = plan(&views);
             for mv in &moves {
                 prop_assert!(mv.from != mv.to, "self-moves are meaningless");
                 let src = &views[mv.from];
@@ -251,8 +228,7 @@ mod tests {
                 );
             }
             // Decisions are pure: replanning the same views is identical.
-            let cfg = RebalanceConfig::new(SimDuration::from_millis(50));
-            prop_assert_eq!(Rebalancer::new(cfg).plan(&views), moves);
+            prop_assert_eq!(plan(&views), moves);
         }
     }
 }

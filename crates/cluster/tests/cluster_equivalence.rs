@@ -9,6 +9,9 @@ use seqio_node::{Experiment, Frontend, NodeShape, ObsConfig, RunResult};
 use seqio_simcore::units::{KIB, MIB};
 use seqio_simcore::SimDuration;
 
+#[path = "../../../tests/support/fig01_golden.rs"]
+mod fig01_golden;
+
 /// Every observable a figure could plot, plus the diagnostics (same
 /// shape as the node-level sweep determinism fingerprint).
 fn fingerprint(r: &RunResult) -> (u64, u64, Vec<u64>, Vec<u64>, u64, u64, String) {
@@ -100,53 +103,19 @@ fn equivalence_holds_with_the_observability_recorder_on() {
     }
 }
 
-/// FNV-1a over the rendered CSV bytes — dependency-free and stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The fig01 subset golden from `crates/node/tests/sweep_determinism.rs`,
-/// reproduced through 1-node identity clusters: the cluster path must not
-/// perturb a single byte of the figure pipeline.
+/// The Figure-1 golden subset reproduced through 1-node identity
+/// clusters: the cluster path must not perturb a single byte of the
+/// figure pipeline.
 #[test]
 fn fig01_subset_golden_reproduces_through_the_cluster_path() {
-    const GOLDEN: u64 = 4786420990628480947;
-
-    let per_disk = [1usize, 5];
-    let requests = [64 * KIB, 256 * KIB];
-    let mut throughputs = Vec::new();
-    for &streams in &per_disk {
-        for &req in &requests {
-            let t = Experiment::builder()
-                .shape(NodeShape::sixty_disk())
-                .streams_per_disk(streams)
-                .request_size(req)
-                .warmup(SimDuration::from_secs(1))
-                .duration(SimDuration::from_secs(2))
-                .seed(11)
-                .build();
-            let result = identity_cluster(t).run().unwrap();
-            throughputs.push(result.total_throughput_mbs());
-        }
-    }
-
-    let mut csv = String::from("Request size,60 Streams,300 Streams\n");
-    for (ri, x) in ["64K", "256K"].iter().enumerate() {
-        csv.push_str(x);
-        for si in 0..per_disk.len() {
-            let y = throughputs[si * requests.len() + ri];
-            csv.push_str(&format!(",{y:.4}"));
-        }
-        csv.push('\n');
-    }
+    let mbs: Vec<f64> = fig01_golden::points()
+        .into_iter()
+        .map(|t| identity_cluster(t).run().unwrap().total_throughput_mbs())
+        .collect();
+    let (csv, hash) = fig01_golden::render(&mbs);
     assert_eq!(
-        fnv1a(csv.as_bytes()),
-        GOLDEN,
+        hash,
+        fig01_golden::GOLDEN,
         "fig01 subset drifted when run through 1-node clusters:\n{csv}"
     );
 }

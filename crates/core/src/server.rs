@@ -691,8 +691,8 @@ impl StorageServer {
             let Some(i) = self.pick_admission() else { break };
             let sid = self.rr[i];
             // Tentatively admit: the fill only happens if memory allows.
-            // Only `Issued` and a `NoDemand` that sent oversized requests
-            // straight to the disk push outputs.
+            // Besides `Issued`, any outcome may follow requests sent
+            // straight to the disk because they could never be staged.
             match self.issue_fill(now, sid, true, out) {
                 IssueOutcome::NoMemory => break, // round-robin head waits for memory
                 IssueOutcome::NoDemand => {
@@ -761,6 +761,7 @@ impl StorageServer {
         if blocks * 512 > self.pool.capacity_bytes() {
             // The waiting request(s) can never be staged within `M`: pass
             // them straight to the disk instead of livelocking on refetches.
+            let mut sent = false;
             while let Some(&front) = self.streams.get(stream).and_then(|s| s.pending.front()) {
                 let needed = (front.lba + front.blocks).saturating_sub(self.pool.covered_until(
                     stream,
@@ -783,6 +784,14 @@ impl StorageServer {
                     write: false,
                 };
                 self.submit_direct(now, req, out);
+                sent = true;
+            }
+            // A smaller request parked behind the ones just sent still
+            // needs a fill; nothing else would re-queue the stream for it.
+            // Each recursion sends at least one request, so this ends.
+            let parked = self.streams.get(stream).is_some_and(|s| !s.pending.is_empty());
+            if sent && parked {
+                return self.issue_fill(now, stream, admitted, out);
             }
             return IssueOutcome::NoDemand;
         }
@@ -1289,6 +1298,24 @@ mod tests {
         srv.annotate_backend_fault(9999, 1, false);
     }
 
+    /// Completes every disk request in `outs`, and those they cause, in
+    /// order on an instant disk; returns the client ids completed.
+    fn drain(srv: &mut StorageServer, mut outs: Vec<ServerOutput>, clock: &mut u64) -> Vec<u64> {
+        let mut completed = Vec::new();
+        let mut next = 0;
+        while let Some(&o) = outs.get(next) {
+            next += 1;
+            match o {
+                ServerOutput::SubmitDisk(b) => {
+                    *clock += 1;
+                    outs.extend(srv.on_disk_complete(t(*clock), b.id));
+                }
+                ServerOutput::CompleteClient { client, .. } => completed.push(client),
+            }
+        }
+        completed
+    }
+
     #[test]
     fn oversized_request_sent_direct_on_admission_completes() {
         // M = 16 MiB, R = 8 MiB, N = 1: the first fill's completion retires
@@ -1298,23 +1325,36 @@ mod tests {
         let mut outs = srv.on_client_request(t(0), ClientRequest::read(0, 0, 0, 4096));
         assert_eq!(srv.live_streams(), 1, "one large request is enough to detect");
         outs.extend(srv.on_client_request(t(1), ClientRequest::read(1, 0, 4096, 131_072)));
-        // An instant in-order disk.
-        let mut completed = Vec::new();
-        let mut clock = 1;
-        let mut next = 0;
-        while let Some(&o) = outs.get(next) {
-            next += 1;
-            match o {
-                ServerOutput::SubmitDisk(b) => {
-                    clock += 1;
-                    outs.extend(srv.on_disk_complete(t(clock), b.id));
-                }
-                ServerOutput::CompleteClient { client, .. } => completed.push(client),
-            }
+        let mut completed = drain(&mut srv, outs, &mut 1);
+        completed.sort_unstable();
+        assert_eq!(completed, [0, 1], "both requests complete");
+        assert_eq!(srv.metrics().direct_requests, 2);
+    }
+
+    #[test]
+    fn request_parked_behind_an_oversized_one_completes() {
+        // M = R = 8 MiB, N = 1, so D = 1: stream A holds the only slot
+        // while stream B waits with a 64 MiB request, which can never be
+        // staged, and a small request parked behind it. Once admission
+        // sends the large one direct, the small one still needs a fill.
+        let mut srv = server(ServerConfig::memory_limited(8 * MIB, 8 * MIB, 1));
+        let mut outs = srv.on_client_request(t(0), ClientRequest::read(0, 0, 0, 4096));
+        outs.extend(srv.on_client_request(t(1), ClientRequest::read(1, 0, 5_000_000, 4096)));
+        assert_eq!(srv.live_streams(), 2, "each large request detects a stream");
+        outs.extend(srv.on_client_request(t(2), ClientRequest::read(2, 0, 5_004_096, 131_072)));
+        outs.extend(srv.on_client_request(t(3), ClientRequest::read(3, 0, 5_135_168, 8)));
+        let mut clock = 3;
+        let mut completed = drain(&mut srv, outs, &mut clock);
+        // Idle buffers time out after 10 s: collect three times, 21 s apart.
+        for _ in 0..3 {
+            clock += 21_000_000;
+            let outs = srv.on_gc(t(clock));
+            completed.extend(drain(&mut srv, outs, &mut clock));
         }
         completed.sort_unstable();
-        assert_eq!(completed, [0, 1], "both requests complete: {outs:?}");
-        assert_eq!(srv.metrics().direct_requests, 2);
+        assert_eq!(completed, [0, 1, 2, 3], "every request completes");
+        // The two detecting requests and the 64 MiB one; 3 takes a fill.
+        assert_eq!(srv.metrics().direct_requests, 3);
     }
 
     #[test]

@@ -9,10 +9,13 @@
 
 use seqio_node::span::PhaseBreakdown;
 use seqio_node::{
-    Experiment, FaultPlan, Frontend, NodeShape, ObsConfig, ProfConfig, RunResult, SpanPhase, Sweep,
+    Experiment, FaultPlan, Frontend, ObsConfig, ProfConfig, RunResult, SpanPhase, Sweep,
 };
 use seqio_simcore::units::{KIB, MIB};
 use seqio_simcore::SimDuration;
+
+#[path = "../../../tests/support/fig01_golden.rs"]
+mod fig01_golden;
 
 /// Every field of `RunResult` except the recorder outputs themselves,
 /// rendered so that any drift — histogram buckets, float bit patterns,
@@ -217,58 +220,23 @@ fn recorder_outputs_are_identical_across_sweep_worker_counts() {
     }
 }
 
-/// FNV-1a over the rendered CSV bytes — dependency-free and stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The Figure-1 golden subset from `sweep_determinism.rs`, re-run with the
-/// full recorder switched ON: the pinned hash must not move. This is the
-/// strongest neutrality statement — any extra RNG draw, reordered event or
-/// float-accumulation change caused by observability shows up here.
+/// The Figure-1 golden subset re-run with the full recorder switched ON:
+/// the pinned hash must not move. This is the strongest neutrality
+/// statement — any extra RNG draw, reordered event or float-accumulation
+/// change caused by observability shows up here.
 #[test]
 fn fig01_golden_hash_unchanged_with_observability_enabled() {
-    const GOLDEN: u64 = 4786420990628480947;
-
-    let per_disk = [1usize, 5];
-    let requests = [64 * KIB, 256 * KIB];
-    let mut points = Vec::new();
-    for &streams in &per_disk {
-        for &req in &requests {
-            let mut e = Experiment::builder()
-                .shape(NodeShape::sixty_disk())
-                .streams_per_disk(streams)
-                .request_size(req)
-                .warmup(SimDuration::from_secs(1))
-                .duration(SimDuration::from_secs(2))
-                .seed(11)
-                .build();
-            e.obs = Some(ObsConfig::all().sample_every(SimDuration::from_millis(10)));
-            e.prof = Some(ProfConfig::new());
-            points.push(e);
-        }
-    }
+    let points = fig01_golden::points().into_iter().map(|mut e| {
+        e.obs = Some(ObsConfig::all().sample_every(SimDuration::from_millis(10)));
+        e.prof = Some(ProfConfig::new());
+        e
+    });
     let report = Sweep::builder().points(points).jobs(4).run();
-    let results: Vec<&RunResult> = report.results().collect();
-
-    let mut csv = String::from("Request size,60 Streams,300 Streams\n");
-    for (ri, x) in ["64K", "256K"].iter().enumerate() {
-        csv.push_str(x);
-        for si in 0..per_disk.len() {
-            let y = results[si * requests.len() + ri].total_throughput_mbs();
-            csv.push_str(&format!(",{y:.4}"));
-        }
-        csv.push('\n');
-    }
-
+    let mbs: Vec<f64> = report.results().map(RunResult::total_throughput_mbs).collect();
+    let (csv, hash) = fig01_golden::render(&mbs);
     assert_eq!(
-        fnv1a(csv.as_bytes()),
-        GOLDEN,
+        hash,
+        fig01_golden::GOLDEN,
         "fig01 subset CSV drifted when observability was enabled:\n{csv}"
     );
 }

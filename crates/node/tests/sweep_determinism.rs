@@ -3,9 +3,12 @@
 //! produce identical `RunResult` series, and derived per-point seeds must
 //! be distinct yet stable across runs.
 
-use seqio_node::{sweep, Experiment, FaultPlan, Frontend, NodeShape, RunResult, Sweep};
+use seqio_node::{sweep, Experiment, FaultPlan, Frontend, RunResult, Sweep};
 use seqio_simcore::units::{KIB, MIB};
 use seqio_simcore::SimDuration;
+
+#[path = "../../../tests/support/fig01_golden.rs"]
+mod fig01_golden;
 
 /// A 3x3 grid over (streams, request size), mixing direct and stream
 /// scheduler frontends so both code paths are exercised.
@@ -94,60 +97,17 @@ fn base_seed_runs_are_reproducible_across_invocations() {
     }
 }
 
-/// FNV-1a over the rendered CSV bytes — dependency-free and stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// A fixed subset of the Figure-1 grid (60 disks, direct path) rendered in
-/// the figure CSV format and pinned byte-for-byte to a golden hash. Any
-/// change to simulation semantics — event ordering, seed derivation, float
-/// accumulation order — shows up here as a CSV drift, whereas the tests
+/// The Figure-1 golden subset through a 4-worker sweep. Any change to
+/// simulation semantics shows up here as a CSV drift, whereas the tests
 /// above would still pass if both worker counts drifted together.
 #[test]
 fn fig01_point_subset_csv_matches_golden() {
-    const GOLDEN: u64 = 4786420990628480947;
-
-    let per_disk = [1usize, 5];
-    let requests = [64 * KIB, 256 * KIB];
-    let mut points = Vec::new();
-    for &streams in &per_disk {
-        for &req in &requests {
-            points.push(
-                Experiment::builder()
-                    .shape(NodeShape::sixty_disk())
-                    .streams_per_disk(streams)
-                    .request_size(req)
-                    .warmup(SimDuration::from_secs(1))
-                    .duration(SimDuration::from_secs(2))
-                    .seed(11)
-                    .build(),
-            );
-        }
-    }
-    let report = Sweep::builder().points(points).jobs(4).run();
-    let results: Vec<&RunResult> = report.results().collect();
-
-    // Same layout `Figure::to_csv` produces: header of series labels, one
-    // row per x value, y values formatted `{:.4}`.
-    let mut csv = String::from("Request size,60 Streams,300 Streams\n");
-    for (ri, x) in ["64K", "256K"].iter().enumerate() {
-        csv.push_str(x);
-        for si in 0..per_disk.len() {
-            let y = results[si * requests.len() + ri].total_throughput_mbs();
-            csv.push_str(&format!(",{y:.4}"));
-        }
-        csv.push('\n');
-    }
-
+    let report = Sweep::builder().points(fig01_golden::points()).jobs(4).run();
+    let mbs: Vec<f64> = report.results().map(RunResult::total_throughput_mbs).collect();
+    let (csv, hash) = fig01_golden::render(&mbs);
     assert_eq!(
-        fnv1a(csv.as_bytes()),
-        GOLDEN,
+        hash,
+        fig01_golden::GOLDEN,
         "fig01 subset CSV drifted from the recorded golden output:\n{csv}"
     );
 }

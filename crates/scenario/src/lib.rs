@@ -31,8 +31,8 @@ pub use generators::{
     generate, Scenario, ScenarioKind, ScenarioParams, DEGRADED_FACTOR, SCENARIO_SEED_INDEX,
 };
 pub use matrix::{
-    degraded_rescue, matrix_scenario, matrix_template, run_matrix, run_row, static_candidates,
-    wide_reference, MatrixRow, MatrixScale, StaticOutcome,
+    check_adaptive_bar, check_rescue_bar, degraded_rescue, matrix_scenario, matrix_template,
+    run_matrix, run_row, static_candidates, wide_reference, MatrixRow, MatrixScale, StaticOutcome,
 };
 pub use run::{RetuneEvent, ScenarioOutcome, ScenarioRun};
 pub use trace::{

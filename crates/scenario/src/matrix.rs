@@ -1,7 +1,7 @@
 //! The scenario experiment matrix: every named scenario run under the
 //! direct frontend, a panel of static scheduler tunes, and the adaptive
-//! tuner — the shared harness behind the integration tests, the
-//! `probe scenario` smoke binary and the `scenario_matrix` bench.
+//! tuner — the shared harness and acceptance bars behind the integration
+//! tests, the `probe scenario` report and the `scenario_matrix` bench.
 
 use seqio_core::ServerConfig;
 use seqio_node::{Experiment, Frontend, NodeShape};
@@ -183,6 +183,43 @@ pub fn run_row(
 /// Propagates the first row error.
 pub fn run_matrix(scale: &MatrixScale, seed: u64) -> Result<Vec<MatrixRow>, SeqioError> {
     ScenarioKind::ALL.iter().map(|&k| run_row(k, scale, seed)).collect()
+}
+
+/// The matrix's adaptive bar: on every row the adaptive tuner matches or
+/// beats the best static candidate. A row where the tuner stayed quiet is
+/// a bit-identical run of the `auto` tune, so no epsilon is needed.
+///
+/// # Errors
+///
+/// Names the first row whose adaptive run fell below the best static one.
+pub fn check_adaptive_bar(rows: &[MatrixRow]) -> Result<(), String> {
+    for r in rows {
+        let best = r.best_static();
+        if r.adaptive_mbs < best.mbs {
+            return Err(format!(
+                "{}: adaptive {:.2} MB/s lost to static {} {:.2} MB/s",
+                r.scenario, r.adaptive_mbs, best.name, best.mbs
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The rescue bar on a [`degraded_rescue`] result: the adaptive tuner
+/// retunes at least once and strictly beats the narrow static tune.
+///
+/// # Errors
+///
+/// Describes the rescue when it did not strictly win.
+pub fn check_rescue_bar(rescue: (f64, f64, usize)) -> Result<(), String> {
+    let (static_mbs, adaptive_mbs, retunes) = rescue;
+    if adaptive_mbs > static_mbs && retunes >= 1 {
+        return Ok(());
+    }
+    Err(format!(
+        "degraded rescue did not strictly win: {static_mbs:.2} -> {adaptive_mbs:.2} MB/s with \
+         {retunes} retune(s)"
+    ))
 }
 
 /// The degraded-rescue demonstration: on the [`Degraded`] scenario with a

@@ -12,8 +12,10 @@ use seqio_scenario::{
     generate, matrix_scenario, matrix_template, AdaptiveConfig, MatrixScale, ScenarioKind,
     ScenarioParams, ScenarioRun, ScenarioTrace, SCENARIO_SEED_INDEX,
 };
-use seqio_simcore::units::KIB;
 use seqio_simcore::SimDuration;
+
+#[path = "../../../tests/support/fig01_golden.rs"]
+mod fig01_golden;
 
 fn scheduler_template(scale: &MatrixScale, seed: u64) -> Experiment {
     let mut t = matrix_template(scale, seed);
@@ -139,58 +141,24 @@ fn inert_tuner_is_bit_identical_to_the_static_run() {
     assert_eq!(result_fingerprint(&static_result), result_fingerprint(&out.nodes[0]));
 }
 
-/// FNV-1a over the rendered CSV bytes — dependency-free and stable.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// The scenario runner reproduces the Figure-1 golden CSV hash: driving
-/// the fig01 subset points through `ScenarioRun` (empty traces — the
-/// population is the template's own static streams) renders byte-for-byte
-/// the same CSV the sweep determinism suite pins, so the runner cannot
-/// drift from `Experiment::run` semantics without tripping the golden.
+/// the golden subset through `ScenarioRun` (empty traces — the population
+/// is the template's own static streams) renders byte-for-byte the same
+/// CSV, so the runner cannot drift from `Experiment::run` semantics
+/// without tripping the golden.
 #[test]
 fn scenario_runner_preserves_the_fig01_golden_hash() {
-    const GOLDEN: u64 = 4786420990628480947;
-
-    let per_disk = [1usize, 5];
-    let requests = [64 * KIB, 256 * KIB];
-    let mut results: Vec<RunResult> = Vec::new();
-    for &streams in &per_disk {
-        for &req in &requests {
-            let template = Experiment::builder()
-                .shape(NodeShape::sixty_disk())
-                .streams_per_disk(streams)
-                .request_size(req)
-                .warmup(SimDuration::from_secs(1))
-                .duration(SimDuration::from_secs(2))
-                .seed(11)
-                .build();
+    let mbs: Vec<f64> = fig01_golden::points()
+        .into_iter()
+        .map(|template| {
             let run = ScenarioRun::new(template, ScenarioTrace::new("fig01", 1));
-            results.push(run.run().unwrap().nodes.remove(0));
-        }
-    }
-
-    // Same layout `Figure::to_csv` produces: header of series labels, one
-    // row per x value, y values formatted `{:.4}`.
-    let mut csv = String::from("Request size,60 Streams,300 Streams\n");
-    for (ri, x) in ["64K", "256K"].iter().enumerate() {
-        csv.push_str(x);
-        for si in 0..per_disk.len() {
-            let y = results[si * requests.len() + ri].total_throughput_mbs();
-            csv.push_str(&format!(",{y:.4}"));
-        }
-        csv.push('\n');
-    }
-
+            run.run().unwrap().nodes[0].total_throughput_mbs()
+        })
+        .collect();
+    let (csv, hash) = fig01_golden::render(&mbs);
     assert_eq!(
-        fnv1a(csv.as_bytes()),
-        GOLDEN,
+        hash,
+        fig01_golden::GOLDEN,
         "scenario-runner fig01 CSV drifted from the recorded golden output:\n{csv}"
     );
 }
