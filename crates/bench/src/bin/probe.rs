@@ -41,8 +41,11 @@ use seqio_bench::reports::REPORTS;
 use seqio_bench::write_result;
 use seqio_client::{ArrivalConfig, ClientExperiment, DriveMode, LinkConfig, RateModulation};
 use seqio_cluster::ShardPolicy;
+use seqio_controller::{Controller, ControllerConfig, CtrlOutput, HostRequest};
 use seqio_core::{Classifier, ClientRequest, ServerConfig, ServerOutput, StorageServer};
-use seqio_disk::{CacheConfig, SegmentedCache};
+use seqio_disk::{
+    CacheConfig, Disk, DiskConfig, DiskOutput, DiskRequest, RequestId, SegmentedCache,
+};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::{CostModel, Experiment, Frontend, NodeShape, ObsConfig};
 use seqio_simcore::units::{KIB, MIB};
@@ -75,17 +78,30 @@ impl PerfPoint {
     }
 }
 
-/// Wall times of rows at the stream scheduler before its stream table and
-/// buffered set moved to slots and sorted vectors: the same code, timed
-/// against that scheduler on the 2-vCPU x86-64 VM that recorded
-/// `perf_probe.json` (median of five runs alternated with the current
-/// scheduler). Rows not listed have no before figure.
-const SCHED_BEFORE_WALL_SECS: [(&str, f64); 2] =
-    [("stream-sched-100streams", 0.033730), ("server-feed-100readers", 0.516641)];
+/// Wall times of rows timed against the code a later change replaced:
+/// `(row, wall_secs, what it ran against)`. Each is this probe's code for
+/// the row applied to the parent of that change and run on the same
+/// 2-vCPU x86-64 VM as the change (median of five runs alternated with
+/// it; the link's is one run):
+/// - the stream scheduler before its stream table and buffered set moved
+///   to slots and sorted vectors;
+/// - the link that rebuilt the max-min allocation of every active
+///   transfer on each start and completion;
+/// - the controller that scanned every in-flight fetch of every port to
+///   find one a read could attach to.
+///
+/// Rows not listed have no before figure.
+const BEFORE_WALL_SECS: [(&str, f64, &str); 4] = [
+    ("stream-sched-100streams", 0.033730, "previous scheduler"),
+    (LINK_ROW, 5.918, "previous link"),
+    ("server-feed-100readers", 0.516641, "previous scheduler"),
+    ("controller-feed-8x100readers", 0.398368, "previous controller"),
+];
 
-/// The before wall time of row `name`, if it has one.
-fn sched_before(name: &str) -> Option<f64> {
-    SCHED_BEFORE_WALL_SECS.iter().find(|(n, _)| *n == name).map(|&(_, secs)| secs)
+/// The before wall time of row `name` and what it was timed against, if
+/// it has one.
+fn before_figure(name: &str) -> Option<(f64, &'static str)> {
+    BEFORE_WALL_SECS.iter().find(|(n, ..)| *n == name).map(|&(_, secs, what)| (secs, what))
 }
 
 /// Times `spec` `repeats` times and keeps the best (minimum) wall time —
@@ -111,12 +127,6 @@ struct LinkPoint {
     repeats: u32,
 }
 
-/// The link point's figures at the previous link, which rebuilt the
-/// max-min allocation of every active transfer on each start and
-/// completion: the same feed, timed by this code against that link on a
-/// 2-vCPU x86-64 VM where the current link replays it in 0.736 s.
-const LINK_BEFORE_WALL_SECS: f64 = 5.918;
-
 /// The link point's feed: the start instants of 120k 128 KiB transfers,
 /// Poisson at a rate that swings 30% either side of 1800/s over a 12 s
 /// cycle. A 250 MiB/s link moves 2000 of them a second, so each busy
@@ -133,6 +143,9 @@ fn link_feed() -> Vec<SimTime> {
         })
         .collect()
 }
+
+/// The link point's row name.
+const LINK_ROW: &str = "link-250mibs-128k";
 
 /// Replays [`link_feed`] through a 250 MiB/s link `repeats` times and
 /// keeps the best wall time.
@@ -345,6 +358,136 @@ fn server_feed(readers: usize, per_reader: u64) -> u64 {
     feed.done
 }
 
+/// Requests per reader in the controller feed row.
+const CTRL_FEED_REQUESTS_PER_READER: u64 = 200;
+
+/// Requests per reader in the disk feed row.
+const DISK_FEED_REQUESTS_PER_READER: u64 = 2000;
+
+/// Sequential 64 KiB readers spread over `disks` disks, `per_disk` to a
+/// disk, each in its own region of its disk, with one request
+/// outstanding: a reader issues its next request the instant the last one
+/// completes. Reader `r` reads disk `r / per_disk`.
+struct Readers {
+    per_disk: usize,
+    next_lba: Vec<u64>,
+    issued: Vec<u64>,
+    per_reader: u64,
+}
+
+impl Readers {
+    const BLOCKS: u64 = 128;
+
+    fn new(disks: usize, per_disk: usize, disk_blocks: u64, per_reader: u64) -> Readers {
+        let spacing = disk_blocks / per_disk as u64;
+        Readers {
+            per_disk,
+            next_lba: (0..disks * per_disk).map(|r| (r % per_disk) as u64 * spacing).collect(),
+            issued: vec![0; disks * per_disk],
+            per_reader,
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.issued.len()
+    }
+
+    /// Reader `r`'s next request as `(id, disk, lba)`, if it has one left.
+    fn next(&mut self, r: usize) -> Option<(RequestId, usize, u64)> {
+        if self.issued[r] == self.per_reader {
+            return None;
+        }
+        let id = RequestId(self.issued[r] * self.count() as u64 + r as u64);
+        let lba = self.next_lba[r];
+        self.issued[r] += 1;
+        self.next_lba[r] += Self::BLOCKS;
+        Some((id, r / self.per_disk, lba))
+    }
+
+    /// The reader that issued request `id`.
+    fn reader(&self, id: RequestId) -> usize {
+        (id.0 % self.count() as u64) as usize
+    }
+}
+
+/// One event of the controller and disk feeds: a reader's next request
+/// comes due, or a device event the model scheduled.
+#[derive(Debug)]
+enum FeedEvent<E> {
+    Issue(usize),
+    Device(E),
+}
+
+/// Drives one `bc4810` controller and its eight `wd800jd` disks through an
+/// [`EventQueue`] with `per_port` [`Readers`] on each port. Returns the
+/// host completions.
+fn controller_feed(per_port: usize, per_reader: u64) -> u64 {
+    let cfg = ControllerConfig::bc4810();
+    let ports = cfg.ports;
+    let disks = (0..ports).map(|p| Disk::new(DiskConfig::wd800jd(), p as u64)).collect();
+    let mut ctrl = Controller::new(cfg, disks);
+    let mut readers =
+        Readers::new(ports, per_port, ctrl.disk(0).geometry().total_blocks(), per_reader);
+    let mut q = EventQueue::new();
+    for r in 0..readers.count() {
+        q.push(SimTime::ZERO, FeedEvent::Issue(r));
+    }
+    let (mut out, mut done) = (Vec::new(), 0);
+    while let Some((now, ev)) = q.pop() {
+        match ev {
+            FeedEvent::Issue(r) => {
+                let Some((id, port, lba)) = readers.next(r) else { continue };
+                ctrl.submit_into(now, HostRequest::read(id, port, lba, Readers::BLOCKS), &mut out);
+            }
+            FeedEvent::Device(e) => ctrl.on_event_into(now, e, &mut out),
+        }
+        for o in out.drain(..) {
+            match o {
+                CtrlOutput::Complete { id, at, .. } => {
+                    done += 1;
+                    q.push(at, FeedEvent::Issue(readers.reader(id)));
+                }
+                CtrlOutput::Event { at, event } => q.push(at, FeedEvent::Device(event)),
+            }
+        }
+    }
+    assert_eq!(done, readers.count() as u64 * per_reader, "every request completes once");
+    done
+}
+
+/// Drives one `wd800jd` disk through an [`EventQueue`] with `readers`
+/// [`Readers`]: the layer beneath [`controller_feed`]. Returns the
+/// completions.
+fn disk_feed(readers: usize, per_reader: u64) -> u64 {
+    let mut disk = Disk::new(DiskConfig::wd800jd(), 0);
+    let mut readers = Readers::new(1, readers, disk.geometry().total_blocks(), per_reader);
+    let mut q = EventQueue::new();
+    for r in 0..readers.count() {
+        q.push(SimTime::ZERO, FeedEvent::Issue(r));
+    }
+    let (mut out, mut done) = (Vec::new(), 0);
+    while let Some((now, ev)) = q.pop() {
+        match ev {
+            FeedEvent::Issue(r) => {
+                let Some((id, _, lba)) = readers.next(r) else { continue };
+                disk.submit_into(now, DiskRequest::read(id, lba, Readers::BLOCKS), &mut out);
+            }
+            FeedEvent::Device(()) => disk.on_op_finished_into(now, &mut out),
+        }
+        for o in out.drain(..) {
+            match o {
+                DiskOutput::Complete { id, at, .. } => {
+                    done += 1;
+                    q.push(at, FeedEvent::Issue(readers.reader(id)));
+                }
+                DiskOutput::OpFinished { at } => q.push(at, FeedEvent::Device(())),
+            }
+        }
+    }
+    assert_eq!(done, readers.count() as u64 * per_reader, "every request completes once");
+    done
+}
+
 /// The micro rows: the hot data structures under the kernel, each over a
 /// fixed op count (an event pushed and popped counts as one op), and the
 /// server state machine (a client request and the disk completions it
@@ -404,6 +547,18 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
         repeats,
         || server_feed(100, FEED_REQUESTS_PER_READER),
     ));
+    rows.push(time_micro(
+        "controller-feed-8x100readers",
+        8 * 100 * CTRL_FEED_REQUESTS_PER_READER,
+        repeats,
+        || controller_feed(100, CTRL_FEED_REQUESTS_PER_READER),
+    ));
+    rows.push(time_micro(
+        "disk-feed-100readers",
+        100 * DISK_FEED_REQUESTS_PER_READER,
+        repeats,
+        || disk_feed(100, DISK_FEED_REQUESTS_PER_READER),
+    ));
     rows
 }
 
@@ -444,15 +599,15 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let mut json = String::from("{\n  \"window_secs\": ");
     let _ = write!(json, "{secs},\n  \"points\": [");
     for (i, p) in points.iter().enumerate() {
-        let before = sched_before(p.name);
+        let before = before_figure(p.name);
         println!(
             "  {:<29} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec{}",
             p.name,
             p.wall_secs,
             p.events,
             p.events_per_sec(),
-            before.map_or(String::new(), |b| format!(
-                "  (previous scheduler {b:.3}s, {:.0}/sec)",
+            before.map_or(String::new(), |(b, what)| format!(
+                "  ({what} {b:.3}s, {:.0}/sec)",
                 p.rate(b)
             ))
         );
@@ -466,7 +621,7 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
             p.events,
             p.events_per_sec(),
             p.repeats,
-            before.map_or(String::new(), |b| format!(
+            before.map_or(String::new(), |(b, _)| format!(
                 ", \"before\": {{\"wall_secs\": {b:.6}, \"events_per_sec\": {:.1}}}",
                 p.rate(b)
             ))
@@ -474,41 +629,40 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     }
     let link = time_link(repeats);
     let rate = |wall: f64| link.transfers as f64 / wall;
+    let link_before = before_figure(LINK_ROW);
     println!(
-        "  {:<29} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active; \
-         previous link {:.3}s, {:.0}/sec)",
-        "link-250mibs-128k",
+        "  {LINK_ROW:<29} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active{})",
         link.wall_secs,
         link.transfers,
         rate(link.wall_secs),
         link.peak_active,
-        LINK_BEFORE_WALL_SECS,
-        rate(LINK_BEFORE_WALL_SECS)
+        link_before.map_or(String::new(), |(b, what)| format!("; {what} {b:.3}s, {:.0}/sec", rate(b)))
     );
     let _ = write!(
         json,
-        "\n  ],\n  \"link\": {{\"name\": \"link-250mibs-128k\", \"transfers\": {}, \
+        "\n  ],\n  \"link\": {{\"name\": \"{LINK_ROW}\", \"transfers\": {}, \
          \"peak_active\": {}, \"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}, \
-         \"repeats\": {}, \"before\": {{\"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}}}}},\n  \
-         \"micro\": [",
+         \"repeats\": {}{}}},\n  \"micro\": [",
         link.transfers,
         link.peak_active,
         link.wall_secs,
         rate(link.wall_secs),
         link.repeats,
-        LINK_BEFORE_WALL_SECS,
-        rate(LINK_BEFORE_WALL_SECS)
+        link_before.map_or(String::new(), |(b, _)| format!(
+            ", \"before\": {{\"wall_secs\": {b:.6}, \"deliveries_per_sec\": {:.1}}}",
+            rate(b)
+        ))
     );
     for (i, row) in micro_rows(repeats).iter().enumerate() {
-        let before = sched_before(row.name);
+        let before = before_figure(row.name);
         println!(
             "  {:<29} {:>8.3}s wall  {:>10} ops  {:>12.1} ns/op{}",
             row.name,
             row.wall_secs,
             row.ops,
             row.ns_per_op(),
-            before.map_or(String::new(), |b| format!(
-                "  (previous scheduler {b:.3}s, {:.1} ns/op)",
+            before.map_or(String::new(), |(b, what)| format!(
+                "  ({what} {b:.3}s, {:.1} ns/op)",
                 row.ns_per_op_at(b)
             ))
         );
@@ -522,7 +676,7 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
             row.wall_secs,
             row.ns_per_op(),
             row.repeats,
-            before.map_or(String::new(), |b| format!(
+            before.map_or(String::new(), |(b, _)| format!(
                 ", \"before\": {{\"wall_secs\": {b:.6}, \"ns_per_op\": {:.2}}}",
                 row.ns_per_op_at(b)
             ))

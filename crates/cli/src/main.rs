@@ -116,6 +116,14 @@ fn print_report(r: &RunResult, disks: usize) {
     }
 }
 
+/// `--nodes K` (default 1), refused above [`seqio_node::driver::MAX_NODES`]
+/// before anything is sized by it.
+fn nodes_flag(args: &Args) -> Result<usize, String> {
+    let nodes = usize::try_from(args.u64_or("nodes", 1)?).unwrap_or(usize::MAX);
+    seqio_node::driver::check_nodes(nodes)?;
+    Ok(nodes)
+}
+
 /// `seqio cluster run --nodes K --shard POLICY [--faults SPEC
 /// --fault-node I] [experiment flags]` — a multi-node cluster run: the
 /// experiment flags describe each node's template, `--faults` (if given)
@@ -149,7 +157,7 @@ fn cmd_cluster(rest: Vec<String>) -> Result<(), String> {
     // `experiment_from` installs --faults on the template; the cluster
     // layer wants them on one node instead.
     let plan = template.faults.take();
-    let nodes = args.u64_or("nodes", 1)? as usize;
+    let nodes = nodes_flag(&args)?;
     let policy = seqio_cluster::ShardPolicy::parse(args.get("shard").unwrap_or("hash"))
         .map_err(|e| format!("--shard: {e}"))?;
     let fault_node = args.u64_or("fault-node", 0)? as usize;
@@ -271,7 +279,7 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         let obs = template.obs.take().unwrap_or_else(seqio_node::ObsConfig::new);
         template.obs = Some(obs.with_spans());
     }
-    let nodes = args.u64_or("nodes", 1)? as usize;
+    let nodes = nodes_flag(&args)?;
     let policy = seqio_cluster::ShardPolicy::parse(args.get("shard").unwrap_or("hash"))
         .map_err(|e| format!("--shard: {e}"))?;
 
@@ -677,7 +685,7 @@ fn cmd_scenario(rest: Vec<String>) -> Result<(), String> {
 
     match verb.as_str() {
         "run" | "record" => {
-            let nodes = args.u64_or("nodes", 1)? as usize;
+            let nodes = nodes_flag(&args)?;
             if nodes == 0 {
                 return Err("--nodes: need at least one node".into());
             }

@@ -472,3 +472,73 @@ fn client_trace_out_names_each_session_once() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The two oversized node counts every command must refuse: one that
+/// overflows every capacity, and one small enough to allocate, so the
+/// refusal must come before anything is sized by it.
+const TOO_MANY_NODES: [&str; 2] = ["18446744073709551615", "50000000"];
+
+/// Runs `args` with each of [`TOO_MANY_NODES`] substituted for `{n}` and
+/// checks the typed error names the node count.
+fn refuses_too_many_nodes(args: &[&str]) {
+    for n in TOO_MANY_NODES {
+        let args: Vec<&str> = args.iter().map(|&a| if a == "{n}" { n } else { a }).collect();
+        let err = typed_error(&args);
+        assert!(err.contains(&format!("nodes: {n}")), "{args:?}: {err}");
+    }
+}
+
+/// A replayed trace whose header declares more nodes than a run may drive
+/// is refused before any per-node table is sized.
+#[test]
+fn scenario_replay_refuses_a_trace_declaring_too_many_nodes() {
+    let dir = scratch_dir("too-many-nodes");
+    for n in TOO_MANY_NODES {
+        let path = dir.join(format!("{n}.trace"));
+        std::fs::write(&path, format!("# seqio scenario trace v1\nmeta:name=x,nodes={n}\n"))
+            .unwrap();
+        // The replay banner goes out first; the run then refuses.
+        let out = seqio(&["scenario", "replay", "--trace", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains(&format!("error: invalid experiment: nodes: {n}")), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn scenario_record_refuses_too_many_nodes() {
+    let dir = scratch_dir("record-too-many-nodes");
+    let out = dir.join("video.trace");
+    refuses_too_many_nodes(&[
+        "scenario",
+        "record",
+        "--kind",
+        "video",
+        "--nodes",
+        "{n}",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(!out.exists(), "a refused record writes no trace");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cluster_run_refuses_too_many_nodes() {
+    refuses_too_many_nodes(&[
+        "cluster",
+        "run",
+        "--nodes",
+        "{n}",
+        "--shard",
+        "hash",
+        "--streams",
+        "1",
+    ]);
+}
+
+#[test]
+fn client_run_refuses_too_many_nodes() {
+    refuses_too_many_nodes(&["client", "run", "--nodes", "{n}", "--rate", "10"]);
+}

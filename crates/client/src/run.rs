@@ -167,6 +167,7 @@ impl ClientExperiment {
     /// Returns the first specification error; a valid specification
     /// always runs to completion.
     pub fn run(&self) -> Result<ClusterResult, SeqioError> {
+        driver::check_nodes(self.nodes)?;
         self.link.validate()?;
         match &self.mode {
             DriveMode::ClosedLoop => self.run_closed(),
@@ -191,6 +192,7 @@ impl ClientExperiment {
         if self.nodes == 0 {
             return Err(SeqioError::Experiment("need at least one node".into()));
         }
+        driver::check_nodes(self.nodes)?;
         let disks = self.template.shape.total_disks();
         let request_blocks = self.template.request_blocks();
         let usable_blocks =

@@ -90,6 +90,7 @@ impl ClusterExperiment {
     ///
     /// Returns the first violated constraint as a [`SeqioError`].
     pub fn validate(&self) -> Result<(), SeqioError> {
+        driver::check_nodes(self.nodes)?;
         self.template.validate()?;
         if self.template.faults.is_some() {
             return Err(SeqioError::Experiment(

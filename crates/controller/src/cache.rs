@@ -22,7 +22,7 @@ pub struct ExtentHit {
     pub touched: u64,
 }
 
-/// Byte-granularity LRU extent cache.
+/// Byte-granularity extent cache with FIFO replacement.
 #[derive(Debug, Clone)]
 pub struct ExtentCache {
     capacity: u64,
@@ -72,20 +72,13 @@ impl ExtentCache {
     }
 
     /// Serves `[lba, lba+blocks)` on `port` if a resident extent covers it.
-    pub fn lookup(&mut self, port: usize, lba: Lba, blocks: u64, now: SimTime) -> bool {
-        self.lookup_extent(port, lba, blocks, now).is_some()
+    pub fn lookup(&mut self, port: usize, lba: Lba, blocks: u64) -> bool {
+        self.lookup_extent(port, lba, blocks).is_some()
     }
 
     /// Like [`lookup`](Self::lookup), but reports the covering extent so the
     /// caller can decide whether to prefetch the next one.
-    pub fn lookup_extent(
-        &mut self,
-        port: usize,
-        lba: Lba,
-        blocks: u64,
-        now: SimTime,
-    ) -> Option<ExtentHit> {
-        let _ = now;
+    pub fn lookup_extent(&mut self, port: usize, lba: Lba, blocks: u64) -> Option<ExtentHit> {
         for e in &mut self.extents {
             if e.port == port && e.start <= lba && lba + blocks <= e.start + e.blocks {
                 e.touched = e.touched.max(lba + blocks - e.start);
@@ -100,8 +93,9 @@ impl ExtentCache {
         self.extents.iter().any(|e| e.port == port && e.start <= lba && lba < e.start + e.blocks)
     }
 
-    /// Inserts a fetched extent, evicting least-recently-used extents until
-    /// it fits. Extents larger than the whole cache are not inserted.
+    /// Inserts a fetched extent, evicting the oldest inserted extents until
+    /// it fits (a lookup does not refresh an extent). Extents larger than
+    /// the whole cache are not inserted.
     pub fn insert(&mut self, port: usize, lba: Lba, blocks: u64, now: SimTime) {
         let bytes = blocks * BLOCK;
         if bytes > self.capacity {
@@ -151,12 +145,12 @@ mod tests {
     #[test]
     fn insert_then_lookup() {
         let mut c = ExtentCache::new(MIB);
-        assert!(!c.lookup(0, 0, 8, t(1)));
+        assert!(!c.lookup(0, 0, 8));
         c.insert(0, 0, 128, t(1));
-        assert!(c.lookup(0, 0, 128, t(2)));
-        assert!(c.lookup(0, 64, 64, t(3)));
-        assert!(!c.lookup(0, 64, 128, t(4)));
-        assert!(!c.lookup(1, 0, 8, t(5)), "other port must miss");
+        assert!(c.lookup(0, 0, 128));
+        assert!(c.lookup(0, 64, 64));
+        assert!(!c.lookup(0, 64, 128));
+        assert!(!c.lookup(1, 0, 8), "other port must miss");
     }
 
     #[test]
@@ -164,11 +158,11 @@ mod tests {
         let mut c = ExtentCache::new(512 * 1024); // holds two 512-block extents
         c.insert(0, 0, 512, t(1));
         c.insert(0, 10_000, 512, t(2));
-        assert!(c.lookup(0, 0, 8, t(3))); // touching does not protect (FIFO)
+        assert!(c.lookup(0, 0, 8)); // touching does not protect (FIFO)
         c.insert(0, 20_000, 512, t(4)); // evicts the oldest insert
-        assert!(!c.lookup(0, 0, 8, t(5)), "oldest insert evicted despite touch");
-        assert!(c.lookup(0, 10_000, 8, t(6)));
-        assert!(c.lookup(0, 20_000, 8, t(7)));
+        assert!(!c.lookup(0, 0, 8), "oldest insert evicted despite touch");
+        assert!(c.lookup(0, 10_000, 8));
+        assert!(c.lookup(0, 20_000, 8));
         assert_eq!(c.evictions(), 1);
         assert!(c.wasted_bytes() > 0);
     }
@@ -178,7 +172,7 @@ mod tests {
         let mut c = ExtentCache::new(1024);
         c.insert(0, 0, 100, t(1)); // 51200 bytes > 1024
         assert_eq!(c.used(), 0);
-        assert!(!c.lookup(0, 0, 1, t(2)));
+        assert!(!c.lookup(0, 0, 1));
     }
 
     #[test]
@@ -187,8 +181,8 @@ mod tests {
         c.insert(0, 0, 128, t(1));
         c.insert(1, 0, 128, t(1));
         c.invalidate(0, 64, 1);
-        assert!(!c.lookup(0, 0, 8, t(2)));
-        assert!(c.lookup(1, 0, 8, t(2)), "other port unaffected");
+        assert!(!c.lookup(0, 0, 8));
+        assert!(c.lookup(1, 0, 8), "other port unaffected");
         assert_eq!(c.used(), 128 * BLOCK);
     }
 
@@ -196,7 +190,7 @@ mod tests {
     fn zero_capacity_disables() {
         let mut c = ExtentCache::new(0);
         c.insert(0, 0, 8, t(1));
-        assert!(!c.lookup(0, 0, 8, t(2)));
+        assert!(!c.lookup(0, 0, 8));
     }
 
     #[test]
@@ -207,7 +201,7 @@ mod tests {
         for round in 0u64..8 {
             for s in 0u64..4 {
                 let lba = s * 1_000_000 + round * 512;
-                if c.lookup(0, lba, 128, t(round * 10 + s)) {
+                if c.lookup(0, lba, 128) {
                     hits += 1;
                 } else {
                     c.insert(0, lba, 512, t(round * 10 + s));

@@ -2,7 +2,7 @@
 //!
 //! Disk-controller model for the `seqio` workspace: per-port SATA links, a
 //! shared aggregate bus, firmware CPU with buffer-management pressure, and
-//! optional controller-level prefetching into an LRU extent cache.
+//! optional controller-level prefetching into a FIFO extent cache.
 //!
 //! Together with [`seqio_disk`] this forms the DiskSim-equivalent substrate
 //! for reproducing the ICDCS 2009 sequential-streams paper: the controller

@@ -173,10 +173,15 @@ pub struct Controller {
     /// Slab of in-flight disk fetches, indexed by the disk-level
     /// `RequestId` (slot indices are reused via `inflight_free`, which is
     /// safe because a disk id is only ever visible while its fetch is in
-    /// flight). A `Vec` keeps the in-flight attach scan in deterministic
-    /// slot order and off the hash path entirely.
+    /// flight).
     inflight: Vec<Option<InflightFetch>>,
     inflight_free: Vec<usize>,
+    /// Per-port index of the slab: `(lba, end, slot)` of every fetch
+    /// started on the port (reads and writes), in no particular order.
+    /// An entry goes in when its fetch starts and comes out at the fetch's
+    /// final completion, so an errored fetch awaiting its retry stays
+    /// listed. Lookups scan one port's list, not the whole slab.
+    inflight_by_port: Vec<Vec<(Lba, Lba, usize)>>,
     /// Recycled waiter vectors, so steady-state fetches allocate nothing.
     waiter_pool: Vec<Vec<HostRequest>>,
     /// Scratch for collecting disk outputs inside one call.
@@ -209,6 +214,7 @@ impl Controller {
             resident_bytes: 0,
             inflight: Vec::new(),
             inflight_free: Vec::new(),
+            inflight_by_port: vec![Vec::new(); ports],
             waiter_pool: Vec::new(),
             disk_scratch: Vec::new(),
             port_faults: vec![PortFaultCounters::default(); ports],
@@ -301,17 +307,19 @@ impl Controller {
                 self.start_fetch(now, req.port, req.lba, req.blocks, req.direction, Some(req), out);
             }
             Direction::Read => {
-                if let Some(hit) = self.cache.lookup_extent(req.port, req.lba, req.blocks, now) {
+                if let Some(hit) = self.cache.lookup_extent(req.port, req.lba, req.blocks) {
                     self.metrics.cache_hits += 1;
                     let at = self.charge_completion(now, req.bytes());
                     let port = req.port;
                     self.finish(req, at, 0, false, out);
                     self.maybe_async_prefetch(now, port, hit, out);
-                } else if let Some(f) = self.inflight.iter_mut().flatten().find(|f| {
-                    f.port == req.port && f.lba <= req.lba && req.end() <= f.lba + f.blocks
-                }) {
+                } else if let Some(slot) = self.covering_fetch(req.port, req.lba, req.end()) {
                     self.metrics.inflight_hits += 1;
-                    f.waiters.push(req);
+                    self.inflight[slot]
+                        .as_mut()
+                        .expect("indexed fetch is in flight")
+                        .waiters
+                        .push(req);
                 } else {
                     let extent = self.plan_extent(&req);
                     let port = req.port;
@@ -354,17 +362,28 @@ impl Controller {
         if next >= disk_end || self.cache.contains(port, next) {
             return;
         }
-        if self
-            .inflight
-            .iter()
-            .flatten()
-            .any(|f| f.port == port && f.lba <= next && next < f.lba + f.blocks)
-        {
+        if self.fetching(port, next) {
             return;
         }
         let blocks = bytes_to_blocks(self.cfg.prefetch_bytes).max(1).min(disk_end - next);
         self.metrics.async_prefetches += 1;
         self.start_fetch(now, port, next, blocks, Direction::Read, None, out);
+    }
+
+    /// The lowest slot among the fetches in flight on `port` that cover
+    /// `[lba, end)`: the fetch a slot-order scan of the slab finds first,
+    /// so attaching here matches that scan exactly.
+    fn covering_fetch(&self, port: usize, lba: Lba, end: Lba) -> Option<usize> {
+        self.inflight_by_port[port]
+            .iter()
+            .filter(|&&(start, stop, _)| start <= lba && end <= stop)
+            .map(|&(_, _, slot)| slot)
+            .min()
+    }
+
+    /// Whether a fetch in flight on `port` already covers `block`.
+    fn fetching(&self, port: usize, block: Lba) -> bool {
+        self.inflight_by_port[port].iter().any(|&(start, stop, _)| start <= block && block < stop)
     }
 
     /// Delivers a previously scheduled [`CtrlEvent`].
@@ -418,6 +437,10 @@ impl Controller {
                     self.inflight[slot].take().expect("completion for unknown disk request");
                 self.inflight_free.push(slot);
                 assert_eq!(fetch.port, port, "completion port mismatch");
+                let index = &mut self.inflight_by_port[port];
+                let at =
+                    index.iter().position(|e| e.2 == slot).expect("in-flight fetch is indexed");
+                index.swap_remove(at);
                 let timed_out = self.cfg.request_timeout > SimDuration::ZERO
                     && now.duration_since(fetch.started) > self.cfg.request_timeout;
                 if timed_out {
@@ -500,6 +523,7 @@ impl Controller {
             attempts: 0,
             waiters,
         });
+        self.inflight_by_port[port].push((lba, lba + extent_blocks, slot));
         let mut scratch = std::mem::take(&mut self.disk_scratch);
         self.disks[port].submit_into(now, disk_req, &mut scratch);
         self.map_disk_outputs(port, &mut scratch, out);
@@ -566,7 +590,7 @@ mod tests {
     use super::*;
     use seqio_disk::{CacheConfig, DiskConfig};
     use seqio_simcore::units::{KIB, MIB};
-    use seqio_simcore::EventQueue;
+    use seqio_simcore::{EventQueue, SimRng};
 
     fn make(cfg: ControllerConfig, disk_cfg: DiskConfig) -> Controller {
         let disks = (0..cfg.ports).map(|p| Disk::new(disk_cfg.clone(), 42 + p as u64)).collect();
@@ -840,5 +864,152 @@ mod tests {
         let mut c = make(ControllerConfig::single_port(), disk_cfg);
         let done = run(&mut c, vec![(SimTime::ZERO, HostRequest::read(RequestId(1), 0, 0, 128))]);
         assert_eq!(done.len(), 1);
+    }
+
+    /// The lookups the per-port index replaced: scans of the whole slab in
+    /// slot order, kept as the oracle of the differential test.
+    impl Controller {
+        fn scan_covering(&self, port: usize, lba: Lba, end: Lba) -> Option<usize> {
+            self.inflight.iter().position(|f| {
+                f.as_ref()
+                    .is_some_and(|f| f.port == port && f.lba <= lba && end <= f.lba + f.blocks)
+            })
+        }
+
+        fn scan_fetching(&self, port: usize, block: Lba) -> bool {
+            self.inflight
+                .iter()
+                .flatten()
+                .any(|f| f.port == port && f.lba <= block && block < f.lba + f.blocks)
+        }
+
+        /// Every in-flight fetch of the slab as `(lba, end, slot)`, sorted,
+        /// one list per port.
+        fn slab_by_port(&self) -> Vec<Vec<(Lba, Lba, usize)>> {
+            let mut ports = vec![Vec::new(); self.cfg.ports];
+            for (slot, f) in self.inflight.iter().enumerate() {
+                if let Some(f) = f {
+                    ports[f.port].push((f.lba, f.lba + f.blocks, slot));
+                }
+            }
+            ports.iter_mut().for_each(|p| p.sort_unstable());
+            ports
+        }
+    }
+
+    /// A random host request on a narrow band of each port's disk, so
+    /// fetches overlap: 64-block-aligned starts over 2048 blocks, lengths
+    /// from 8 to 256 blocks, one write in eight.
+    fn random_request(rng: &mut SimRng, id: u64, ports: usize) -> HostRequest {
+        let port = rng.below(ports as u64) as usize;
+        let lba = rng.below(32) * 64 + [0, 8, 32][rng.below(3) as usize];
+        let blocks = [8, 64, 128, 256][rng.below(4) as usize];
+        if rng.chance(0.125) {
+            HostRequest::write(RequestId(id), port, lba, blocks)
+        } else {
+            HostRequest::read(RequestId(id), port, lba, blocks)
+        }
+    }
+
+    /// One step of the differential program: a host arrival or a
+    /// controller event coming due.
+    #[derive(Debug)]
+    enum Call {
+        Arrive,
+        Ctrl(CtrlEvent),
+    }
+
+    /// Drives a four-port controller through `calls` seeded controller
+    /// calls in time order: host submits arriving every 0-400 µs (skipped
+    /// while 48 are outstanding) and the events they cause, with a 10%
+    /// transient read-error rate on every disk, three retries and a 30 ms
+    /// deadline. After every call the per-port index must list exactly the
+    /// slab's in-flight fetches, and on four random probes per call both
+    /// lookups must answer as the slab scans do. Returns how many probes
+    /// found two or more covering fetches.
+    fn differential_program(cfg: ControllerConfig, seed: u64, calls: usize) -> u64 {
+        use seqio_simcore::FaultPlan;
+        let cfg =
+            ControllerConfig { ports: 4, request_timeout: SimDuration::from_millis(30), ..cfg };
+        // The drive's own cache stays off: a write that lands while a read
+        // fills a segment it overlaps trips the segment cache's debug
+        // check, which is the disk's business, not the index's.
+        let mut c = make(cfg, DiskConfig::wd800jd().with_cache(CacheConfig::disabled()));
+        let plan = (0..4).fold(FaultPlan::new(), |p, d| p.read_errors(d, 0.1));
+        for d in 0..4 {
+            c.disk_mut(d).install_faults(plan.disk(d).unwrap().clone(), seed + d as u64);
+        }
+        let mut rng = SimRng::seed_from(seed);
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, Call::Arrive);
+        let (mut made, mut submitted, mut writes, mut completed, mut multi) = (0, 0, 0, 0, 0);
+        let mut out = Vec::new();
+        while let Some((now, call)) = q.pop() {
+            match call {
+                Call::Arrive if made >= calls => continue,
+                Call::Arrive => {
+                    q.push(now + SimDuration::from_micros(rng.below(400)), Call::Arrive);
+                    if c.outstanding() >= 48 {
+                        continue;
+                    }
+                    let req = random_request(&mut rng, submitted, 4);
+                    writes += u64::from(req.direction == Direction::Write);
+                    submitted += 1;
+                    c.submit_into(now, req, &mut out);
+                }
+                Call::Ctrl(ev) => c.on_event_into(now, ev, &mut out),
+            }
+            made += 1;
+            for o in out.drain(..) {
+                match o {
+                    CtrlOutput::Complete { .. } => completed += 1,
+                    CtrlOutput::Event { at, event } => q.push(at, Call::Ctrl(event)),
+                }
+            }
+            let mut index = c.inflight_by_port.clone();
+            index.iter_mut().for_each(|p| p.sort_unstable());
+            assert_eq!(index, c.slab_by_port(), "call {made}: index differs from the slab");
+            for _ in 0..4 {
+                let probe = random_request(&mut rng, 0, 4);
+                let (p, lba, end) = (probe.port, probe.lba, probe.end());
+                assert_eq!(
+                    c.covering_fetch(p, lba, end),
+                    c.scan_covering(p, lba, end),
+                    "call {made}: attach lookup for port {p} [{lba}, {end})"
+                );
+                assert_eq!(c.fetching(p, lba), c.scan_fetching(p, lba), "call {made}: block {lba}");
+                let covering = c.inflight_by_port[p].iter().filter(|e| e.0 <= lba && end <= e.1);
+                multi += u64::from(covering.count() >= 2);
+            }
+        }
+        assert_eq!(completed, submitted, "every host request completes once");
+        assert!(
+            c.inflight_by_port.iter().all(Vec::is_empty),
+            "a drained controller indexes nothing"
+        );
+        assert_eq!(c.outstanding(), 0);
+        let faults = c
+            .fault_counters()
+            .iter()
+            .fold((0, 0, 0), |(e, r, t), f| (e + f.errors, r + f.retries, t + f.timeouts));
+        assert!(
+            faults.0 > 0 && faults.1 > 0 && faults.2 > 0,
+            "errors, retries, timeouts: {faults:?}"
+        );
+        assert!(writes > 0 && c.metrics().inflight_hits > 0);
+        multi
+    }
+
+    #[test]
+    fn port_index_matches_the_slab_scan() {
+        // 2 x 50k calls: controller prefetch off, then on (a small pool,
+        // so extents are reclaimed and speculative fetches overlap).
+        let plain = differential_program(ControllerConfig::bc4810(), 19, 50_000);
+        let prefetch = differential_program(
+            ControllerConfig::bc4810().with_prefetch(4 * MIB, 256 * KIB),
+            23,
+            50_000,
+        );
+        assert!(plain > 1000 && prefetch > 1000, "overlapping covers: {plain}, {prefetch}");
     }
 }

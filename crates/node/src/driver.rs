@@ -30,6 +30,25 @@ use crate::experiment::{Experiment, RunResult};
 use crate::sim::StreamHandoff;
 use crate::system::NodeSim;
 
+/// The most nodes one run may drive. Each node is a whole simulated
+/// machine, so a node count read from outside input (a flag, a trace
+/// header) is checked against this before anything is sized by it.
+pub const MAX_NODES: usize = 4096;
+
+/// Refuses a node count above [`MAX_NODES`].
+///
+/// # Errors
+///
+/// Returns an error naming `nodes` and the limit.
+pub fn check_nodes(nodes: usize) -> Result<(), SeqioError> {
+    if nodes > MAX_NODES {
+        return Err(SeqioError::Experiment(format!(
+            "nodes: {nodes} is more than the {MAX_NODES} one run may drive"
+        )));
+    }
+    Ok(())
+}
+
 /// Runs `work(index, item)` over every item on up to `jobs` scoped worker
 /// threads and returns the results in input order. With one worker (or
 /// one item) everything runs on the calling thread.

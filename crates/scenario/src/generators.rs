@@ -164,6 +164,7 @@ pub fn generate(
             "scenario needs at least one node, disk and stream per disk".into(),
         ));
     }
+    seqio_node::driver::check_nodes(params.nodes)?;
     if params.horizon == SimDuration::ZERO {
         return Err(SeqioError::Experiment("scenario horizon must be positive".into()));
     }

@@ -122,6 +122,7 @@ impl ScenarioRun {
     /// runs to completion.
     pub fn run(&self) -> Result<ScenarioOutcome, SeqioError> {
         self.trace.validate()?;
+        driver::check_nodes(self.trace.nodes)?;
         let mut template = self.template.clone();
         if template.total_streams() == 0 {
             template.open_sessions = true;
