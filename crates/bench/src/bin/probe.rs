@@ -10,7 +10,7 @@
 //! representative macro points timed wall-clock, reporting events
 //! simulated and events/sec, a link point replaying a fixed feed through
 //! `FairShareLink` and reporting deliveries/sec, and micro rows timing the
-//! hot data structures (classifier, disk cache, calendar queue) and the
+//! hot data structures (classifier, disk cache, event queue) and the
 //! `StorageServer` state machine over fixed op counts, with
 //! machine-readable JSON written to `bench_results/perf_probe.json`.
 //!
@@ -88,14 +88,21 @@ impl PerfPoint {
 /// - the link that rebuilt the max-min allocation of every active
 ///   transfer on each start and completion;
 /// - the controller that scanned every in-flight fetch of every port to
-///   find one a read could attach to.
+///   find one a read could attach to;
+/// - the calendar event queue (a bucket ring with estimated widths and
+///   resizes) that the keyed binary heap replaced.
 ///
 /// Rows not listed have no before figure.
-const BEFORE_WALL_SECS: [(&str, f64, &str); 4] = [
+const BEFORE_WALL_SECS: [(&str, f64, &str); 9] = [
     ("stream-sched-100streams", 0.033730, "previous scheduler"),
     (LINK_ROW, 5.918, "previous link"),
     ("server-feed-100readers", 0.516641, "previous scheduler"),
     ("controller-feed-8x100readers", 0.398368, "previous controller"),
+    ("event-queue-push-pop-1k", 0.077718, "calendar queue"),
+    ("event-queue-churn-1k-uniform", 0.285304, "calendar queue"),
+    ("event-queue-churn-1k-clustered", 0.372753, "calendar queue"),
+    ("event-queue-churn-100k-uniform", 0.376601, "calendar queue"),
+    ("event-queue-churn-100k-clustered", 0.301472, "calendar queue"),
 ];
 
 /// The before wall time of row `name` and what it was timed against, if
@@ -517,7 +524,7 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
             }
             cache.metrics().evictions
         }),
-        time_micro("calendar-push-pop-1k", 1000 * 1000, repeats, || {
+        time_micro("event-queue-push-pop-1k", 1000 * 1000, repeats, || {
             let mut acc = 0u64;
             for _ in 0..1000 {
                 let mut q = EventQueue::new();
@@ -532,10 +539,10 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
         }),
     ];
     for (name, n, rounds, clustered) in [
-        ("calendar-churn-1k-uniform", 1_000u64, 1000u64, false),
-        ("calendar-churn-1k-clustered", 1_000, 1000, true),
-        ("calendar-churn-100k-uniform", 100_000, 10, false),
-        ("calendar-churn-100k-clustered", 100_000, 10, true),
+        ("event-queue-churn-1k-uniform", 1_000u64, 1000u64, false),
+        ("event-queue-churn-1k-clustered", 1_000, 1000, true),
+        ("event-queue-churn-100k-uniform", 100_000, 10, false),
+        ("event-queue-churn-100k-clustered", 100_000, 10, true),
     ] {
         rows.push(time_micro(name, rounds * 2 * n, repeats, || {
             (0..rounds).fold(0, |acc, _| acc.wrapping_add(queue_churn(n, clustered)))
@@ -601,7 +608,7 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     for (i, p) in points.iter().enumerate() {
         let before = before_figure(p.name);
         println!(
-            "  {:<29} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec{}",
+            "  {:<32} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec{}",
             p.name,
             p.wall_secs,
             p.events,
@@ -631,7 +638,7 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let rate = |wall: f64| link.transfers as f64 / wall;
     let link_before = before_figure(LINK_ROW);
     println!(
-        "  {LINK_ROW:<29} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active{})",
+        "  {LINK_ROW:<32} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active{})",
         link.wall_secs,
         link.transfers,
         rate(link.wall_secs),
@@ -656,7 +663,7 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     for (i, row) in micro_rows(repeats).iter().enumerate() {
         let before = before_figure(row.name);
         println!(
-            "  {:<29} {:>8.3}s wall  {:>10} ops  {:>12.1} ns/op{}",
+            "  {:<32} {:>8.3}s wall  {:>10} ops  {:>12.1} ns/op{}",
             row.name,
             row.wall_secs,
             row.ops,

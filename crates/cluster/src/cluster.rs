@@ -307,10 +307,14 @@ impl ClusterExperimentBuilder {
         self
     }
 
-    /// Sets the node count (resizes the per-node fault table).
+    /// Sets the node count and sizes the per-node fault table to it. A
+    /// count above [`driver::MAX_NODES`] sizes nothing: `validate` and
+    /// `run` refuse it.
     pub fn nodes(mut self, k: usize) -> Self {
         self.spec.nodes = k;
-        self.spec.node_faults.resize(k, None);
+        if driver::check_nodes(k).is_ok() {
+            self.spec.node_faults.resize(k, None);
+        }
         self
     }
 
@@ -328,7 +332,10 @@ impl ClusterExperimentBuilder {
     /// [`nodes`](Self::nodes) first).
     pub fn node_fault(mut self, node: usize, plan: FaultPlan) -> Self {
         assert!(node < self.spec.nodes, "node {node} past cluster size {}", self.spec.nodes);
-        self.spec.node_faults[node] = Some(plan);
+        // The table is unsized only under a count `validate` refuses.
+        if let Some(slot) = self.spec.node_faults.get_mut(node) {
+            *slot = Some(plan);
+        }
         self
     }
 
@@ -605,6 +612,20 @@ mod tests {
             .node_fault(1, FaultPlan::new().read_errors(5, 0.01))
             .build();
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_huge_node_count_is_refused_before_anything_is_sized() {
+        let c = ClusterExperiment::builder()
+            .template(quick_template())
+            .nodes(usize::MAX)
+            .policy(ShardPolicy::HashByStream)
+            .node_fault(1, FaultPlan::new().read_errors(0, 0.01))
+            .build();
+        for err in [c.validate().err(), c.run().err()] {
+            let err = err.expect("the count is refused");
+            assert!(err.to_string().contains(&format!("nodes: {}", usize::MAX)), "{err}");
+        }
     }
 
     #[test]

@@ -931,10 +931,7 @@ mod tests {
         use seqio_simcore::FaultPlan;
         let cfg =
             ControllerConfig { ports: 4, request_timeout: SimDuration::from_millis(30), ..cfg };
-        // The drive's own cache stays off: a write that lands while a read
-        // fills a segment it overlaps trips the segment cache's debug
-        // check, which is the disk's business, not the index's.
-        let mut c = make(cfg, DiskConfig::wd800jd().with_cache(CacheConfig::disabled()));
+        let mut c = make(cfg, DiskConfig::wd800jd());
         let plan = (0..4).fold(FaultPlan::new(), |p, d| p.read_errors(d, 0.1));
         for d in 0..4 {
             c.disk_mut(d).install_faults(plan.disk(d).unwrap().clone(), seed + d as u64);

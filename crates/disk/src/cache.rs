@@ -226,9 +226,15 @@ impl SegmentedCache {
 
     /// Records that the media read `[lba, lba+total_blocks)` planned by
     /// [`begin_fill`](SegmentedCache::begin_fill) has landed in its segment.
+    ///
+    /// A write that overlapped the segment while the read was in flight
+    /// [`invalidate`](SegmentedCache::invalidate)d it; the fill is then
+    /// dropped, since the data it read may be stale.
     pub fn commit_fill(&mut self, ticket: FillTicket, lba: Lba, total_blocks: u64, now: SimTime) {
         let seg = &mut self.segments[ticket.index];
-        debug_assert!(seg.used);
+        if !seg.used {
+            return;
+        }
         if lba >= seg.start && lba <= seg.start + seg.filled {
             seg.filled = seg.filled.max(lba + total_blocks - seg.start);
         } else {

@@ -699,6 +699,33 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn write_during_a_fill_drops_the_fill() {
+        let op_finish = |outs: &[DiskOutput]| {
+            outs.iter().find_map(|o| match o {
+                DiskOutput::OpFinished { at } => Some(*at),
+                _ => None,
+            })
+        };
+        // The first read fills [0, 512) of a 1 MiB segment; the read at 512
+        // extends that segment, and the write at 0 invalidates it while the
+        // extending fill is still on the media.
+        let mut d = disk_with_cache(32, MIB, 256 * KIB);
+        run_one(&mut d, SimTime::ZERO, DiskRequest::read(RequestId(1), 0, 128));
+        let t = SimTime::from_nanos(1_000_000_000);
+        let fill = op_finish(&d.submit(t, DiskRequest::read(RequestId(2), 512, 128)))
+            .expect("the read at 512 goes to the media");
+        assert!(d.submit(t, DiskRequest::write(RequestId(3), 0, 128)).is_empty());
+        let write = op_finish(&d.on_op_finished(fill)).expect("the write starts after the fill");
+        assert!(d.on_op_finished(write).is_empty());
+        let (_, hit) = run_one(
+            &mut d,
+            write + SimDuration::from_millis(1),
+            DiskRequest::read(RequestId(4), 512, 128),
+        );
+        assert!(!hit, "a fill landing in an invalidated segment is dropped");
+    }
+
+    #[test]
     fn queue_drains_in_order() {
         let mut d = disk_with_cache(0, 0, 0); // no cache
         let mut outs = Vec::new();

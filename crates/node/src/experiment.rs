@@ -531,9 +531,9 @@ impl ExperimentBuilder {
     }
 
     /// Enables kernel self-profiling (per-event-class count/duration
-    /// accounting in the dispatch loop, plus calendar-queue shape
-    /// statistics). Strictly opt-in: a profiled run produces simulation
-    /// results bit-identical to an unprofiled one; only the exported
+    /// accounting in the dispatch loop, plus event-queue statistics).
+    /// Strictly opt-in: a profiled run produces simulation results
+    /// bit-identical to an unprofiled one; only the exported
     /// [`KernelProfile`] (wall-clock figures included) differs run to run.
     pub fn profile(mut self, cfg: ProfConfig) -> Self {
         self.spec.prof = Some(cfg);

@@ -89,7 +89,7 @@ mod tests {
     /// Reference component: an event queue of u32 payloads summed on pop.
     #[derive(Debug, Default)]
     struct Summer {
-        q: crate::calendar::EventQueue<u32>,
+        q: crate::queue::EventQueue<u32>,
         sum: u64,
         initialized: bool,
     }

@@ -3,10 +3,11 @@
 //! [`HeapEventQueue`] is the original `BinaryHeap`-backed queue: a priority
 //! queue of `(SimTime, payload)` pairs with ties on time broken by insertion
 //! order (FIFO), which makes every simulation run bit-for-bit reproducible
-//! for a given seed and event-generation order. The kernel queue is the
-//! calendar queue ([`EventQueue`](crate::EventQueue)); this test-only
-//! implementation is the semantic reference that its differential property
-//! tests compare against.
+//! for a given seed and event-generation order. The kernel queue
+//! ([`EventQueue`](crate::EventQueue)) keeps only small keys in its heap and
+//! the payloads in a slab; this test-only implementation, which keeps whole
+//! entries in the heap, is the semantic reference that its differential
+//! property tests compare against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -8,10 +8,10 @@
 //! The crate provides four small, dependency-light building blocks:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time;
-//! * [`EventQueue`] — a calendar (bucket-ring) queue with stable FIFO
-//!   tie-breaking, so simulations are bit-for-bit reproducible; amortized
-//!   O(1) push/pop, held to the pop order of a `BinaryHeap` reference
-//!   queue by differential property tests;
+//! * [`EventQueue`] — a binary heap of small `(time, seq, slot)` keys over
+//!   a slab of payloads, with stable FIFO tie-breaking, so simulations are
+//!   bit-for-bit reproducible; held to the pop order of a whole-entry
+//!   `BinaryHeap` reference queue by differential property tests;
 //! * [`SimRng`] — explicitly seeded randomness with per-component forking;
 //! * [`SimComponent`] — the steppable-simulation contract
 //!   (`init / peek_next_time / advance_to`) that lets a co-simulation
@@ -31,7 +31,7 @@
 //!   time-series recording, guaranteed not to perturb simulation output;
 //! * kernel self-profiling: [`ProfConfig`] / [`KernelProfile`] — opt-in
 //!   per-event-class count/duration accounting for the engine's dispatch
-//!   loop, with calendar-queue shape statistics ([`QueueStats`]);
+//!   loop, with event-queue statistics ([`QueueStats`]);
 //! * [`SeqioError`] — typed validation errors shared by the higher layers.
 //!
 //! # Examples
@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod calendar;
 mod component;
 mod controller;
 mod error;
@@ -71,13 +70,13 @@ mod fault;
 mod link;
 mod obs;
 mod prof;
+mod queue;
 mod record;
 mod rng;
 mod stats;
 mod time;
 pub mod units;
 
-pub use calendar::EventQueue;
 pub use component::SimComponent;
 pub use controller::EpochController;
 pub use error::SeqioError;
@@ -85,6 +84,7 @@ pub use fault::{BadRegion, DiskFaults, FaultPlan, RetryPolicy, Straggler};
 pub use link::{max_min_rates, FairShareLink, LinkDelivery};
 pub use obs::{MetricId, MetricKind, MetricSeries, MetricsHub, ObsConfig, SpanPhase};
 pub use prof::{EventClassStats, KernelProfile, ProfConfig, ProfTally, QueueStats};
+pub use queue::EventQueue;
 pub use record::{parse_duration, ClauseFields};
 pub use rng::SimRng;
 pub use stats::LatencyHistogram;

@@ -1,6 +1,6 @@
 //! Opt-in kernel self-profiling: per-event-class count/duration
-//! accounting for the simulation engine's dispatch loop, plus calendar
-//! queue shape statistics.
+//! accounting for the simulation engine's dispatch loop, plus event-queue
+//! statistics.
 //!
 //! Like faults and observability, profiling is **strictly opt-in and
 //! zero-perturbation**: with no [`ProfConfig`] installed the engine's hot
@@ -9,8 +9,6 @@
 //! simulation outputs stay bit-identical either way. Event-class counts
 //! are deterministic; wall-clock nanoseconds are host measurements and
 //! vary run to run (they are reported, never fed back).
-
-use std::fmt::Write as _;
 
 /// What the kernel profiler should record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,17 +49,14 @@ pub struct EventClassStats {
     pub wall_nanos: u64,
 }
 
-/// Shape statistics of the calendar event queue at the end of a run.
+/// Statistics of the [`EventQueue`](crate::EventQueue) at the end of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events ever scheduled (the engine's `events_simulated` numerator
     /// before sampler-tick subtraction).
     pub pushes: u64,
-    /// Final bucket-ring size.
-    pub buckets: usize,
-    /// Final bucket width in simulated nanoseconds.
-    pub width_ns: u64,
-    /// Ring rebuilds (grow, shrink, or re-width) over the whole run.
+    /// Growths of the queue's storage over the whole run: how many times
+    /// the pending set outgrew it. The storage never shrinks.
     pub resizes: u64,
 }
 
@@ -97,21 +92,21 @@ impl ProfTally {
         c.wall_nanos += wall_nanos;
     }
 
-    /// Condenses the tally plus final queue shape into the exported
-    /// profile.
+    /// Condenses the tally plus the final queue statistics into the
+    /// exported profile.
     pub fn finish(self, queue: QueueStats) -> KernelProfile {
         KernelProfile { classes: self.classes, queue }
     }
 }
 
 /// The exported kernel self-profile: per-event-class dispatch accounting
-/// plus final calendar-queue shape.
+/// plus the final event-queue statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Per-class stats, in engine class order (classes never dispatched
     /// keep zero counts).
     pub classes: Vec<EventClassStats>,
-    /// Calendar queue shape at the end of the run.
+    /// Event-queue statistics at the end of the run.
     pub queue: QueueStats,
 }
 
@@ -124,39 +119,6 @@ impl KernelProfile {
     /// Total wall-clock nanoseconds across all classes.
     pub fn total_wall_nanos(&self) -> u64 {
         self.classes.iter().map(|c| c.wall_nanos).sum()
-    }
-
-    /// The class with the largest wall-clock share (falling back to the
-    /// largest count when wall timing was off); `None` when nothing was
-    /// dispatched.
-    pub fn dominant(&self) -> Option<&EventClassStats> {
-        if self.total_events() == 0 {
-            return None;
-        }
-        self.classes.iter().max_by_key(|c| (c.wall_nanos, c.count))
-    }
-
-    /// Renders the profile as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let total_ns = self.total_wall_nanos().max(1);
-        let mut out = String::new();
-        let _ = writeln!(out, "{:<16} {:>12} {:>12} {:>7}", "event class", "count", "wall ms", "%");
-        for c in self.classes.iter().filter(|c| c.count > 0) {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>12} {:>12.3} {:>6.1}%",
-                c.name,
-                c.count,
-                c.wall_nanos as f64 / 1e6,
-                100.0 * c.wall_nanos as f64 / total_ns as f64
-            );
-        }
-        let _ = writeln!(
-            out,
-            "queue: {} pushes, {} buckets x {} ns, {} resizes",
-            self.queue.pushes, self.queue.buckets, self.queue.width_ns, self.queue.resizes
-        );
-        out
     }
 }
 
@@ -171,13 +133,11 @@ mod tests {
         t.record(0, 10);
         t.record(0, 5);
         t.record(1, 100);
-        let p = t.finish(QueueStats { pushes: 3, buckets: 16, width_ns: 1024, resizes: 0 });
+        let p = t.finish(QueueStats { pushes: 3, resizes: 0 });
         assert_eq!(p.total_events(), 3);
         assert_eq!(p.total_wall_nanos(), 115);
         assert_eq!(p.classes[0].count, 2);
-        assert_eq!(p.dominant().unwrap().name, "b");
-        let table = p.to_table();
-        assert!(table.contains("a") && table.contains("16 buckets"), "{table}");
+        assert_eq!(p.classes[1].wall_nanos, 100);
     }
 
     #[test]
@@ -185,18 +145,9 @@ mod tests {
         let mut t = ProfTally::new(ProfConfig::counts_only(), &["x"]);
         assert!(!t.wall_time());
         t.record(0, 0);
-        let p = t.finish(QueueStats { pushes: 1, buckets: 16, width_ns: 1, resizes: 2 });
+        let p = t.finish(QueueStats { pushes: 1, resizes: 2 });
         assert_eq!(p.total_events(), 1);
         assert_eq!(p.total_wall_nanos(), 0);
-        assert_eq!(p.dominant().unwrap().name, "x");
         assert_eq!(p.queue.resizes, 2);
-    }
-
-    #[test]
-    fn empty_profile_has_no_dominant_class() {
-        let t = ProfTally::new(ProfConfig::default(), &["a"]);
-        let p = t.finish(QueueStats { pushes: 0, buckets: 16, width_ns: 1024, resizes: 0 });
-        assert_eq!(p.dominant(), None);
-        assert_eq!(p.total_events(), 0);
     }
 }
