@@ -1,6 +1,9 @@
-//! The probe binary. With no mode it prints the calibration points: the
-//! key operating points the figures depend on, so model constants can be
-//! sanity-checked quickly.
+//! The probe binary: `probe <mode>` writes result files under
+//! `bench_results/`.
+//!
+//! `probe figures` writes every committed figure CSV, each defined once in
+//! [`seqio_bench::figures`] together with its shape bars, and prints each
+//! figure as a table.
 //!
 //! `probe cluster`, `migrate`, `faults`, `timeline` and `scenario` each
 //! write one deterministic report under `bench_results/`, defined once in
@@ -27,8 +30,8 @@
 //! `bench_results/tail_probe.json` plus the correlated traces to
 //! `bench_results/tail_trace.jsonl`.
 //!
-//! A failed acceptance bar, a report that cannot be written or an unknown
-//! mode exits non-zero.
+//! A failed bar, a file that cannot be written, a missing mode or an
+//! unknown one exits non-zero.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -37,6 +40,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use seqio_bench::figures::FIGURES;
 use seqio_bench::reports::REPORTS;
 use seqio_bench::write_result;
 use seqio_client::{ArrivalConfig, ClientExperiment, DriveMode, LinkConfig, RateModulation};
@@ -46,8 +50,7 @@ use seqio_core::{Classifier, ClientRequest, ServerConfig, ServerOutput, StorageS
 use seqio_disk::{
     CacheConfig, Disk, DiskConfig, DiskOutput, DiskRequest, RequestId, SegmentedCache,
 };
-use seqio_hostsched::{ReadaheadConfig, SchedKind};
-use seqio_node::{CostModel, Experiment, Frontend, NodeShape, ObsConfig};
+use seqio_node::{Experiment, Frontend, NodeShape, ObsConfig};
 use seqio_simcore::units::{KIB, MIB};
 use seqio_simcore::{
     EventQueue, FairShareLink, ProfConfig, SimComponent, SimDuration, SimRng, SimTime,
@@ -964,13 +967,22 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs probe `mode`, writing its files under `dir`; no mode prints the
-/// calibration points. An unknown mode is an error, so a mistyped gate
-/// cannot pass on a report it never rewrote.
+/// Runs probe `mode`, writing its files under `dir`. A missing or unknown
+/// mode is an error naming the modes, so a mistyped gate cannot pass on a
+/// file it never rewrote.
 fn run(mode: Option<&str>, dir: &Path) -> Result<(), Box<dyn Error>> {
+    let modes = || {
+        let reports = REPORTS.map(|(mode, ..)| mode).join(", ");
+        format!("modes: figures, perf, slo, tail, {reports}")
+    };
     match mode {
-        None => {
-            calibrate();
+        None => Err(format!("no mode given; {}", modes()).into()),
+        Some("figures") => {
+            for (file, figure) in FIGURES {
+                let fig = figure().map_err(|bar| format!("{file}: {bar}"))?;
+                print!("{}", fig.to_table());
+                write_result(dir, file, &fig.to_csv())?;
+            }
             Ok(())
         }
         Some("perf") => perf_mode(dir),
@@ -980,113 +992,8 @@ fn run(mode: Option<&str>, dir: &Path) -> Result<(), Box<dyn Error>> {
             let (_, file, report) = REPORTS
                 .iter()
                 .find(|(name, ..)| *name == mode)
-                .ok_or_else(|| format!("unknown mode {mode:?}"))?;
+                .ok_or_else(|| format!("unknown mode {mode:?}; {}", modes()))?;
             Ok(write_result(dir, file, &report()?)?)
-        }
-    }
-}
-
-/// Prints the calibration points.
-fn calibrate() {
-    let w = SimDuration::from_secs(6);
-    let d = SimDuration::from_secs(6);
-
-    println!("-- direct path, single disk, 64K requests (Fig 4/5 flavour) --");
-    for s in [1usize, 10, 30, 100] {
-        let r = Experiment::builder().streams_per_disk(s).warmup(w).duration(d).build().run();
-        println!(
-            "  S={s:<4} {:>7.2} MB/s  mean resp {:.2} ms",
-            r.total_throughput_mbs(),
-            r.mean_response_ms()
-        );
-    }
-
-    println!("-- direct, segment == request (no disk prefetch, Fig 4) --");
-    for s in [1usize, 10, 30, 100] {
-        let mut shape = NodeShape::single_disk();
-        shape.disk.cache =
-            CacheConfig { segment_count: 128, segment_bytes: 64 * KIB, read_ahead_bytes: 64 * KIB };
-        let r = Experiment::builder()
-            .shape(shape)
-            .streams_per_disk(s)
-            .warmup(w)
-            .duration(d)
-            .build()
-            .run();
-        println!("  S={s:<4} {:>7.2} MB/s", r.total_throughput_mbs());
-    }
-
-    println!("-- stream scheduler, all dispatched (Fig 10) --");
-    for s in [10usize, 30, 100] {
-        for ra in [128 * KIB, 512 * KIB, 2 * MIB, 8 * MIB] {
-            let r = Experiment::builder()
-                .streams_per_disk(s)
-                .frontend(Frontend::stream_scheduler_with_readahead(ra))
-                .warmup(w)
-                .duration(d)
-                .build()
-                .run();
-            println!(
-                "  S={s:<4} R={:<5} {:>7.2} MB/s resp {:.1} ms",
-                ra / KIB,
-                r.total_throughput_mbs(),
-                r.mean_response_ms()
-            );
-        }
-    }
-
-    println!("-- small dispatch set (Fig 14): D=1, N=128, R=512K --");
-    for s in [10usize, 30, 100] {
-        let cfg = ServerConfig::small_dispatch(1, 512 * KIB, 128);
-        let r = Experiment::builder()
-            .streams_per_disk(s)
-            .frontend(Frontend::StreamScheduler(cfg))
-            .warmup(w)
-            .duration(d)
-            .build()
-            .run();
-        println!("  S={s:<4} {:>7.2} MB/s", r.total_throughput_mbs());
-    }
-
-    println!("-- 8 disks, D=S (Fig 12) vs D=8,N=128 (Fig 13) at R=512K --");
-    for s in [10usize, 100] {
-        let r = Experiment::builder()
-            .shape(NodeShape::eight_disk())
-            .streams_per_disk(s)
-            .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
-            .warmup(w)
-            .duration(d)
-            .build()
-            .run();
-        println!("  D=S  S/disk={s:<4} {:>8.2} MB/s", r.total_throughput_mbs());
-        let cfg = ServerConfig::small_dispatch(8, 512 * KIB, 128);
-        let r = Experiment::builder()
-            .shape(NodeShape::eight_disk())
-            .streams_per_disk(s)
-            .frontend(Frontend::StreamScheduler(cfg))
-            .warmup(w)
-            .duration(d)
-            .build()
-            .run();
-        println!("  D=8  S/disk={s:<4} {:>8.2} MB/s", r.total_throughput_mbs());
-    }
-
-    println!("-- Linux schedulers, 4K reads (Fig 2) --");
-    for kind in [SchedKind::Anticipatory, SchedKind::Cfq, SchedKind::Noop] {
-        for s in [1usize, 16, 64, 256] {
-            let r = Experiment::builder()
-                .streams_per_disk(s)
-                .request_size(4 * KIB)
-                .frontend(Frontend::Linux {
-                    scheduler: kind,
-                    readahead: ReadaheadConfig::default(),
-                })
-                .costs(CostModel::local_xdd())
-                .warmup(w)
-                .duration(d)
-                .build()
-                .run();
-            println!("  {:<13} S={s:<4} {:>7.2} MB/s", kind.name(), r.total_throughput_mbs());
         }
     }
 }
@@ -1103,8 +1010,20 @@ mod tests {
     }
 
     #[test]
+    fn a_figure_that_cannot_be_written_fails_the_probe() {
+        let err = run(Some("figures"), Path::new("no\0dir")).unwrap_err().to_string();
+        assert!(err.contains("could not write") && err.contains(FIGURES[0].0), "{err}");
+    }
+
+    #[test]
     fn an_unknown_mode_is_an_error() {
         let err = run(Some("fault"), Path::new("unused")).unwrap_err().to_string();
-        assert!(err.contains("unknown mode"), "{err}");
+        assert!(err.contains("unknown mode") && err.contains("faults"), "{err}");
+    }
+
+    #[test]
+    fn no_mode_is_an_error() {
+        let err = run(None, Path::new("unused")).unwrap_err().to_string();
+        assert!(err.contains("no mode") && err.contains("figures"), "{err}");
     }
 }

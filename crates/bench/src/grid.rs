@@ -1,6 +1,6 @@
 //! Figure grids on top of [`seqio_node::Sweep`].
 //!
-//! Every figure bench is the same shape: a cartesian product of parameter
+//! Most figures are the same shape: a cartesian product of parameter
 //! values, one [`Experiment`] per cell, one or more metrics per result.
 //! [`Grid`] captures that shape once — cells are registered under a
 //! `(series, x)` address, executed in one parallel [`Sweep`], and read back
@@ -9,37 +9,24 @@
 //! the same runs, and [`get`](GridRun::get) addresses a single result.
 //!
 //! Cells keep the seed set on their spec, so a grid produces the same
-//! numbers as the serial loops it replaces, for any worker count.
+//! numbers as a serial loop over its cells, for any worker count.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use seqio_node::{Experiment, RunResult, Sweep};
 
 use crate::{Figure, Series};
 
-enum CellKind {
-    Spec(Box<Experiment>),
-    Fixed(f64),
-}
-
-struct Cell {
-    series: String,
-    x: String,
-    kind: CellKind,
-}
-
 /// An unexecuted figure grid; register cells, then [`run`](Grid::run).
 #[derive(Default)]
 pub struct Grid {
-    cells: Vec<Cell>,
-    jobs: Option<usize>,
-    base_seed: Option<u64>,
+    addresses: Vec<(String, String)>,
+    specs: Vec<Experiment>,
 }
 
 impl std::fmt::Debug for Grid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Grid").field("cells", &self.cells.len()).field("jobs", &self.jobs).finish()
+        f.debug_struct("Grid").field("cells", &self.specs.len()).finish()
     }
 }
 
@@ -57,75 +44,25 @@ impl Grid {
         x: impl Into<String>,
         spec: Experiment,
     ) -> Self {
-        self.cells.push(Cell {
-            series: series.into(),
-            x: x.into(),
-            kind: CellKind::Spec(Box::new(spec)),
-        });
+        self.addresses.push((series.into(), x.into()));
+        self.specs.push(spec);
         self
     }
 
-    /// Registers a constant cell — a placeholder for configurations that
-    /// cannot run (e.g. memory below one buffer), plotted as-is.
-    pub fn fixed(mut self, series: impl Into<String>, x: impl Into<String>, y: f64) -> Self {
-        self.cells.push(Cell { series: series.into(), x: x.into(), kind: CellKind::Fixed(y) });
-        self
-    }
-
-    /// Overrides the worker count (default: `SEQIO_JOBS`, then available
-    /// parallelism).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Derives per-cell seeds from `(base_seed, cell index)` instead of the
-    /// seeds carried by the specs (see [`seqio_node::sweep::derive_seed`]).
-    pub fn base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = Some(seed);
-        self
-    }
-
-    /// Runs every spec cell through one parallel sweep and pairs the
-    /// results back with their addresses. Prints a one-line timing summary
-    /// to stderr (per-point lines too when `SEQIO_BENCH_PROGRESS=1`).
+    /// Runs every cell through one parallel sweep (`SEQIO_JOBS` workers,
+    /// else the available parallelism) and pairs the results back with
+    /// their addresses. Prints a one-line timing summary to stderr.
     pub fn run(self) -> GridRun {
-        let progress = std::env::var("SEQIO_BENCH_PROGRESS").map(|v| v == "1").unwrap_or(false);
-        let mut b = Sweep::builder().progress(progress);
-        if let Some(j) = self.jobs {
-            b = b.jobs(j);
-        }
-        if let Some(s) = self.base_seed {
-            b = b.base_seed(s);
-        }
-        b = b.points(self.cells.iter().filter_map(|c| match &c.kind {
-            CellKind::Spec(e) => Some((**e).clone()),
-            CellKind::Fixed(_) => None,
-        }));
-        let report = b.run();
-        let (wall, jobs) = (report.wall, report.jobs);
-        let cpu = report.cpu_time();
-        let ran = report.len();
-
-        let mut results = report.into_results().into_iter();
-        let mut fills: HashMap<(String, String), f64> = HashMap::new();
-        let cells: Vec<(String, String, Option<RunResult>)> = self
-            .cells
+        let report = Sweep::builder().points(self.specs).run();
+        let (wall, jobs, cpu) = (report.wall, report.jobs, report.cpu_time());
+        let cells = self
+            .addresses
             .into_iter()
-            .map(|c| {
-                let r = match c.kind {
-                    CellKind::Spec(_) => Some(results.next().expect("one result per spec cell")),
-                    CellKind::Fixed(y) => {
-                        fills.insert((c.series.clone(), c.x.clone()), y);
-                        None
-                    }
-                };
-                (c.series, c.x, r)
-            })
+            .zip(report.into_results())
+            .map(|((series, x), r)| (series, x, r))
             .collect();
-
-        let mut run = GridRun { cells, fills, wall, jobs, cpu };
-        run.note_timing(ran);
+        let run = GridRun { cells, wall, jobs, cpu };
+        run.note_timing();
         run
     }
 }
@@ -133,8 +70,7 @@ impl Grid {
 /// The executed grid: results addressable by `(series, x)`.
 #[derive(Debug)]
 pub struct GridRun {
-    cells: Vec<(String, String, Option<RunResult>)>,
-    fills: HashMap<(String, String), f64>,
+    cells: Vec<(String, String, RunResult)>,
     /// Wall-clock time of the sweep.
     pub wall: Duration,
     /// Worker threads used.
@@ -144,7 +80,8 @@ pub struct GridRun {
 }
 
 impl GridRun {
-    fn note_timing(&mut self, ran: usize) {
+    fn note_timing(&self) {
+        let ran = self.cells.len();
         if ran > 0 {
             eprintln!(
                 "grid: {ran} point(s) on {} worker(s) in {:.2}s (cpu {:.2}s, {:.2}s/point)",
@@ -156,27 +93,18 @@ impl GridRun {
         }
     }
 
-    /// The result at `(series, x)`; `None` for fixed cells or absent
-    /// addresses.
+    /// The result at `(series, x)`; `None` for an absent address.
     pub fn get(&self, series: &str, x: &str) -> Option<&RunResult> {
-        self.cells.iter().find(|(s, cx, _)| s == series && cx == x).and_then(|(_, _, r)| r.as_ref())
+        self.cells.iter().find(|(s, cx, _)| s == series && cx == x).map(|(_, _, r)| r)
     }
 
-    /// Iterates one series' cells in insertion order as
-    /// `(x, Some(result) | None-for-fixed)`.
-    pub fn series<'a>(
-        &'a self,
-        label: &'a str,
-    ) -> impl Iterator<Item = (&'a str, Option<&'a RunResult>)> + 'a {
-        self.cells
-            .iter()
-            .filter(move |(s, _, _)| s == label)
-            .map(|(_, x, r)| (x.as_str(), r.as_ref()))
+    /// Iterates one series' cells in insertion order as `(x, result)`.
+    pub fn series<'a>(&'a self, label: &'a str) -> impl Iterator<Item = (&'a str, &'a RunResult)> {
+        self.cells.iter().filter(move |(s, _, _)| s == label).map(|(_, x, r)| (x.as_str(), r))
     }
 
     /// Builds a new series from an existing one's runs under a different
     /// metric — for figures that plot several metrics of the same sweep.
-    /// Fixed cells keep their registered value.
     pub fn extract(
         &self,
         source: &str,
@@ -185,17 +113,13 @@ impl GridRun {
     ) -> Series {
         let mut out = Series::new(label);
         for (x, r) in self.series(source) {
-            let y = match r {
-                Some(r) => metric(r),
-                None => self.fixed_value(source, x),
-            };
-            out.push(x, y);
+            out.push(x, metric(r));
         }
         out
     }
 
     /// Adds every registered series to `fig`, in first-insertion order,
-    /// applying `metric` to run cells; fixed cells keep their value.
+    /// applying `metric` to each cell.
     pub fn fill(&self, fig: &mut Figure, metric: impl Fn(&RunResult) -> f64) {
         let mut order: Vec<&str> = Vec::new();
         for (s, _, _) in &self.cells {
@@ -206,23 +130,6 @@ impl GridRun {
         for label in order {
             fig.add(self.extract(label, label, &metric));
         }
-    }
-
-    fn fixed_value(&self, series: &str, x: &str) -> f64 {
-        self.fills.get(&(series.to_string(), x.to_string())).copied().unwrap_or(f64::NAN)
-    }
-}
-
-#[cfg(test)]
-impl Grid {
-    fn points_for_test<I: IntoIterator<Item = (String, String, Experiment)>>(
-        mut self,
-        items: I,
-    ) -> Self {
-        for (s, x, e) in items {
-            self = self.point(s, x, e);
-        }
-        self
     }
 }
 
@@ -259,17 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_cells_pass_through_fill() {
-        let run = Grid::new().fixed("a", "1", 0.0).point("a", "2", quick(1, 5)).run();
-        let mut fig = Figure::new("T", "t", "x", "y");
-        run.fill(&mut fig, |r| r.requests_completed as f64);
-        assert_eq!(fig.series[0].points[0].1, 0.0);
-        assert_eq!(fig.series[0].points[1].1, 8.0);
-        assert!(run.get("a", "1").is_none());
-        assert!(run.get("a", "2").is_some());
-    }
-
-    #[test]
     fn extract_derives_second_metric_from_same_runs() {
         let run = Grid::new().point("tput", "1", quick(2, 6)).run();
         let bytes = run.extract("tput", "bytes", |r| r.bytes_delivered as f64);
@@ -278,15 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_serial_loop_for_any_worker_count() {
+    fn grid_matches_the_serial_loop_at_the_default_worker_count() {
         let serial: Vec<u64> = (1..=4).map(|n| quick(n, 9).run().bytes_delivered).collect();
-        for jobs in [1, 4] {
-            let run = Grid::new()
-                .points_for_test((1..=4).map(|n| ("s".to_string(), n.to_string(), quick(n, 9))))
-                .jobs(jobs)
-                .run();
-            let got: Vec<u64> = run.series("s").map(|(_, r)| r.unwrap().bytes_delivered).collect();
-            assert_eq!(got, serial, "jobs={jobs}");
-        }
+        let run = (1..=4).fold(Grid::new(), |g, n| g.point("s", n.to_string(), quick(n, 9))).run();
+        let got: Vec<u64> = run.series("s").map(|(_, r)| r.bytes_delivered).collect();
+        assert_eq!(got, serial);
     }
 }

@@ -1,17 +1,28 @@
 //! # seqio-bench
 //!
-//! Harness utilities shared by the figure-reproduction benches: series
-//! containers, aligned table printing (mirroring the paper's figures as
-//! rows/columns) and CSV output under `bench_results/`.
+//! The figure and probe harness: series containers, aligned table
+//! printing (mirroring the paper's figures as rows/columns) and result
+//! files under `bench_results/`.
 //!
-//! Each `benches/figNN_*.rs` target is a `harness = false` binary that
-//! regenerates one figure of the paper; run them all with
-//! `cargo bench --workspace`. [`reports`] holds the one definition of
-//! each deterministic probe report.
+//! [`figures`] holds the one definition of each committed figure CSV and
+//! [`reports`] the one definition of each deterministic probe report;
+//! `probe figures` and `probe <report>` write them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+/// Fails the enclosing figure or report with the formatted message unless
+/// `cond` holds; a comparison with a NaN side fails too.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if $cond {
+        } else {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+pub mod figures;
 mod grid;
 pub mod reports;
 
@@ -147,25 +158,10 @@ impl Figure {
         }
         out
     }
-
-    /// Prints the table to stdout and writes `bench_results/<slug>.csv`
-    /// relative to the workspace root.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the CSV cannot be written, so a bench that could not
-    /// record its figure fails.
-    pub fn report(&self, slug: &str) {
-        print!("{}", self.to_table());
-        if let Err(e) = write_result(&results_dir(), &format!("{slug}.csv"), &self.to_csv()) {
-            panic!("{e}");
-        }
-        println!();
-    }
 }
 
 /// Writes `text` to `dir/name`, creating `dir` first, and prints the
-/// path: the one way a bench or probe writes a result file.
+/// path: the one way `probe` writes a result file.
 ///
 /// # Errors
 ///
@@ -185,21 +181,6 @@ pub fn results_dir() -> PathBuf {
     dir.pop(); // crates/
     dir.pop(); // workspace root
     dir.join("bench_results")
-}
-
-/// `true` when the bench should run a reduced sweep (set `SEQIO_BENCH_FULL=1`
-/// for the full figure).
-pub fn quick_mode() -> bool {
-    std::env::var("SEQIO_BENCH_FULL").map(|v| v != "1").unwrap_or(true)
-}
-
-/// Measurement windows: `(warmup, duration)` seconds, reduced in quick mode.
-pub fn window_secs(
-    quick: (u64, u64),
-    full: (u64, u64),
-) -> (seqio_simcore::SimDuration, seqio_simcore::SimDuration) {
-    let (w, d) = if quick_mode() { quick } else { full };
-    (seqio_simcore::SimDuration::from_secs(w), seqio_simcore::SimDuration::from_secs(d))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! <mode>` shows, checks the report's acceptance bars (the only copy of
 //! them) and returns the JSON text committed under `bench_results/`.
 //! `probe <mode>` writes that text, the `cluster_scaling` and
-//! `ablation_faults` benches build their points with [`cluster_point`] and
+//! `ablation_faults` figures build their points on [`cluster_point`] and
 //! [`fault_point`], `tests/probe_reports.rs` compares every report with
 //! its committed file and `tests/cluster_scaling.rs` checks the cluster
 //! report's two bars on their own points.
@@ -35,17 +35,6 @@ pub const REPORTS: [(&str, &str, Report); 5] = [
     ("timeline", "timeline_probe.json", timeline),
     ("scenario", "scenario_probe.json", scenario),
 ];
-
-/// Fails the enclosing report with the formatted message unless `cond`
-/// holds; a comparison with a NaN side fails too.
-macro_rules! ensure {
-    ($cond:expr, $($msg:tt)+) => {
-        if $cond {
-        } else {
-            return Err(format!($($msg)+));
-        }
-    };
-}
 
 /// Requests each stream of the cluster report's batch reads.
 const CLUSTER_REQUESTS: u64 = 16;

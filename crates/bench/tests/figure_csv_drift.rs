@@ -1,43 +1,39 @@
-//! Regression guard for the committed figure data: recomputes a small
-//! subset of the committed `bench_results/*.csv` cells from the current
-//! build and fails if the full-mode numbers drift from what the code now
-//! produces. Cheap on purpose — a handful of cells per figure, chosen
-//! from low-throughput corners so the simulated event count stays small.
+//! Regression guard for the committed figure data: recomputes at least one
+//! cell of every committed `bench_results/*.csv` from the current build
+//! and fails if it drifted from the file. Each cell runs through the same
+//! `*_point` function of `seqio_bench::figures` that the figure's
+//! definition uses, and sits in a cheap corner of its figure (a low
+//! throughput, so few simulated events). The full byte-for-byte check is
+//! `probe figures` followed by `git diff --exit-code`.
 //!
-//! Covered figures: fig01 (direct-path collapse, 60 disks), fig12 (8-disk
-//! D = S configuration), fig13 (small dispatch set vs D = S), fig_slo
-//! (open-loop session latency vs offered load) and scenario_matrix (named
-//! scenarios: direct vs static tunes vs adaptive).
-//!
-//! The last two tests re-derive one cell of each figure through the wider
-//! drivers — the shared-clock cluster driver (a 1-node identity
+//! The last two tests re-derive committed cells through the wider drivers
+//! — the shared-clock cluster driver (a 1-node identity
 //! [`ClusterExperiment`]) and the client front end's closed-loop identity
 //! mode — the committed figure data must be reachable through those paths
 //! too, bit for bit, pinning the layer-equivalence guarantees to the same
 //! goldens the figures use.
 
-use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig};
-use seqio_cluster::ClusterExperiment;
-use seqio_node::{Experiment, Frontend, NodeShape};
-use seqio_scenario::{run_row, MatrixScale, ScenarioKind};
+use seqio_bench::figures::*;
+use seqio_client::ClientExperiment;
+use seqio_cluster::{ClusterExperiment, ShardPolicy};
+use seqio_core::DispatchPolicy;
+use seqio_disk::QueuePolicy;
+use seqio_hostsched::SchedKind;
+use seqio_node::Experiment;
+use seqio_scenario::ScenarioKind;
 use seqio_simcore::units::{KIB, MIB};
-use seqio_simcore::SimDuration;
 
 /// Loads a cell of a committed CSV by row label and column header.
-fn committed_cell(slug: &str, row: &str, column: &str) -> String {
-    let path = seqio_bench::results_dir().join(format!("{slug}.csv"));
+fn committed_cell(file: &str, row: &str, column: &str) -> String {
+    let path = seqio_bench::results_dir().join(file);
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let mut lines = text.lines();
     let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
-    let col = header.iter().position(|h| *h == column).unwrap_or_else(|| {
-        panic!(
-            "no column {column:?} in {header:?} — if a quick-mode `cargo bench` \
-             overwrote {}, restore it with git or regenerate with \
-             `SEQIO_BENCH_FULL=1 cargo bench`",
-            path.display()
-        )
-    });
+    let col = header
+        .iter()
+        .position(|h| *h == column)
+        .unwrap_or_else(|| panic!("no column {column:?} in {header:?} of {}", path.display()));
     for line in lines {
         let cells: Vec<&str> = line.split(',').collect();
         if cells.first() == Some(&row) {
@@ -47,24 +43,38 @@ fn committed_cell(slug: &str, row: &str, column: &str) -> String {
     panic!("no row {row:?} in {}", path.display());
 }
 
-/// `Figure::report` writes y values with `{:.4}` — the committed format.
-fn cell(mbs: f64) -> String {
-    format!("{mbs:.4}")
+/// `Figure::to_csv` writes y values with `{:.4}` — the committed format.
+fn cell(y: f64) -> String {
+    format!("{y:.4}")
 }
 
-/// Recomputes one full-figure fig01 cell with the exact spec the bench
-/// uses in full mode (`SEQIO_BENCH_FULL=1`): 60 disks, seed 11, 4 s
-/// warmup, 8 s measured window.
-fn fig01_cell(streams_per_disk: usize, request_size: u64) -> String {
-    let r = Experiment::builder()
-        .shape(NodeShape::sixty_disk())
-        .streams_per_disk(streams_per_disk)
-        .request_size(request_size)
-        .warmup(SimDuration::from_secs(4))
-        .duration(SimDuration::from_secs(8))
-        .seed(11)
-        .run();
-    cell(r.total_throughput_mbs())
+/// Fails unless `y` renders as the committed cell (`row`, `column`) of
+/// `file`.
+fn assert_cell(file: &str, row: &str, column: &str, y: f64) {
+    assert_eq!(
+        cell(y),
+        committed_cell(file, row, column),
+        "bench_results/{file} cell ({row}, {column}) drifted from the current build; if the \
+         change is deliberate, rewrite the figures with `probe figures` and commit them"
+    );
+}
+
+/// Runs `spec` and returns its aggregate throughput in MB/s.
+fn mbs(spec: Experiment) -> f64 {
+    spec.run().total_throughput_mbs()
+}
+
+#[test]
+fn figures_name_exactly_the_committed_csvs() {
+    let mut committed: Vec<String> = std::fs::read_dir(seqio_bench::results_dir())
+        .expect("bench_results/ is readable")
+        .map(|e| e.expect("a directory entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".csv"))
+        .collect();
+    committed.sort();
+    let defined: Vec<&str> = FIGURES.iter().map(|(file, _)| *file).collect();
+    assert!(defined.is_sorted_by(|a, b| a < b), "FIGURES is in file-name order, each once");
+    assert_eq!(defined, committed, "every committed CSV has one definition and vice versa");
 }
 
 #[test]
@@ -72,218 +82,196 @@ fn fig01_committed_csv_matches_current_build() {
     // 256K row: the collapsed stream counts deliver under 1 GB/s, so these
     // are the cheapest cells of the figure to re-simulate.
     for (column, per_disk) in [("120 Streams", 2), ("300 Streams", 5)] {
-        let committed = committed_cell("fig01_collapse", "256K", column);
-        let current = fig01_cell(per_disk, 256 * KIB);
-        assert_eq!(
-            current, committed,
-            "bench_results/fig01_collapse.csv cell (256K, {column}) drifted from the \
-             current build; regenerate the figure CSVs with \
-             `SEQIO_BENCH_FULL=1 cargo bench` and commit the result"
-        );
+        let y = mbs(fig01_point(per_disk, 256 * KIB));
+        assert_cell("fig01_collapse.csv", "256K", column, y);
     }
 }
 
 #[test]
+fn fig02_committed_csv_matches_current_build() {
+    let y = mbs(fig02_point(SchedKind::Noop, 256));
+    assert_cell("fig02_linux_sched.csv", "256", "noop scheduler", y);
+}
+
+#[test]
+fn fig04_committed_csv_matches_current_build() {
+    assert_cell("fig04_request_size.csv", "8K", "10 Streams", mbs(fig04_point(10, 8 * KIB)));
+}
+
+#[test]
+fn fig05_committed_csv_matches_current_build() {
+    assert_cell("fig05_xdd_single.csv", "8K", "50 Streams", mbs(fig05_point(50, 8 * KIB)));
+}
+
+#[test]
+fn fig06_committed_csv_matches_current_build() {
+    assert_cell("fig06_segment_size.csv", "32K", "30 Streams", mbs(fig06_point(32 * KIB)));
+}
+
+#[test]
+fn fig07_committed_csv_matches_current_build() {
+    let y = mbs(fig07_point(10, 8, MIB));
+    assert_cell("fig07_readahead_tradeoff.csv", "8x1M", "10 Streams", y);
+}
+
+#[test]
+fn fig08_committed_csv_matches_current_build() {
+    let y = mbs(fig08_point(60, 64 * KIB));
+    assert_cell("fig08_controller_prefetch.csv", "64K", "60 Streams", y);
+}
+
+#[test]
+fn fig10_committed_csv_matches_current_build() {
+    assert_cell("fig10_readahead.csv", "60", "No Readahead", mbs(fig10_point(60, None)));
+}
+
+#[test]
+fn fig11_committed_csv_matches_current_build() {
+    let y = mbs(fig11_point(10, 256 * KIB, 8 * MIB));
+    assert_cell("fig11_memory.csv", "8M", "S=10 (RA=256K)", y);
+}
+
+#[test]
 fn fig12_committed_csv_matches_current_build() {
-    // The collapsed "No Readahead" corner of the 8-disk figure: full mode
-    // runs 10 s warmup + 10 s window at seed 1212 on the direct path, and
-    // the 60/100-stream rows are its lowest-throughput (cheapest) cells.
-    for streams_per_disk in [60usize, 100] {
-        let committed =
-            committed_cell("fig12_eight_disks", &streams_per_disk.to_string(), "No Readahead");
-        let r = Experiment::builder()
-            .shape(NodeShape::eight_disk())
-            .streams_per_disk(streams_per_disk)
-            .warmup(SimDuration::from_secs(10))
-            .duration(SimDuration::from_secs(10))
-            .seed(1212)
-            .run();
-        assert_eq!(
-            cell(r.total_throughput_mbs()),
-            committed,
-            "bench_results/fig12_eight_disks.csv cell ({streams_per_disk}, No Readahead) \
-             drifted from the current build; regenerate with \
-             `SEQIO_BENCH_FULL=1 cargo bench` and commit the result"
-        );
+    // The collapsed "No Readahead" corner of the 8-disk figure: the
+    // 60/100-stream rows are its lowest-throughput (cheapest) cells.
+    for streams in [60, 100] {
+        let y = mbs(fig12_point(streams, None));
+        assert_cell("fig12_eight_disks.csv", &streams.to_string(), "No Readahead", y);
     }
 }
 
 #[test]
 fn fig13_committed_csv_matches_current_build() {
-    // The D = S comparison curve at its cheapest point (10 streams/disk):
-    // full mode runs 12 s warmup + 12 s window at seed 1313 with the
-    // stream scheduler at R = 512K.
-    let committed = committed_cell("fig13_dispatch_staged", "10", "D = S (from Fig. 12)");
-    let r = Experiment::builder()
-        .shape(NodeShape::eight_disk())
-        .streams_per_disk(10)
-        .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
-        .warmup(SimDuration::from_secs(12))
-        .duration(SimDuration::from_secs(12))
-        .seed(1313)
-        .run();
-    assert_eq!(
-        cell(r.total_throughput_mbs()),
-        committed,
-        "bench_results/fig13_dispatch_staged.csv cell (10, D = S) drifted from the \
-         current build; regenerate with `SEQIO_BENCH_FULL=1 cargo bench` and \
-         commit the result"
-    );
+    let y = mbs(fig13_point(10, false));
+    assert_cell("fig13_dispatch_staged.csv", "10", "D = S (from Fig. 12)", y);
+}
+
+#[test]
+fn fig14_committed_csv_matches_current_build() {
+    let y = mbs(fig14_point(10, Some(2 * MIB)));
+    assert_cell("fig14_single_small_d.csv", "10", "R=2M; D=S (Fig. 10)", y);
+}
+
+#[test]
+fn fig15_committed_csv_matches_current_build() {
+    let y = fig15_point(10, 8 * MIB, 256 * KIB).run().mean_response_ms();
+    assert_cell("fig15_response_time.csv", "256K", "S=10 (M=8M)", y);
+}
+
+#[test]
+fn ablation_classifier_committed_csv_matches_current_build() {
+    let r = classifier_point(8).run();
+    let direct = r.server_metrics.as_ref().expect("stream scheduler metrics").direct_requests;
+    assert_cell("ablation_classifier.csv", "8", "throughput", r.total_throughput_mbs());
+    assert_cell("ablation_classifier.csv", "8", "direct requests (x1000)", direct as f64 / 1000.0);
+}
+
+#[test]
+fn ablation_dispatch_policy_committed_csv_matches_current_build() {
+    let y = mbs(dispatch_policy_point(DispatchPolicy::OffsetOrdered, 128 * KIB));
+    assert_cell("ablation_dispatch_policy.csv", "128K", "OffsetOrdered", y);
+}
+
+#[test]
+fn ablation_faults_committed_csv_matches_current_build() {
+    assert_cell("ablation_faults.csv", "8x", "Direct", mbs(faults_point(8.0, false)));
+}
+
+#[test]
+fn ablation_gc_timeout_committed_csv_matches_current_build() {
+    assert_cell("ablation_gc_timeout.csv", "1", "throughput", mbs(gc_timeout_point(1)));
+}
+
+#[test]
+fn ablation_issue_priority_committed_csv_matches_current_build() {
+    let y = mbs(issue_priority_point(false, 10));
+    assert_cell("ablation_issue_priority.csv", "10", "completions first", y);
+}
+
+#[test]
+fn ablation_lead_committed_csv_matches_current_build() {
+    assert_cell("ablation_lead.csv", "512K", "throughput", mbs(lead_point(512 * KIB)));
+}
+
+#[test]
+fn ablation_queue_policy_committed_csv_matches_current_build() {
+    let y = mbs(queue_policy_point(QueuePolicy::Elevator, 100));
+    assert_cell("ablation_queue_policy.csv", "100", "Elevator", y);
+}
+
+#[test]
+fn cluster_scaling_committed_csv_matches_current_build() {
+    let y = cluster_scaling_point(1, 50, ShardPolicy::HashByStream, true).total_throughput_mbs();
+    assert_cell("cluster_scaling.csv", "1", "Straggler hash S/disk=50", y);
 }
 
 #[test]
 fn fig_slo_committed_csv_matches_current_build() {
-    // Two points of the open-loop SLO figure: 50 sessions/s over 30 s
-    // against 2 nodes behind a 40 MiB/s link (about 1500 sessions, far
-    // below saturation, so the link is nearly idle), and 400 sessions/s,
-    // past the link's capacity, where thousands of transfers share it at
-    // once and every delivery instant depends on the fair-share arithmetic.
+    // 50 sessions/s is far below saturation, so the link is nearly idle;
+    // at 400 sessions/s, past the link's capacity, thousands of transfers
+    // share it at once and every delivery instant depends on the
+    // fair-share arithmetic.
     for rate in [50.0, 400.0] {
-        let template = Experiment::builder()
-            .warmup(SimDuration::ZERO)
-            .duration(SimDuration::from_secs(30))
-            .build();
-        let slo = ClientExperiment::builder()
-            .template(template)
-            .nodes(2)
-            .base_seed(2026)
-            .arrivals(ArrivalConfig {
-                rate_per_sec: rate,
-                requests_per_session: 2,
-                titles: 512,
-                ..ArrivalConfig::default()
-            })
-            .link(LinkConfig { capacity_bps: 40.0 * MIB as f64, ..LinkConfig::default() })
-            .run()
-            .expect("slo figure point")
-            .slo
-            .expect("sessions completed");
+        let slo = slo_point(rate).expect("slo figure point");
         let row = format!("{rate:.0}");
-        for (column, value) in
+        for (column, y) in
             [("p50", slo.p50_ms), ("p95", slo.p95_ms), ("p99", slo.p99_ms), ("p99.9", slo.p999_ms)]
         {
-            assert_eq!(
-                cell(value),
-                committed_cell("fig_slo", &row, column),
-                "bench_results/fig_slo.csv cell ({row}, {column}) drifted from the current \
-                 build; regenerate with `SEQIO_BENCH_FULL=1 cargo bench` and commit the result"
-            );
+            assert_cell("fig_slo.csv", &row, column, y);
         }
     }
 }
 
 #[test]
 fn scenario_matrix_committed_csv_matches_current_build() {
-    // Two rows of the scenario matrix recomputed at the bench's full
-    // scale: `mixed` (the lowest-throughput, cheapest row) and `video`
-    // (the row where the adaptive tuner's widening retune is the whole
-    // story — its Adaptive cell pins the retune behaviour, not just the
-    // static panel).
+    // `mixed` is the lowest-throughput (cheapest) row; on `video` the
+    // adaptive tuner's widening retune is the whole story, so its Adaptive
+    // cell pins the retune behaviour, not just the static panel.
     for kind in [ScenarioKind::Mixed, ScenarioKind::Video] {
-        let r = run_row(kind, &MatrixScale::full(), 11).expect("the matrix row runs");
-        for (column, value) in [
+        let r = scenario_row(kind).expect("the matrix row runs");
+        for (column, y) in [
             ("Direct", r.direct_mbs),
             ("Best static", r.best_static().mbs),
             ("Wide reference", r.wide_mbs),
             ("Adaptive", r.adaptive_mbs),
         ] {
-            assert_eq!(
-                cell(value),
-                committed_cell("scenario_matrix", r.scenario, column),
-                "bench_results/scenario_matrix.csv cell ({}, {column}) drifted from the \
-                 current build; regenerate with `SEQIO_BENCH_FULL=1 cargo bench` and \
-                 commit the result",
-                r.scenario
-            );
+            assert_cell("scenario_matrix.csv", r.scenario, column, y);
         }
     }
 }
 
-/// Runs a figure template through the shared-clock cluster driver as a
-/// 1-node identity cluster and renders the aggregate the way
-/// `Figure::report` does.
-fn cluster_cell(template: Experiment) -> String {
-    let c = ClusterExperiment::builder()
-        .template(template)
-        .run()
-        .expect("figure templates are valid 1-node clusters");
-    cell(c.total_throughput_mbs())
-}
-
 #[test]
 fn cluster_path_reproduces_committed_figure_cells() {
-    // One representative cell per covered figure, each recomputed through
-    // the co-simulation driver instead of `Experiment::run`. Equality with
-    // the committed CSV is exact: the 1-node cluster is bit-identical to
-    // the plain experiment, so any drift here means the cluster layer
-    // perturbed the node simulation.
-    let fig01 = Experiment::builder()
-        .shape(NodeShape::sixty_disk())
-        .streams_per_disk(2)
-        .request_size(256 * KIB)
-        .warmup(SimDuration::from_secs(4))
-        .duration(SimDuration::from_secs(8))
-        .seed(11)
-        .build();
-    assert_eq!(
-        cluster_cell(fig01),
-        committed_cell("fig01_collapse", "256K", "120 Streams"),
-        "the cluster path no longer reproduces fig01 (256K, 120 Streams)"
-    );
-
-    let fig12 = Experiment::builder()
-        .shape(NodeShape::eight_disk())
-        .streams_per_disk(60)
-        .warmup(SimDuration::from_secs(10))
-        .duration(SimDuration::from_secs(10))
-        .seed(1212)
-        .build();
-    assert_eq!(
-        cluster_cell(fig12),
-        committed_cell("fig12_eight_disks", "60", "No Readahead"),
-        "the cluster path no longer reproduces fig12 (60, No Readahead)"
-    );
-
-    let fig13 = Experiment::builder()
-        .shape(NodeShape::eight_disk())
-        .streams_per_disk(10)
-        .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
-        .warmup(SimDuration::from_secs(12))
-        .duration(SimDuration::from_secs(12))
-        .seed(1313)
-        .build();
-    assert_eq!(
-        cluster_cell(fig13),
-        committed_cell("fig13_dispatch_staged", "10", "D = S (from Fig. 12)"),
-        "the cluster path no longer reproduces fig13 (10, D = S)"
-    );
+    // Committed cells recomputed through the co-simulation driver instead
+    // of `Experiment::run`. Equality is exact: the 1-node cluster is
+    // bit-identical to the plain experiment, so any drift here means the
+    // cluster layer perturbed the node simulation.
+    for (file, row, column, template) in [
+        ("fig01_collapse.csv", "256K", "120 Streams", fig01_point(2, 256 * KIB)),
+        ("fig12_eight_disks.csv", "60", "No Readahead", fig12_point(60, None)),
+        ("fig13_dispatch_staged.csv", "10", "D = S (from Fig. 12)", fig13_point(10, false)),
+    ] {
+        let c = ClusterExperiment::builder()
+            .template(template)
+            .run()
+            .expect("figure templates are valid 1-node clusters");
+        assert_cell(file, row, column, c.total_throughput_mbs());
+    }
 }
 
 #[test]
 fn client_identity_path_reproduces_committed_figure_cells() {
     // The client front end's identity configuration — closed loop, the
     // default unconstrained link — must reduce bit-identically to the
-    // plain run, pinned to the same committed fig01 golden the other
-    // equivalence tests use. Any drift here means the client tier
-    // perturbed the storage simulation it claims to only observe.
-    let fig01 = Experiment::builder()
-        .shape(NodeShape::sixty_disk())
-        .streams_per_disk(2)
-        .request_size(256 * KIB)
-        .warmup(SimDuration::from_secs(4))
-        .duration(SimDuration::from_secs(8))
-        .seed(11)
-        .build();
-    let c =
-        ClientExperiment::builder().template(fig01).run().expect("1-node closed-loop identity run");
-    assert_eq!(
-        cell(c.total_throughput_mbs()),
-        committed_cell("fig01_collapse", "256K", "120 Streams"),
-        "the client identity path no longer reproduces fig01 (256K, 120 Streams)"
-    );
-    // The one permitted difference: the identity run carries the SLO the
-    // plain path cannot compute (open-ended streams never complete, so it
-    // stays None here — the field exists, the reduction just has nothing
-    // to fill it with on an open-ended figure template).
+    // plain run. Any drift here means the client tier perturbed the
+    // storage simulation it claims to only observe.
+    let c = ClientExperiment::builder()
+        .template(fig01_point(2, 256 * KIB))
+        .run()
+        .expect("1-node closed-loop identity run");
+    assert_cell("fig01_collapse.csv", "256K", "120 Streams", c.total_throughput_mbs());
+    // Open-ended streams never complete a session, so the identity run
+    // has no SLO to report.
     assert!(c.slo.is_none(), "open-ended streams have no session completions");
 }

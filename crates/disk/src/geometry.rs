@@ -376,19 +376,31 @@ mod tests {
         assert!(small_cfg().validate().is_ok());
     }
 
+    /// Transfer time is additive up to rounding and at most one
+    /// track-switch (a split landing exactly on a track boundary moves
+    /// that boundary's switch out of both halves).
+    fn transfer_additive(start: u64, len: u64, cut: u64) -> Result<(), String> {
+        let g = geom();
+        prop_assume!(start + len <= g.total_blocks());
+        let cut = cut.min(len - 1);
+        let whole = g.transfer_time(start, len).as_nanos();
+        let parts =
+            (g.transfer_time(start, cut) + g.transfer_time(start + cut, len - cut)).as_nanos();
+        let track_switch = SimDuration::from_micros(800).as_nanos();
+        prop_assert!(whole.abs_diff(parts) <= track_switch + 4);
+        Ok(())
+    }
+
+    /// The shrunk failure recorded in `proptest-regressions/geometry.txt`.
+    #[test]
+    fn transfer_is_additive_at_the_recorded_failure() {
+        transfer_additive(817_899, 2326, 2325).unwrap();
+    }
+
     proptest! {
-        /// Transfer time is additive up to rounding and at most one
-        /// track-switch (a split landing exactly on a track boundary moves
-        /// that boundary's switch out of both halves).
         #[test]
         fn prop_transfer_additive(start in 0u64..1_000_000, len in 2u64..4096, cut in 1u64..4095) {
-            let g = geom();
-            prop_assume!(start + len <= g.total_blocks());
-            let cut = cut.min(len - 1);
-            let whole = g.transfer_time(start, len).as_nanos();
-            let parts = (g.transfer_time(start, cut) + g.transfer_time(start + cut, len - cut)).as_nanos();
-            let track_switch = SimDuration::from_micros(800).as_nanos();
-            prop_assert!(whole.abs_diff(parts) <= track_switch + 4);
+            transfer_additive(start, len, cut)?;
         }
 
         /// Every valid LBA maps to a valid cylinder.

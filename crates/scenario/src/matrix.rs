@@ -1,7 +1,7 @@
 //! The scenario experiment matrix: every named scenario run under the
 //! direct frontend, a panel of static scheduler tunes, and the adaptive
 //! tuner — the shared harness and acceptance bars behind the integration
-//! tests, the `probe scenario` report and the `scenario_matrix` bench.
+//! tests, the `probe scenario` report and the `scenario_matrix` figure.
 
 use seqio_core::ServerConfig;
 use seqio_node::{Experiment, Frontend, NodeShape};
@@ -16,7 +16,7 @@ const GIB: u64 = 1 << 30;
 
 /// How large a matrix run is. The quick scale keeps the whole 7-scenario
 /// matrix inside a few seconds of wall clock for tests and CI; the full
-/// scale is for the bench.
+/// scale is the `scenario_matrix` figure's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixScale {
     /// Warmup excluded from measurement.
@@ -37,7 +37,7 @@ impl MatrixScale {
         }
     }
 
-    /// Bench scale.
+    /// The `scenario_matrix` figure's scale.
     pub fn full() -> MatrixScale {
         MatrixScale {
             warmup: SimDuration::from_secs(1),
