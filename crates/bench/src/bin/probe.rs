@@ -85,11 +85,12 @@ impl PerfPoint {
 /// `(row, wall_secs, what it ran against)`. Each is this probe's code for
 /// the row applied to the parent of that change and run on the same
 /// 2-vCPU x86-64 VM as the change (median of five runs alternated with
-/// it; the link's is one run):
+/// it):
 /// - the stream scheduler before its stream table and buffered set moved
 ///   to slots and sorted vectors;
-/// - the link that rebuilt the max-min allocation of every active
-///   transfer on each start and completion;
+/// - the link that water-filled every active transfer's rate on each
+///   start and completion, which the processor-sharing virtual clock
+///   replaced;
 /// - the controller that scanned every in-flight fetch of every port to
 ///   find one a read could attach to;
 /// - the calendar event queue (a bucket ring with estimated widths and
@@ -98,7 +99,7 @@ impl PerfPoint {
 /// Rows not listed have no before figure.
 const BEFORE_WALL_SECS: [(&str, f64, &str); 9] = [
     ("stream-sched-100streams", 0.033730, "previous scheduler"),
-    (LINK_ROW, 5.918, "previous link"),
+    (LINK_ROW, 0.589446, "previous link"),
     ("server-feed-100readers", 0.516641, "previous scheduler"),
     ("controller-feed-8x100readers", 0.398368, "previous controller"),
     ("event-queue-push-pop-1k", 0.077718, "calendar queue"),

@@ -17,8 +17,9 @@
 //!   [`NodeSim`](seqio_node::NodeSim)s mid-run through the stream-handoff
 //!   surface, each node advancing independently (bit-identical at any
 //!   `SEQIO_JOBS`), with optional lifetime-bounded retirement;
-//! * [`LinkConfig`] — a shared-bandwidth client-facing link, applied as a
-//!   deterministic lagged overlay of
+//! * [`LinkConfig`] — a shared-bandwidth client-facing link whose
+//!   capacity is split equally among in-flight responses (processor
+//!   sharing), applied as a deterministic lagged overlay of
 //!   [`FairShareLink`](seqio_simcore::FairShareLink) over the exact
 //!   storage-completion instants; per-session end-to-end latencies
 //!   condense into [`SessionSlo`](seqio_cluster::SessionSlo) percentiles

@@ -24,9 +24,11 @@
 //! applied as a *lagged overlay*: after the nodes finish, every completed
 //! session's response body enters a [`FairShareLink`] at its exact
 //! storage-completion instant (`stream_done_at`), in deterministic
-//! `(instant, session)` order. The link recomputes progressive max-min
-//! fair shares on every start/finish, and each session's end-to-end
-//! latency is `link delivery - arrival`. The overlay adds no events to
+//! `(instant, session)` order. Every response demands the same rate, so
+//! the link is processor sharing: each of the `n` responses in flight
+//! moves at `min(session_demand_bps, capacity_bps / n)`, re-divided on
+//! every start and finish, and each session's end-to-end latency is
+//! `link delivery - arrival`. The overlay adds no events to
 //! the storage simulation, so node results stay untouched by link
 //! configuration.
 
@@ -62,7 +64,7 @@ pub enum DriveMode {
 /// The shared client-facing network link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
-    /// Link capacity in bytes per second, max-min shared among all
+    /// Link capacity in bytes per second, shared equally among all
     /// in-flight responses. `f64::INFINITY` (the default) removes the
     /// network constraint entirely — the identity configuration.
     pub capacity_bps: f64,

@@ -21,7 +21,8 @@
 //!   (stragglers, transient read errors, bad regions) consumed by the
 //!   device models;
 //! * [`FairShareLink`] — a shared-bandwidth client-facing network link
-//!   dividing its capacity max-min fairly among concurrent transfers;
+//!   dividing its capacity equally among concurrent transfers of one
+//!   demand (processor sharing, kept as a virtual clock);
 //! * [`ClauseFields`] — the shared `kind:key=value,...` clause grammar
 //!   behind the `--faults` spec and the scenario trace files;
 //! * [`EpochController`] — the feedback-controller contract polled by
@@ -81,7 +82,7 @@ pub use component::SimComponent;
 pub use controller::EpochController;
 pub use error::SeqioError;
 pub use fault::{BadRegion, DiskFaults, FaultPlan, RetryPolicy, Straggler};
-pub use link::{max_min_rates, FairShareLink, LinkDelivery};
+pub use link::{FairShareLink, LinkDelivery};
 pub use obs::{MetricId, MetricKind, MetricSeries, MetricsHub, ObsConfig, SpanPhase};
 pub use prof::{EventClassStats, KernelProfile, ProfConfig, ProfTally, QueueStats};
 pub use queue::EventQueue;
