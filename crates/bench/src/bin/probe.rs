@@ -5,8 +5,8 @@
 //! [`seqio_bench::figures`] together with its shape bars, and prints each
 //! figure as a table.
 //!
-//! `probe cluster`, `migrate`, `faults`, `timeline` and `scenario` each
-//! write one deterministic report under `bench_results/`, defined once in
+//! `probe migrate` and `probe timeline` each write one deterministic
+//! report under `bench_results/`, defined once in
 //! [`seqio_bench::reports`] together with its acceptance bars.
 //!
 //! `probe perf` instead runs the kernel performance harness: a few
@@ -18,16 +18,15 @@
 //! machine-readable JSON written to `bench_results/perf_probe.json`.
 //!
 //! `probe slo` runs the user-scale open-loop point: a million diurnally
-//! modulated sessions (override with `SEQIO_SLO_SESSIONS`) against a
-//! 4-node cluster behind a 250 MiB/s fair-share link, writing end-to-end
-//! session SLO percentiles to `bench_results/slo_probe.json` alongside a
-//! closed-loop companion run for contrast.
+//! modulated sessions against a 4-node cluster behind a 250 MiB/s
+//! fair-share link, writing end-to-end session SLO percentiles to
+//! `bench_results/slo_probe.json` alongside a closed-loop companion run
+//! for contrast.
 //!
-//! `probe tail` runs the slo operating point at a reduced default scale
-//! (override with `SEQIO_TAIL_SESSIONS`) with span recording on,
-//! correlates the run into cross-tier session traces, attributes the
-//! p99.9 latency band, and monitors the SLO burn rate. Writes
-//! `bench_results/tail_probe.json` plus the correlated traces to
+//! `probe tail` runs the slo operating point at 50,000 sessions with span
+//! recording on, correlates the run into cross-tier session traces,
+//! attributes the p99.9 latency band, and monitors the SLO burn rate.
+//! Writes `bench_results/tail_probe.json` plus the correlated traces to
 //! `bench_results/tail_trace.jsonl`.
 //!
 //! A failed bar, a file that cannot be written, a missing mode or an
@@ -42,7 +41,7 @@ use std::time::Instant;
 
 use seqio_bench::figures::FIGURES;
 use seqio_bench::reports::REPORTS;
-use seqio_bench::write_result;
+use seqio_bench::{ensure, write_result};
 use seqio_client::{ArrivalConfig, ClientExperiment, DriveMode, LinkConfig, RateModulation};
 use seqio_cluster::ShardPolicy;
 use seqio_controller::{Controller, ControllerConfig, CtrlOutput, HostRequest};
@@ -743,6 +742,13 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
 /// Sessions per second the open-loop operating point offers.
 const SESSION_RATE: f64 = 1600.0;
 
+/// Sessions `probe slo` offers: a user-scale day.
+const SLO_SESSIONS: u64 = 1_000_000;
+
+/// Sessions `probe tail` offers: fewer than `probe slo`, since spans cost
+/// memory.
+const TAIL_SESSIONS: u64 = 50_000;
+
 /// The open-loop operating point `probe slo` and `probe tail` share,
 /// sized for `target` sessions: four eight-disk nodes of 64 KiB requests
 /// (base seed 2026) behind a 250 MiB/s link, 1600 sessions/s modulated
@@ -789,9 +795,7 @@ fn open_loop(target: u64) -> ClientExperiment {
 /// contrast, and writes the end-to-end session SLO percentiles to
 /// `dir/slo_probe.json`.
 fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
-    let target: u64 =
-        std::env::var("SEQIO_SLO_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(1_000_000);
-    let xp = open_loop(target);
+    let xp = open_loop(SLO_SESSIONS);
     let (nodes, duration) = (xp.nodes, xp.template.duration);
 
     let start = Instant::now();
@@ -804,7 +808,7 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     // start together, so the latency spread reflects batch drain, not
     // user-perceived arrival-to-delivery time — the contrast the open
     // loop exists to fix.
-    let mut companion = open_loop(target);
+    let mut companion = open_loop(SLO_SESSIONS);
     companion.template.streams_per_disk = 32;
     companion.template.requests_per_stream = Some(2);
     companion.mode = DriveMode::ClosedLoop;
@@ -835,13 +839,18 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     // Acceptance bars: the full-scale probe must admit the target session
     // count, nearly all of them must finish inside the 10 s lifetime, and
     // the percentile chain must be coherent.
-    assert!(slo.sessions >= target, "only {} sessions admitted, wanted >= {target}", slo.sessions);
-    assert!(
+    ensure!(
+        slo.sessions >= SLO_SESSIONS,
+        "only {} sessions admitted, wanted >= {SLO_SESSIONS}",
+        slo.sessions
+    );
+    ensure!(
         slo.completion_ratio() >= 0.98,
         "completion ratio {:.4} below 0.98",
         slo.completion_ratio()
     );
-    assert!(slo.p50_ms <= slo.p95_ms && slo.p95_ms <= slo.p99_ms && slo.p99_ms <= slo.p999_ms);
+    let chain = [slo.p50_ms, slo.p95_ms, slo.p99_ms, slo.p999_ms];
+    ensure!(chain.is_sorted(), "percentile chain out of order: {chain:?}");
 
     let mut json = String::from("{\n");
     let _ = write!(
@@ -879,18 +888,15 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     Ok(write_result(dir, "slo_probe.json", &json)?)
 }
 
-/// Runs the tail-attribution point: [`open_loop`] at a reduced default
-/// scale with span recording on, so the attribution describes the
-/// operating point the SLO numbers come from (spans cost memory, hence
-/// the smaller horizon). The run is correlated into cross-tier session
-/// traces, the p99.9 latency band is attributed to its dominant phases,
-/// and the SLO burn rate is monitored against the run's own p99. Writes
-/// `dir/tail_probe.json` and the correlated traces to
+/// Runs the tail-attribution point: [`open_loop`] at [`TAIL_SESSIONS`]
+/// with span recording on, so the attribution describes the operating
+/// point the SLO numbers come from. The run is correlated into cross-tier
+/// session traces, the p99.9 latency band is attributed to its dominant
+/// phases, and the SLO burn rate is monitored against the run's own p99.
+/// Writes `dir/tail_probe.json` and the correlated traces to
 /// `dir/tail_trace.jsonl`.
 fn tail_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
-    let target: u64 =
-        std::env::var("SEQIO_TAIL_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(50_000);
-    let mut xp = open_loop(target);
+    let mut xp = open_loop(TAIL_SESSIONS);
     xp.template.obs = Some(ObsConfig::new().with_spans());
     let (nodes, duration) = (xp.nodes, xp.template.duration);
     let schedule = xp.session_schedule().expect("valid open-loop config");
@@ -925,13 +931,23 @@ fn tail_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
 
     // Acceptance bars: the shares form a distribution over the whole
     // band, and the derived telemetry agrees with the client tier.
-    assert!(
+    ensure!(
         (tail.share_sum_pct() - 100.0).abs() < 1e-6,
         "tail shares sum to {:.9}%, not 100%",
         tail.share_sum_pct()
     );
-    assert_eq!(tail.completed as u64, slo.completed, "attribution lost completed sessions");
-    assert_eq!(burn.completed, slo.completed, "burn monitor lost completed sessions");
+    ensure!(
+        tail.completed as u64 == slo.completed,
+        "attribution counted {} of {} completed sessions",
+        tail.completed,
+        slo.completed
+    );
+    ensure!(
+        burn.completed == slo.completed,
+        "the burn monitor counted {} of {} completed sessions",
+        burn.completed,
+        slo.completed
+    );
 
     println!("  {} correlated traces", traces.len());
     write_result(dir, "tail_trace.jsonl", &traces_to_jsonl(&traces))?;
@@ -1018,8 +1034,8 @@ mod tests {
 
     #[test]
     fn an_unknown_mode_is_an_error() {
-        let err = run(Some("fault"), Path::new("unused")).unwrap_err().to_string();
-        assert!(err.contains("unknown mode") && err.contains("faults"), "{err}");
+        let err = run(Some("migrat"), Path::new("unused")).unwrap_err().to_string();
+        assert!(err.contains("unknown mode") && err.contains("migrate"), "{err}");
     }
 
     #[test]

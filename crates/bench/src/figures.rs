@@ -8,11 +8,13 @@
 //! the same `*_point` function the figure's grid is built from.
 
 use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig};
-use seqio_cluster::{ClusterResult, SessionSlo, ShardPolicy};
+use seqio_cluster::{ClusterExperiment, ClusterResult, SessionSlo, ShardPolicy};
 use seqio_core::{DispatchPolicy, ServerConfig};
 use seqio_disk::{CacheConfig, QueuePolicy};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
-use seqio_node::{CostModel, Experiment, ExperimentBuilder, Frontend, NodeShape, Placement};
+use seqio_node::{
+    CostModel, Experiment, ExperimentBuilder, FaultPlan, Frontend, NodeShape, Placement,
+};
 use seqio_scenario::{
     check_adaptive_bar, check_rescue_bar, degraded_rescue, run_row, MatrixRow, MatrixScale,
     ScenarioKind,
@@ -20,7 +22,6 @@ use seqio_scenario::{
 use seqio_simcore::units::{format_bytes, GIB, KIB, MIB};
 use seqio_simcore::SimDuration;
 
-use crate::reports::{cluster_point, fault_point};
 use crate::{Figure, Grid, Series};
 
 /// A figure definition: runs the figure, checks its shape bars and
@@ -787,34 +788,64 @@ pub fn ablation_dispatch_policy() -> Result<Figure, String> {
     Ok(fig)
 }
 
-/// One fault-ablation cell: [`fault_point`] with a 4 s warm-up and an 8 s
-/// window.
-pub fn faults_point(factor: f64, scheduler: bool) -> Experiment {
-    fault_point(factor, scheduler, (SimDuration::from_secs(4), SimDuration::from_secs(8)))
+/// One fault-ablation cell: 100 streams on one disk under fault plan
+/// `faults`, through the direct path or the stream scheduler at R = 4 MiB
+/// (seed 11, 4 s warm-up, 8 s window).
+pub fn faults_point(faults: FaultPlan, scheduler: bool) -> Experiment {
+    let mut b = spec(4, 8, 11).streams_per_disk(100).faults(faults);
+    if scheduler {
+        b = b.frontend(Frontend::stream_scheduler_with_readahead(4 * MIB));
+    }
+    b.build()
 }
 
 /// `ablation_faults.csv` — throughput of the direct path and the stream
-/// scheduler as disk 0 slows 1x to 8x: does the scheduler's advantage
-/// survive a degraded disk? `probe faults` checks the bars on the same
-/// operating point.
+/// scheduler as disk 0 slows 1x to 8x, and as it fails 1% of its reads
+/// (each retried): does the scheduler's advantage survive a degraded
+/// disk?
+///
+/// Bars: the scheduler holds at least 2x direct at every straggler
+/// severity, and the 8x straggler costs it throughput.
 ///
 /// # Errors
 ///
-/// Never: the ablation has no bar.
+/// Returns the first bar that fails.
 pub fn ablation_faults() -> Result<Figure, String> {
+    // A straggler starts when the measured window opens, so the warm-up
+    // (stream detection, staging ramp-up) runs on healthy hardware.
+    let straggler = |f| FaultPlan::new().straggler(0, f, SimDuration::from_secs(4), None);
+    let mut rows: Vec<(String, FaultPlan)> =
+        [1.0, 2.0, 4.0, 8.0].map(|f| (format!("{f:.0}x"), straggler(f))).into();
+    rows.push(("1% read errors".into(), FaultPlan::new().read_errors(0, 0.01)));
     let mut grid = Grid::new();
     for (label, scheduler) in [("Direct", false), ("Scheduler", true)] {
-        for factor in [1.0, 2.0, 4.0, 8.0] {
-            grid = grid.point(label, format!("{factor:.0}x"), faults_point(factor, scheduler));
+        for (x, plan) in &rows {
+            grid = grid.point(label, x, faults_point(plan.clone(), scheduler));
         }
     }
     let mut fig = Figure::new(
         "Ablation",
-        "Throughput vs straggler severity: direct vs scheduler (100 streams, 1 disk)",
-        "Straggler factor",
+        "Throughput under a degraded disk: direct vs scheduler (100 streams, 1 disk)",
+        "Disk fault",
         "Throughput (MBytes/s)",
     );
     grid.run().fill(&mut fig, |r| r.total_throughput_mbs());
+
+    let (direct, sched) = (fig.series[0].ys(), fig.series[1].ys());
+    for (i, (x, _)) in rows[..4].iter().enumerate() {
+        ensure!(
+            sched[i] >= 2.0 * direct[i],
+            "{x} straggler: the scheduler held {:.2} MB/s, under 2x direct {:.2} MB/s",
+            sched[i],
+            direct[i]
+        );
+    }
+    ensure!(
+        sched[3] < sched[0],
+        "the 8x straggler cost the scheduler nothing: {:.2} -> {:.2} MB/s",
+        sched[0],
+        sched[3]
+    );
     Ok(fig)
 }
 
@@ -965,26 +996,125 @@ pub fn ablation_queue_policy() -> Result<Figure, String> {
     Ok(fig)
 }
 
-/// One `cluster_scaling.csv` cell: [`cluster_point`] with `nodes` nodes at
-/// `streams_per_disk`, healthy or with the factor-4 straggler on node 1
-/// (node 0 of a 1-node cluster, where both routers deal alike).
+/// Requests each stream of a `cluster_scaling.csv` batch reads.
+const CLUSTER_REQUESTS: u64 = 16;
+
+/// One `cluster_scaling.csv` cell: `nodes` nodes of one disk each, every
+/// stream reading a 16-request batch of 64 KiB from time zero through the
+/// stream scheduler at R = 512 KiB, dealt by `policy` (base seed 2026).
+/// A node's window is its drain time, so the cluster window is the
+/// makespan. With `straggler`, the disk of node 1 (of node 0 on a 1-node
+/// cluster, where both routers deal alike) runs 4x slow from the start.
+///
+/// # Panics
+///
+/// Panics when `nodes` is zero.
 pub fn cluster_scaling_point(
     nodes: usize,
     streams_per_disk: usize,
     policy: ShardPolicy,
     straggler: bool,
 ) -> ClusterResult {
-    cluster_point(nodes, streams_per_disk, policy, straggler.then(|| 1.min(nodes - 1)))
+    let template = Experiment::builder()
+        .streams_per_disk(streams_per_disk)
+        .request_size(64 * KIB)
+        .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
+        .requests_per_stream(CLUSTER_REQUESTS)
+        .warmup(SimDuration::ZERO)
+        .duration(SimDuration::from_secs(120))
+        .build();
+    let mut b =
+        ClusterExperiment::builder().template(template).nodes(nodes).policy(policy).base_seed(2026);
+    if straggler {
+        let plan = FaultPlan::new().straggler(0, 4.0, SimDuration::ZERO, None);
+        b = b.node_fault(1.min(nodes - 1), plan);
+    }
+    b.run().expect("a valid cluster point")
+}
+
+/// Fails unless `r` completed every request of its
+/// [`cluster_scaling_point`] batch at `streams_per_disk`.
+fn full_batch(r: &ClusterResult, streams_per_disk: usize) -> Result<(), String> {
+    let batch = (r.nodes.len() * streams_per_disk) as u64 * CLUSTER_REQUESTS;
+    ensure!(
+        r.requests_completed == batch,
+        "a {}-node run completed {} of {batch} requests",
+        r.nodes.len(),
+        r.requests_completed
+    );
+    Ok(())
+}
+
+/// The scale-out bar on a healthy 1-node and 4-node
+/// [`cluster_scaling_point`]: both deliver their full batch and the
+/// aggregate throughput scales >= 3.5x.
+///
+/// # Errors
+///
+/// Returns the first part of the bar that fails.
+pub fn scaling_bar(
+    one: &ClusterResult,
+    four: &ClusterResult,
+    streams_per_disk: usize,
+) -> Result<(), String> {
+    full_batch(one, streams_per_disk)?;
+    full_batch(four, streams_per_disk)?;
+    let (tp_one, tp_four) = (one.total_throughput_mbs(), four.total_throughput_mbs());
+    let scaling = tp_four / tp_one;
+    ensure!(
+        scaling >= 3.5,
+        "1 -> 4 healthy node scaling {scaling:.2}x below 3.5x ({tp_one:.2} -> {tp_four:.2} MB/s)"
+    );
+    Ok(())
+}
+
+/// The straggler bar on the hash and straggler-aware 4-node
+/// [`cluster_scaling_point`]s with the straggler on node 1: both deliver
+/// their full batch, aware routing holds >= 1.5x hash, routes nothing to
+/// node 1 (hash routes something) and drains sooner.
+///
+/// # Errors
+///
+/// Returns the first part of the bar that fails.
+pub fn straggler_bar(
+    hash: &ClusterResult,
+    aware: &ClusterResult,
+    streams_per_disk: usize,
+) -> Result<(), String> {
+    full_batch(hash, streams_per_disk)?;
+    full_batch(aware, streams_per_disk)?;
+    let (tp_hash, tp_aware) = (hash.total_throughput_mbs(), aware.total_throughput_mbs());
+    let ratio = tp_aware / tp_hash;
+    ensure!(
+        ratio >= 1.5,
+        "straggler-aware routing held only {ratio:.2}x of hash ({tp_aware:.2} vs {tp_hash:.2} MB/s)"
+    );
+    ensure!(
+        hash.nodes[1].assigned_streams > 0 && aware.nodes[1].assigned_streams == 0,
+        "the straggler node got {} streams under hash and {} under aware routing",
+        hash.nodes[1].assigned_streams,
+        aware.nodes[1].assigned_streams
+    );
+    ensure!(
+        aware.window < hash.window,
+        "steering round the straggler did not shorten the makespan ({} vs {})",
+        aware.window,
+        hash.window
+    );
+    Ok(())
 }
 
 /// `cluster_scaling.csv` — aggregate throughput against node count,
 /// healthy and with one straggler under the hash and straggler-aware
-/// routers, at 50 and 100 streams per disk. `probe cluster` checks the
-/// scale-out bars on the same operating point.
+/// routers, at 50 and 100 streams per disk.
+///
+/// Bars: every run delivers its full batch; at each stream count,
+/// [`scaling_bar`] on 1 and 4 healthy nodes and [`straggler_bar`] on the
+/// 4-node straggler pair.
 ///
 /// # Errors
 ///
-/// Never: the figure has no bar.
+/// Returns the first bar that fails.
 pub fn cluster_scaling() -> Result<Figure, String> {
     let mut fig = Figure::new(
         "Cluster",
@@ -992,21 +1122,27 @@ pub fn cluster_scaling() -> Result<Figure, String> {
         "Nodes",
         "Aggregate throughput (MBytes/s)",
     );
+    let columns = [
+        ("Healthy", ShardPolicy::HashByStream, false),
+        ("Straggler hash", ShardPolicy::HashByStream, true),
+        ("Straggler aware", ShardPolicy::StragglerAware, true),
+    ];
     for spd in [50, 100] {
-        let mut healthy = Series::new(format!("Healthy S/disk={spd}"));
-        let mut hash = Series::new(format!("Straggler hash S/disk={spd}"));
-        let mut aware = Series::new(format!("Straggler aware S/disk={spd}"));
-        for nodes in [1, 2, 4, 8] {
-            let mbs = |policy, straggler| {
-                cluster_scaling_point(nodes, spd, policy, straggler).total_throughput_mbs()
-            };
-            healthy.push(nodes.to_string(), mbs(ShardPolicy::HashByStream, false));
-            hash.push(nodes.to_string(), mbs(ShardPolicy::HashByStream, true));
-            aware.push(nodes.to_string(), mbs(ShardPolicy::StragglerAware, true));
+        // runs[i][j]: the i-th node count under column j.
+        let runs = [1, 2, 4, 8].map(|nodes| {
+            columns
+                .map(|(_, policy, straggler)| cluster_scaling_point(nodes, spd, policy, straggler))
+        });
+        for (j, (name, ..)) in columns.iter().enumerate() {
+            let mut s = Series::new(format!("{name} S/disk={spd}"));
+            for r in &runs {
+                full_batch(&r[j], spd)?;
+                s.push(r[j].nodes.len().to_string(), r[j].total_throughput_mbs());
+            }
+            fig.add(s);
         }
-        fig.add(healthy);
-        fig.add(hash);
-        fig.add(aware);
+        scaling_bar(&runs[0][0], &runs[2][0], spd)?;
+        straggler_bar(&runs[2][1], &runs[2][2], spd)?;
     }
     Ok(fig)
 }
@@ -1098,7 +1234,8 @@ pub fn scenario_row(kind: ScenarioKind) -> Result<MatrixRow, String> {
 /// column shows the tuner matching the best static tune.
 ///
 /// Bars: [`check_adaptive_bar`], and [`check_rescue_bar`] on the
-/// degraded-rescue point at the same scale and seed.
+/// degraded-rescue point at the same scale and seed, whose static and
+/// adaptive throughput and retune count print with the table.
 ///
 /// # Errors
 ///
@@ -1121,6 +1258,11 @@ pub fn scenario_matrix() -> Result<Figure, String> {
     fig.series.extend(series);
     check_adaptive_bar(&rows)?;
     let rescue = degraded_rescue(&MatrixScale::full(), SCENARIO_SEED).map_err(|e| e.to_string())?;
+    let (fixed, adaptive, retunes) = rescue;
+    println!(
+        "-- degraded rescue (narrow D=4 tune, seed {SCENARIO_SEED}): static {fixed:.2} MB/s \
+         -> adaptive {adaptive:.2} MB/s ({retunes} retune(s)) --"
+    );
     check_rescue_bar(rescue)?;
     Ok(fig)
 }

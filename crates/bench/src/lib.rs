@@ -4,20 +4,22 @@
 //! printing (mirroring the paper's figures as rows/columns) and result
 //! files under `bench_results/`.
 //!
-//! [`figures`] holds the one definition of each committed figure CSV and
-//! [`reports`] the one definition of each deterministic probe report;
-//! `probe figures` and `probe <report>` write them.
+//! [`figures`] holds the one definition of each committed figure CSV,
+//! bars included, and [`reports`] the one definition of each
+//! deterministic probe report that no figure runs (`migrate` and
+//! `timeline`); `probe figures` and `probe <report>` write them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-/// Fails the enclosing figure or report with the formatted message unless
-/// `cond` holds; a comparison with a NaN side fails too.
+/// Fails the enclosing figure, report or probe with the formatted message
+/// unless `cond` holds; a comparison with a NaN side fails too.
+#[macro_export]
 macro_rules! ensure {
     ($cond:expr, $($msg:tt)+) => {
         if $cond {
         } else {
-            return Err(format!($($msg)+));
+            return Err(format!($($msg)+).into());
         }
     };
 }

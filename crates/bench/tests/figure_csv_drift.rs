@@ -3,7 +3,8 @@
 //! and fails if it drifted from the file. Each cell runs through the same
 //! `*_point` function of `seqio_bench::figures` that the figure's
 //! definition uses, and sits in a cheap corner of its figure (a low
-//! throughput, so few simulated events). The full byte-for-byte check is
+//! throughput, so few simulated events); `ablation_faults.csv` is cheap
+//! enough to run whole, bars included. The full byte-for-byte check is
 //! `probe figures` followed by `git diff --exit-code`.
 //!
 //! The last two tests re-derive committed cells through the wider drivers
@@ -23,24 +24,28 @@ use seqio_node::Experiment;
 use seqio_scenario::ScenarioKind;
 use seqio_simcore::units::{KIB, MIB};
 
+/// Loads a committed CSV.
+fn committed(file: &str) -> String {
+    let path = seqio_bench::results_dir().join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
 /// Loads a cell of a committed CSV by row label and column header.
 fn committed_cell(file: &str, row: &str, column: &str) -> String {
-    let path = seqio_bench::results_dir().join(file);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let text = committed(file);
     let mut lines = text.lines();
     let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
     let col = header
         .iter()
         .position(|h| *h == column)
-        .unwrap_or_else(|| panic!("no column {column:?} in {header:?} of {}", path.display()));
+        .unwrap_or_else(|| panic!("no column {column:?} in {header:?} of {file}"));
     for line in lines {
         let cells: Vec<&str> = line.split(',').collect();
         if cells.first() == Some(&row) {
             return cells[col].to_string();
         }
     }
-    panic!("no row {row:?} in {}", path.display());
+    panic!("no row {row:?} in {file}");
 }
 
 /// `Figure::to_csv` writes y values with `{:.4}` — the committed format.
@@ -175,7 +180,13 @@ fn ablation_dispatch_policy_committed_csv_matches_current_build() {
 
 #[test]
 fn ablation_faults_committed_csv_matches_current_build() {
-    assert_cell("ablation_faults.csv", "8x", "Direct", mbs(faults_point(8.0, false)));
+    let fig = ablation_faults().unwrap_or_else(|bar| panic!("ablation_faults.csv: {bar}"));
+    assert_eq!(
+        fig.to_csv(),
+        committed("ablation_faults.csv"),
+        "bench_results/ablation_faults.csv drifted from the current build; if the change is \
+         deliberate, rewrite the figures with `probe figures` and commit them"
+    );
 }
 
 #[test]
@@ -202,8 +213,18 @@ fn ablation_queue_policy_committed_csv_matches_current_build() {
 
 #[test]
 fn cluster_scaling_committed_csv_matches_current_build() {
-    let y = cluster_scaling_point(1, 50, ShardPolicy::HashByStream, true).total_throughput_mbs();
-    assert_cell("cluster_scaling.csv", "1", "Straggler hash S/disk=50", y);
+    // The cheapest cell, then the four cells the scale-out bars read.
+    for (nodes, spd, column, policy, straggler) in [
+        (1, 50, "Straggler hash", ShardPolicy::HashByStream, true),
+        (1, 100, "Healthy", ShardPolicy::HashByStream, false),
+        (4, 100, "Healthy", ShardPolicy::HashByStream, false),
+        (4, 100, "Straggler hash", ShardPolicy::HashByStream, true),
+        (4, 100, "Straggler aware", ShardPolicy::StragglerAware, true),
+    ] {
+        let y = cluster_scaling_point(nodes, spd, policy, straggler).total_throughput_mbs();
+        let column = format!("{column} S/disk={spd}");
+        assert_cell("cluster_scaling.csv", &nodes.to_string(), &column, y);
+    }
 }
 
 #[test]

@@ -1,9 +1,7 @@
 //! Every deterministic probe report, regenerated in memory from its one
 //! definition in `seqio_bench::reports` (acceptance bars included) and
-//! compared with the committed file under `bench_results/` byte for byte,
-//! apart from a `"wall_secs"` line: that is host time, which CI's
-//! `git diff -I '"wall_secs"'` gate ignores too. The committed files are
-//! only read here; `probe <mode>` rewrites them.
+//! compared with the committed file under `bench_results/` byte for byte.
+//! The committed files are only read here; `probe <mode>` rewrites them.
 
 use seqio_bench::reports::REPORTS;
 use seqio_bench::results_dir;
@@ -19,9 +17,6 @@ fn matches_committed(mode: &str) {
     let (old, new): (Vec<&str>, Vec<&str>) =
         (committed.split('\n').collect(), fresh.split('\n').collect());
     for (i, (o, n)) in old.iter().zip(&new).enumerate() {
-        if o.contains("\"wall_secs\"") && n.contains("\"wall_secs\"") {
-            continue;
-        }
         assert_eq!(
             o,
             n,
@@ -34,26 +29,11 @@ fn matches_committed(mode: &str) {
 }
 
 #[test]
-fn cluster_report_matches_the_committed_file() {
-    matches_committed("cluster");
-}
-
-#[test]
 fn migrate_report_matches_the_committed_file() {
     matches_committed("migrate");
 }
 
 #[test]
-fn fault_report_matches_the_committed_file() {
-    matches_committed("faults");
-}
-
-#[test]
 fn timeline_report_matches_the_committed_file() {
     matches_committed("timeline");
-}
-
-#[test]
-fn scenario_report_matches_the_committed_file() {
-    matches_committed("scenario");
 }
