@@ -93,13 +93,20 @@ impl PerfPoint {
 /// - the controller that scanned every in-flight fetch of every port to
 ///   find one a read could attach to;
 /// - the calendar event queue (a bucket ring with estimated widths and
-///   resizes) that the keyed binary heap replaced.
+///   resizes) that the keyed binary heap replaced;
+/// - the detection bitmap that set one bit per loop pass;
+/// - the scheduler that walked one admission queue of every disk's
+///   waiting streams on each pick and searched the prefix index twice per
+///   matched request.
 ///
 /// Rows not listed have no before figure.
-const BEFORE_WALL_SECS: [(&str, f64, &str); 9] = [
+const BEFORE_WALL_SECS: [(&str, f64, &str); 12] = [
     ("stream-sched-100streams", 0.033730, "previous scheduler"),
     (LINK_ROW, 0.589446, "previous link"),
+    ("classifier-observe-sequential", 0.126110, "bit-at-a-time bitmap"),
+    ("classifier-observe-scattered", 0.158373, "bit-at-a-time bitmap"),
     ("server-feed-100readers", 0.516641, "previous scheduler"),
+    (SKEW_FEED_ROW, 0.231277, "single-queue scheduler"),
     ("controller-feed-8x100readers", 0.398368, "previous controller"),
     ("event-queue-push-pop-1k", 0.077718, "calendar queue"),
     ("event-queue-churn-1k-uniform", 0.285304, "calendar queue"),
@@ -374,12 +381,12 @@ const CTRL_FEED_REQUESTS_PER_READER: u64 = 200;
 /// Requests per reader in the disk feed row.
 const DISK_FEED_REQUESTS_PER_READER: u64 = 2000;
 
-/// Sequential 64 KiB readers spread over `disks` disks, `per_disk` to a
-/// disk, each in its own region of its disk, with one request
-/// outstanding: a reader issues its next request the instant the last one
-/// completes. Reader `r` reads disk `r / per_disk`.
+/// Sequential 64 KiB readers, `per_disk[d]` of them on disk `d`, each in
+/// its own region of its disk, with one request outstanding: a reader
+/// issues its next request the instant the last one completes. Readers are
+/// numbered disk by disk.
 struct Readers {
-    per_disk: usize,
+    disk_of: Vec<usize>,
     next_lba: Vec<u64>,
     issued: Vec<u64>,
     per_reader: u64,
@@ -388,14 +395,14 @@ struct Readers {
 impl Readers {
     const BLOCKS: u64 = 128;
 
-    fn new(disks: usize, per_disk: usize, disk_blocks: u64, per_reader: u64) -> Readers {
-        let spacing = disk_blocks / per_disk as u64;
-        Readers {
-            per_disk,
-            next_lba: (0..disks * per_disk).map(|r| (r % per_disk) as u64 * spacing).collect(),
-            issued: vec![0; disks * per_disk],
-            per_reader,
+    fn new(per_disk: &[usize], disk_blocks: u64, per_reader: u64) -> Readers {
+        let (mut disk_of, mut next_lba) = (Vec::new(), Vec::new());
+        for (disk, &n) in per_disk.iter().enumerate() {
+            let spacing = disk_blocks / n as u64;
+            disk_of.extend(std::iter::repeat_n(disk, n));
+            next_lba.extend((0..n as u64).map(|i| i * spacing));
         }
+        Readers { issued: vec![0; disk_of.len()], disk_of, next_lba, per_reader }
     }
 
     fn count(&self) -> usize {
@@ -411,7 +418,7 @@ impl Readers {
         let lba = self.next_lba[r];
         self.issued[r] += 1;
         self.next_lba[r] += Self::BLOCKS;
-        Some((id, r / self.per_disk, lba))
+        Some((id, self.disk_of[r], lba))
     }
 
     /// The reader that issued request `id`.
@@ -437,7 +444,7 @@ fn controller_feed(per_port: usize, per_reader: u64) -> u64 {
     let disks = (0..ports).map(|p| Disk::new(DiskConfig::wd800jd(), p as u64)).collect();
     let mut ctrl = Controller::new(cfg, disks);
     let mut readers =
-        Readers::new(ports, per_port, ctrl.disk(0).geometry().total_blocks(), per_reader);
+        Readers::new(&vec![per_port; ports], ctrl.disk(0).geometry().total_blocks(), per_reader);
     let mut q = EventQueue::new();
     for r in 0..readers.count() {
         q.push(SimTime::ZERO, FeedEvent::Issue(r));
@@ -470,7 +477,7 @@ fn controller_feed(per_port: usize, per_reader: u64) -> u64 {
 /// completions.
 fn disk_feed(readers: usize, per_reader: u64) -> u64 {
     let mut disk = Disk::new(DiskConfig::wd800jd(), 0);
-    let mut readers = Readers::new(1, readers, disk.geometry().total_blocks(), per_reader);
+    let mut readers = Readers::new(&[readers], disk.geometry().total_blocks(), per_reader);
     let mut q = EventQueue::new();
     for r in 0..readers.count() {
         q.push(SimTime::ZERO, FeedEvent::Issue(r));
@@ -495,6 +502,93 @@ fn disk_feed(readers: usize, per_reader: u64) -> u64 {
         }
     }
     assert_eq!(done, readers.count() as u64 * per_reader, "every request completes once");
+    done
+}
+
+/// The skewed server feed's row name.
+const SKEW_FEED_ROW: &str = "server-feed-8x100+50readers";
+
+/// Requests per reader in the skewed server feed row.
+const SKEW_FEED_REQUESTS_PER_READER: u64 = 512;
+
+/// Readers per disk of the skewed server feed: 100 on each of eight disks,
+/// and 50 more on disk 0.
+const SKEW_FEED_READERS: [usize; 8] = [150, 100, 100, 100, 100, 100, 100, 100];
+
+/// Simulated disk time per block in the skewed server feed.
+const SKEW_FEED_NS_PER_BLOCK: u64 = 1_000;
+
+/// Drives an `all_dispatched` server sized for 100 readers on each of eight
+/// disks with [`SKEW_FEED_READERS`] [`Readers`]: the shape
+/// `cluster-migrate`'s node 0 takes once a straggler's streams move onto
+/// it. Disk 0 holds its quota of 100 dispatched streams while the rest of
+/// its readers wait for a slot. Each disk serves its requests one at a
+/// time, in submission order, at [`SKEW_FEED_NS_PER_BLOCK`]. The garbage
+/// collection runs every simulated second, as a node runs it, and when no
+/// reader can proceed. Returns the client completions.
+fn skewed_server_feed(per_reader: u64) -> u64 {
+    let disks = SKEW_FEED_READERS.len();
+    let cfg = ServerConfig::all_dispatched(disks * 100, 512 * KIB);
+    let (gc_period, stall_jump) = (cfg.gc_period, cfg.buffer_timeout + cfg.gc_period);
+    // Each of disk 0's readers gets twice the span it reads.
+    let disk_blocks = 2 * SKEW_FEED_READERS[0] as u64 * per_reader * Readers::BLOCKS;
+    let mut srv = StorageServer::new(cfg, vec![disk_blocks; disks]);
+    let mut readers = Readers::new(&SKEW_FEED_READERS, disk_blocks, per_reader);
+    // Per disk: the backend requests it has yet to complete, as (id, blocks).
+    let mut fifo = vec![VecDeque::new(); disks];
+    let service = |blocks: u64| SimDuration::from_nanos(blocks * SKEW_FEED_NS_PER_BLOCK);
+    let mut q: EventQueue<FeedEvent<usize>> = EventQueue::new();
+    for r in 0..readers.count() {
+        q.push(SimTime::ZERO, FeedEvent::Issue(r));
+    }
+    let (mut out, mut done, mut stalls) = (Vec::new(), 0, 0);
+    let (mut now, mut next_gc) = (SimTime::ZERO, SimTime::ZERO + gc_period);
+    let total = readers.count() as u64 * per_reader;
+    while done < total {
+        match q.pop() {
+            Some((at, FeedEvent::Issue(r))) => {
+                now = at;
+                let Some((id, disk, lba)) = readers.next(r) else { continue };
+                let req = ClientRequest::read(id.0, disk, lba, Readers::BLOCKS);
+                srv.on_client_request_into(now, req, &mut out);
+            }
+            Some((at, FeedEvent::Device(disk))) => {
+                now = at;
+                let (id, _) = fifo[disk].pop_front().expect("a scheduled disk has work");
+                srv.on_disk_complete_into(now, id, &mut out);
+                if let Some(&(_, blocks)) = fifo[disk].front() {
+                    q.push(now + service(blocks), FeedEvent::Device(disk));
+                }
+            }
+            None => {
+                // Finished readers pin read-ahead nobody will consume: let
+                // it time out, as a node's periodic collection would.
+                stalls += 1;
+                assert!(stalls < 1_000, "skewed server feed stalled at {done} of {total}");
+                now += stall_jump;
+                next_gc = now;
+            }
+        }
+        if now >= next_gc {
+            srv.on_gc_into(now, &mut out);
+            next_gc = now + gc_period;
+        }
+        for o in out.drain(..) {
+            match o {
+                ServerOutput::SubmitDisk(b) => {
+                    fifo[b.disk].push_back((b.id, b.blocks));
+                    if fifo[b.disk].len() == 1 {
+                        q.push(now + service(b.blocks), FeedEvent::Device(b.disk));
+                    }
+                }
+                ServerOutput::CompleteClient { client, .. } => {
+                    done += 1;
+                    q.push(now, FeedEvent::Issue(readers.reader(RequestId(client))));
+                }
+            }
+        }
+    }
+    assert_eq!(srv.metrics().completions, total, "every request completes once");
     done
 }
 
@@ -556,6 +650,12 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
         100 * FEED_REQUESTS_PER_READER,
         repeats,
         || server_feed(100, FEED_REQUESTS_PER_READER),
+    ));
+    rows.push(time_micro(
+        SKEW_FEED_ROW,
+        SKEW_FEED_READERS.iter().sum::<usize>() as u64 * SKEW_FEED_REQUESTS_PER_READER,
+        repeats,
+        || skewed_server_feed(SKEW_FEED_REQUESTS_PER_READER),
     ));
     rows.push(time_micro(
         "controller-feed-8x100readers",

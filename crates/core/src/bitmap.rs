@@ -64,16 +64,16 @@ impl RegionBitmap {
         let lo = lba.max(self.base);
         let hi = (lba + blocks).min(self.end());
         let mut newly = 0;
-        let mut b = lo;
-        while b < hi {
-            let off = b - self.base;
-            let w = (off / 64) as usize;
-            let bit = 1u64 << (off % 64);
-            if self.words[w] & bit == 0 {
-                self.words[w] |= bit;
-                newly += 1;
-            }
-            b += 1;
+        // One masked word at a time over the region offsets [off, last).
+        let (mut off, last) = (lo - self.base, hi.saturating_sub(self.base));
+        while off < last {
+            let shift = off % 64;
+            let n = (last - off).min(64 - shift);
+            let mask = (u64::MAX >> (64 - n)) << shift;
+            let word = &mut self.words[(off / 64) as usize];
+            newly += u64::from((mask & !*word).count_ones());
+            *word |= mask;
+            off += n;
         }
         self.set_count += newly;
         newly

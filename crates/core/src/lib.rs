@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod admission;
 mod bitmap;
 mod buffer;
 mod classifier;

@@ -1,28 +1,37 @@
 //! Test oracles: the stream table and the buffered set as they were before
-//! streams and buffers moved to slots and sorted vectors, and seeded
-//! differential programs that drive old and new side by side.
+//! streams and buffers moved to slots and sorted vectors, the admission
+//! queue before it split per disk, and the region bitmap before it set
+//! whole words; and seeded differential programs that drive old and new
+//! side by side.
 //!
 //! The old structures key streams and buffers by SipHash maps, keep a
 //! per-disk `BTreeMap` of `(client_next, id)` and sort a stream's buffers by
-//! start on every coverage walk. The new ones must return the same value for
-//! every call, with old ids mapped to new ones.
+//! start on every coverage walk. The old admission queue is one queue of
+//! every disk's waiting streams, walked from the front on every pick, and
+//! the old bitmap sets one bit per loop pass. The new ones must return the
+//! same value for every call, with old ids mapped to new ones.
 
 use std::collections::HashMap;
 
+use proptest::prelude::*;
 use seqio_simcore::{SimRng, SimTime};
 
+use crate::admission::AdmissionQueues;
+use crate::bitmap::RegionBitmap;
 use crate::buffer::{BufferId, BufferPool, Coverage, Lba};
+use crate::config::DispatchPolicy;
 use crate::stream::{PendingRequest, StreamId, StreamTable};
 
-/// The stream table and buffered set as they were, trimmed to what the
-/// differential programs call.
+/// The stream table, buffered set, admission queue and region bitmap as
+/// they were, trimmed to what the differential programs call.
 mod old {
     use std::collections::{BTreeMap, HashMap, VecDeque};
 
     use seqio_simcore::SimTime;
 
     use crate::buffer::{Coverage, Lba};
-    use crate::stream::PendingRequest;
+    use crate::config::DispatchPolicy;
+    use crate::stream::{self, PendingRequest};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
     pub struct StreamId(pub u64);
@@ -103,6 +112,12 @@ mod old {
             idx.remove(&(s.client_next, id));
             idx.insert((new_next, id), ());
             s.client_next = new_next;
+        }
+
+        /// How many index entries an advance of `id` to `to` passes.
+        pub fn passed(&self, id: StreamId, to: Lba) -> usize {
+            let s = &self.streams[&id];
+            self.index[&s.disk].range((s.client_next, id)..(to, id)).count() - 1
         }
 
         pub fn remove(&mut self, id: StreamId) -> Option<Stream> {
@@ -319,6 +334,106 @@ mod old {
             freed
         }
     }
+
+    /// The round-robin admission queue of every disk's waiting streams.
+    #[derive(Default)]
+    pub struct AdmissionQueue {
+        rr: VecDeque<stream::StreamId>,
+    }
+
+    impl AdmissionQueue {
+        pub fn push(&mut self, id: stream::StreamId) {
+            self.rr.push_back(id);
+        }
+
+        pub fn get(&self, i: usize) -> stream::StreamId {
+            self.rr[i]
+        }
+
+        pub fn remove(&mut self, i: usize) {
+            self.rr.remove(i);
+        }
+
+        /// The old `pick_admission`, with the server's per-disk quota test
+        /// passed in as `open`.
+        pub fn pick(
+            &mut self,
+            streams: &stream::StreamTable,
+            policy: DispatchPolicy,
+            open: impl Fn(usize) -> bool,
+            last_admit_frontier: &[Lba],
+        ) -> Option<usize> {
+            let mut chosen: Option<usize> = None;
+            // Ties keep the earliest queue entry.
+            let mut best_distance = u64::MAX;
+            let mut i = 0;
+            while i < self.rr.len() {
+                let sid = self.rr[i];
+                match streams.get(sid) {
+                    None => {
+                        self.rr.remove(i);
+                    }
+                    Some(s) if !s.waiting => {
+                        self.rr.remove(i);
+                    }
+                    Some(s) => {
+                        if open(s.disk) {
+                            let last = last_admit_frontier[s.disk];
+                            match policy {
+                                DispatchPolicy::RoundRobin => return Some(i),
+                                DispatchPolicy::OffsetOrdered => {
+                                    let distance = s.frontier.abs_diff(last);
+                                    if chosen.is_none() || distance < best_distance {
+                                        best_distance = distance;
+                                        chosen = Some(i);
+                                    }
+                                }
+                            }
+                        }
+                        i += 1;
+                    }
+                }
+            }
+            chosen
+        }
+    }
+
+    /// The region bitmap that set one bit per loop pass.
+    pub struct BitLoopBitmap {
+        base: Lba,
+        len: u64,
+        words: Vec<u64>,
+        set_count: u64,
+    }
+
+    impl BitLoopBitmap {
+        pub fn new(base: Lba, len: u64) -> Self {
+            BitLoopBitmap { base, len, words: vec![0; len.div_ceil(64) as usize], set_count: 0 }
+        }
+
+        pub fn set_count(&self) -> u64 {
+            self.set_count
+        }
+
+        pub fn set_range(&mut self, lba: Lba, blocks: u64) -> u64 {
+            let lo = lba.max(self.base);
+            let hi = (lba + blocks).min(self.base + self.len);
+            let mut newly = 0;
+            let mut b = lo;
+            while b < hi {
+                let off = b - self.base;
+                let w = (off / 64) as usize;
+                let bit = 1u64 << (off % 64);
+                if self.words[w] & bit == 0 {
+                    self.words[w] |= bit;
+                    newly += 1;
+                }
+                b += 1;
+            }
+            self.set_count += newly;
+            newly
+        }
+    }
 }
 
 /// Operations per differential program.
@@ -348,7 +463,7 @@ fn stream_table_matches_the_reference() {
     let mut to_new: HashMap<old::StreamId, StreamId> = HashMap::new();
     let mut stale: Vec<StreamId> = Vec::new();
     let mut clock = 0;
-    let (mut matched, mut reused, mut slots_seen) = (0, 0, 0);
+    let (mut matched, mut reused, mut slots_seen, mut shifted) = (0, 0, 0, 0);
     for _ in 0..OPS {
         clock += rng.below(3);
         let op = rng.below(20);
@@ -372,13 +487,6 @@ fn stream_table_matches_the_reference() {
             );
             assert!(new.remove(n).is_none() && old.remove(o).is_none());
             stale.push(n);
-        } else if op < 12 {
-            let (o, n) = pick(&mut rng, &live);
-            let current = old.get(o).expect("live").client_next;
-            let next =
-                if rng.chance(0.5) { current + rng.range(1, 4) * 128 } else { grid_lba(&mut rng) };
-            old.advance_client_next(o, next);
-            new.advance_client_next(n, next);
         } else if op < 17 {
             // Half the probes land just past a live stream's position.
             let (disk, lba) = if rng.chance(0.5) {
@@ -388,9 +496,24 @@ fn stream_table_matches_the_reference() {
                 (rng.below(4) as usize, grid_lba(&mut rng) + rng.below(256))
             };
             let slack = pick(&mut rng, &[0, 64, 128, 1024]);
-            let expect = old.match_request(disk, lba, slack).map(|o| to_new[&o]);
-            assert_eq!(new.match_request(disk, lba, slack), expect, "match {disk}/{lba}/{slack}");
-            matched += usize::from(expect.is_some());
+            let found = old.match_request(disk, lba, slack);
+            let m = new.match_request(disk, lba, slack);
+            assert_eq!(m.map(|m| m.id), found.map(|o| to_new[&o]), "match {disk}/{lba}/{slack}");
+            matched += usize::from(found.is_some());
+            // Four probes in nine advance their match past the request, as
+            // the server does; the end lands on the grid a third of the time.
+            if let (Some(o), Some(m)) = (found, m) {
+                if op < 12 {
+                    let end = if rng.chance(0.33) {
+                        (lba / 128 + rng.range(1, 4)) * 128
+                    } else {
+                        lba + pick(&mut rng, &[1, 64, 128, 256, 384])
+                    };
+                    shifted += usize::from(old.passed(o, end) > 0);
+                    old.advance_client_next(o, end);
+                    assert_eq!(new.advance(m, end).client_next, end);
+                }
+            }
         } else if op < 19 {
             // Flip the flags the idle filter reads, the same on both.
             let (o, n) = pick(&mut rng, &live);
@@ -423,7 +546,10 @@ fn stream_table_matches_the_reference() {
         }
         assert_eq!(new.len(), old.len());
     }
-    assert!(matched > 5_000 && reused > 10_000, "{matched} matches, {reused} slot reuses");
+    assert!(
+        matched > 5_000 && reused > 10_000 && shifted > 1_000,
+        "{matched} matches, {reused} slot reuses, {shifted} advances past a neighbour"
+    );
 }
 
 /// One stream of the buffered-set program, in both id spaces.
@@ -553,12 +679,163 @@ fn match_prefers_the_later_stream_on_a_recycled_lower_slot() {
     new.remove(first);
     let later = new.create(0, 1000, 1000, SimTime::ZERO);
     assert!(later.slot() < earlier.slot(), "the later stream reuses slot {}", first.slot());
-    assert_eq!(new.match_request(0, 1000, 0), Some(later));
-    assert_eq!(new.match_request(0, 1100, 128), Some(later));
+    assert_eq!(new.match_request(0, 1000, 0).map(|m| m.id), Some(later));
+    assert_eq!(new.match_request(0, 1100, 128).map(|m| m.id), Some(later));
 
     let first = old.create(0, 0, 0, SimTime::ZERO);
     let _earlier = old.create(0, 1000, 1000, SimTime::ZERO);
     old.remove(first);
     let later_old = old.create(0, 1000, 1000, SimTime::ZERO);
     assert_eq!(old.match_request(0, 1000, 0), Some(later_old));
+}
+
+/// Drives the per-disk admission queues and the old single queue side by
+/// side, the way the server does: streams wait on five disks, picks run
+/// under both policies against per-disk quotas that a retune moves, and a
+/// pick ends as `NoMemory` (it stays queued), `NoDemand` or `Issued`.
+/// Dispatched streams retire and queue again, and the collector removes
+/// streams while their entries are still queued, so stale ids of removed
+/// streams sit in the queues while their slots hold new streams. Every pick
+/// must name the same stream.
+#[test]
+fn admission_queues_match_the_single_queue_scan() {
+    const DISKS: usize = 5;
+    let mut rng = SimRng::seed_from(29);
+    let mut table = StreamTable::new();
+    let mut new = AdmissionQueues::new(DISKS);
+    let mut old = old::AdmissionQueue::default();
+    let (mut live, mut admitted): (Vec<StreamId>, Vec<StreamId>) = (Vec::new(), Vec::new());
+    let mut dispatched = [0usize; DISKS];
+    let mut last_admit = [0; DISKS];
+    let mut quota = 2;
+    let mut waiting = 0;
+    let mut slots_seen = 0;
+    let (mut picks, mut offset_picks, mut held, mut issued) = (0, 0, 0, 0);
+    let (mut stale, mut reused, mut retunes) = (0, 0, 0);
+    // A frontier from a coarse grid, so offset distances tie often.
+    let grid = |rng: &mut SimRng| rng.below(32) * 1024;
+    for _ in 0..OPS {
+        let at = rng.below(live.len().max(1) as u64) as usize;
+        match rng.below(20) {
+            0..=3 if live.len() < 96 => {
+                let disk = rng.below(DISKS as u64) as usize;
+                let id = table.create(disk, 0, grid(&mut rng), SimTime::ZERO);
+                reused += usize::from(id.slot() < slots_seen);
+                slots_seen = slots_seen.max(id.slot() + 1);
+                table.get_mut(id).expect("just created").waiting = true;
+                new.push(disk, id);
+                old.push(id);
+                waiting += 1;
+                live.push(id);
+            }
+            4..=5 if !live.is_empty() => {
+                let s = table.get_mut(live[at]).expect("live");
+                if !s.waiting && !s.dispatched {
+                    s.waiting = true;
+                    new.push(s.disk, s.id);
+                    old.push(s.id);
+                    waiting += 1;
+                }
+            }
+            6..=11 => {
+                let policy = if rng.chance(0.5) {
+                    DispatchPolicy::RoundRobin
+                } else {
+                    DispatchPolicy::OffsetOrdered
+                };
+                let open = |disk: usize| dispatched[disk] < quota;
+                let got = new.pick(&table, policy, open, &last_admit);
+                let expect = old.pick(&table, policy, open, &last_admit);
+                assert_eq!(got.map(|p| p.id), expect.map(|i| old.get(i)), "{policy:?} pick");
+                let (Some(got), Some(i)) = (got, expect) else { continue };
+                picks += 1;
+                offset_picks += usize::from(policy == DispatchPolicy::OffsetOrdered);
+                match rng.below(3) {
+                    0 => held += 1,
+                    outcome => {
+                        new.remove(got);
+                        old.remove(i);
+                        waiting -= 1;
+                        let s = table.get_mut(got.id).expect("a pick is live");
+                        s.waiting = false;
+                        if outcome == 2 {
+                            s.dispatched = true;
+                            dispatched[s.disk] += 1;
+                            last_admit[s.disk] = s.frontier;
+                            admitted.push(s.id);
+                            issued += 1;
+                        }
+                    }
+                }
+            }
+            12..=13 if !admitted.is_empty() => {
+                let id = admitted.swap_remove(rng.below(admitted.len() as u64) as usize);
+                let s = table.get_mut(id).expect("a dispatched stream is live");
+                s.dispatched = false;
+                dispatched[s.disk] -= 1;
+                if rng.chance(0.7) {
+                    s.waiting = true;
+                    new.push(s.disk, s.id);
+                    old.push(s.id);
+                    waiting += 1;
+                }
+            }
+            14..=15 if !live.is_empty() => {
+                // The collector never removes a dispatched stream.
+                let s = table.get(live[at]).expect("live");
+                if !s.dispatched {
+                    stale += usize::from(s.waiting);
+                    waiting -= usize::from(s.waiting);
+                    table.remove(live.swap_remove(at));
+                }
+            }
+            16 => {
+                quota = rng.range(1, 4) as usize;
+                retunes += 1;
+            }
+            17..=18 if !live.is_empty() => {
+                let s = table.get_mut(live[at]).expect("live");
+                s.frontier =
+                    if rng.chance(0.5) { s.frontier + rng.below(3) * 1024 } else { grid(&mut rng) };
+            }
+            _ => {}
+        }
+        assert!(waiting == 0 || !new.is_empty(), "a waiting stream is always queued");
+    }
+    assert!(
+        picks > 20_000 && offset_picks > 10_000 && held > 5_000 && issued > 5_000,
+        "{picks} picks, {offset_picks} offset ordered, {held} held, {issued} issued"
+    );
+    assert!(
+        stale > 2_000 && reused > 5_000 && retunes > 3_000,
+        "{stale} stale entries, {reused} slot reuses, {retunes} retunes"
+    );
+}
+
+proptest! {
+    /// Word-wise `set_range` returns what the bit-at-a-time loop returns,
+    /// call by call, and leaves the same bits set. Ranges start near the
+    /// region's edges and near word boundaries inside it.
+    #[test]
+    fn prop_region_bitmap_matches_the_bit_loop(
+        base in 0u64..300,
+        len in 1u64..400,
+        ranges in proptest::collection::vec((0u64..4, 0u64..2000, 1u64..200), 1..40)
+    ) {
+        let mut new = RegionBitmap::new(base, len);
+        let mut old = old::BitLoopBitmap::new(base, len);
+        for (anchor, offset, blocks) in ranges {
+            let lba = match anchor {
+                0 => (base + offset % 64).saturating_sub(32),
+                1 => (base + len + offset % 64).saturating_sub(32),
+                2 => (base + offset % len / 64 * 64 + offset % 8).saturating_sub(4),
+                _ => offset,
+            };
+            prop_assert_eq!(new.set_range(lba, blocks), old.set_range(lba, blocks));
+            prop_assert_eq!(new.set_count(), old.set_count());
+        }
+        for lba in base.saturating_sub(1)..base + len + 1 {
+            prop_assert_eq!(new.set_range(lba, 1), old.set_range(lba, 1), "bit {}", lba);
+        }
+    }
 }

@@ -11,15 +11,12 @@
 //! both by the simulated storage node (`seqio-node`) and by the real-file
 //! backend runner ([`crate::runner`]).
 
-use std::collections::VecDeque;
-
 use seqio_simcore::{SeqioError, SimDuration, SimTime};
 
+use crate::admission::AdmissionQueues;
 use crate::buffer::{BufferId, BufferPool, Coverage, Lba};
 use crate::classifier::{Classification, Classifier};
-use crate::config::{
-    DispatchPolicy, ServerConfig, DETECT_OFFSET_BLOCKS, STREAM_MATCH_SLACK_BLOCKS,
-};
+use crate::config::{ServerConfig, DETECT_OFFSET_BLOCKS, STREAM_MATCH_SLACK_BLOCKS};
 use crate::stream::{PendingRequest, StreamId, StreamTable};
 
 /// A request arriving from a client.
@@ -162,7 +159,7 @@ pub enum SpanEvent {
 enum IssueOutcome {
     /// A fill was submitted.
     Issued,
-    /// `M` is exhausted: retry when memory frees (round-robin head waits).
+    /// `M` is exhausted: retry when memory frees (the pick stays queued).
     NoMemory,
     /// The stream has staged enough ahead of its client (or hit the end of
     /// the disk): nothing to do for it right now.
@@ -178,8 +175,8 @@ pub struct StorageServer {
     classifier: Classifier,
     streams: StreamTable,
     pool: BufferPool,
-    /// Round-robin admission queue (stream ids with `waiting == true`).
-    rr: VecDeque<StreamId>,
+    /// Admission queues, one per disk (stream ids with `waiting == true`).
+    queues: AdmissionQueues,
     dispatched_count: usize,
     /// Dispatched streams per disk; admission balances across spindles so a
     /// small dispatch set (e.g. `D = #disks`) keeps every disk busy.
@@ -228,7 +225,7 @@ impl StorageServer {
             classifier,
             streams: StreamTable::new(),
             pool,
-            rr: VecDeque::new(),
+            queues: AdmissionQueues::new(n_disks),
             dispatched_count: 0,
             disk_dispatched: vec![0; n_disks],
             disk_quota,
@@ -397,7 +394,10 @@ impl StorageServer {
     ) {
         assert!(req.disk < self.disk_capacity.len(), "unknown disk {}", req.disk);
         assert!(req.blocks > 0, "empty request");
-        assert!(req.end() <= self.disk_capacity[req.disk], "request past disk end");
+        assert!(
+            req.lba.checked_add(req.blocks).is_some_and(|end| end <= self.disk_capacity[req.disk]),
+            "request past disk end"
+        );
         self.metrics.client_requests += 1;
 
         if req.write {
@@ -405,15 +405,12 @@ impl StorageServer {
             return;
         }
 
-        if let Some(sid) = self.streams.match_request(req.disk, req.lba, STREAM_MATCH_SLACK_BLOCKS)
-        {
+        if let Some(m) = self.streams.match_request(req.disk, req.lba, STREAM_MATCH_SLACK_BLOCKS) {
+            let sid = m.id;
             if let Some(log) = self.span_log.as_mut() {
                 log.push(SpanEvent::Classified { client: req.id, at: now });
             }
-            self.streams.advance_client_next(sid, req.end());
-            if let Some(s) = self.streams.get_mut(sid) {
-                s.last_active = now;
-            }
+            self.streams.advance(m, req.end()).last_active = now;
             match self.pool.coverage(sid, req.lba, req.blocks) {
                 Coverage::Ready => {
                     let freed = self.pool.consume(sid, req.lba, req.blocks, now);
@@ -423,7 +420,7 @@ impl StorageServer {
                     // Consumption shrank the stream's staging lead: keep its
                     // prefetch pipeline primed by re-queueing it.
                     self.requeue_if_demand(sid);
-                    if freed > 0 || !self.rr.is_empty() {
+                    if freed > 0 || !self.queues.is_empty() {
                         self.try_admit(now, out);
                     }
                 }
@@ -460,7 +457,7 @@ impl StorageServer {
                     let s = self.streams.get_mut(sid).expect("stream exists");
                     if !s.dispatched && !s.waiting {
                         s.waiting = true;
-                        self.rr.push_back(sid);
+                        self.queues.push(req.disk, sid);
                     }
                     self.try_admit(now, out);
                 }
@@ -475,7 +472,7 @@ impl StorageServer {
                     let sid = self.streams.create(req.disk, req.end(), req.end(), now);
                     let s = self.streams.get_mut(sid).expect("just created");
                     s.waiting = true;
-                    self.rr.push_back(sid);
+                    self.queues.push(req.disk, sid);
                     // The triggering request itself still goes directly to
                     // the disk; read-ahead starts behind it.
                     self.submit_direct(now, req, out);
@@ -594,7 +591,7 @@ impl StorageServer {
             self.pool.free_stream(sid);
             self.streams.remove(sid);
             self.metrics.streams_gced += 1;
-            // If the stream sat in the round-robin queue, try_admit skips it
+            // If the stream sat in an admission queue, a pick drops it
             // lazily when it finds the id no longer resolves.
         }
         self.classifier.gc(cutoff);
@@ -632,7 +629,8 @@ impl StorageServer {
         lead_blocks * 512 < self.cfg.effective_lead_bytes()
     }
 
-    /// Puts a stream back on the round-robin queue if it still has demand.
+    /// Puts a stream back on its disk's admission queue if it still has
+    /// demand.
     fn requeue_if_demand(&mut self, stream: StreamId) {
         if !self.has_demand(stream) {
             return;
@@ -640,63 +638,30 @@ impl StorageServer {
         let Some(s) = self.streams.get_mut(stream) else { return };
         if !s.dispatched && !s.waiting {
             s.waiting = true;
-            self.rr.push_back(stream);
+            self.queues.push(s.disk, stream);
         }
-    }
-
-    /// Picks the queue index of the next stream to admit, per the
-    /// configured [`DispatchPolicy`]: the first eligible entry (round
-    /// robin), or the eligible entry whose frontier is nearest the last
-    /// admitted offset on its disk (offset ordered). Drops stale entries
-    /// as it scans.
-    fn pick_admission(&mut self) -> Option<usize> {
-        let mut chosen: Option<usize> = None;
-        // Ties keep the earliest queue entry.
-        let mut best_distance = u64::MAX;
-        let mut i = 0;
-        while i < self.rr.len() {
-            let sid = self.rr[i];
-            match self.streams.get(sid) {
-                None => {
-                    self.rr.remove(i);
-                }
-                Some(s) if !s.waiting => {
-                    self.rr.remove(i);
-                }
-                Some(s) => {
-                    if self.disk_dispatched[s.disk] < self.disk_quota {
-                        let last = self.last_admit_frontier[s.disk];
-                        match self.cfg.dispatch_policy {
-                            DispatchPolicy::RoundRobin => return Some(i),
-                            DispatchPolicy::OffsetOrdered => {
-                                let distance = s.frontier.abs_diff(last);
-                                if chosen.is_none() || distance < best_distance {
-                                    best_distance = distance;
-                                    chosen = Some(i);
-                                }
-                            }
-                        }
-                    }
-                    i += 1;
-                }
-            }
-        }
-        chosen
     }
 
     /// Admits waiting streams while slots and memory allow, balanced across
     /// disks by the per-disk quota.
     fn try_admit(&mut self, now: SimTime, out: &mut Vec<ServerOutput>) {
         while self.dispatched_count < self.cfg.dispatch_streams {
-            let Some(i) = self.pick_admission() else { break };
-            let sid = self.rr[i];
+            let Some(pick) = self.queues.pick(
+                &self.streams,
+                self.cfg.dispatch_policy,
+                |disk| self.disk_dispatched[disk] < self.disk_quota,
+                &self.last_admit_frontier,
+            ) else {
+                break;
+            };
+            let sid = pick.id;
             // Tentatively admit: the fill only happens if memory allows.
             // Besides `Issued`, any outcome may follow requests sent
             // straight to the disk because they could never be staged.
             match self.issue_fill(now, sid, true, out) {
-                IssueOutcome::NoMemory => break, // round-robin head waits for memory
+                IssueOutcome::NoMemory => break, // the pick waits for memory
                 IssueOutcome::NoDemand => {
-                    self.rr.remove(i);
+                    self.queues.remove(pick);
                     if let Some(s) = self.streams.get_mut(sid) {
                         s.waiting = false;
                     }
@@ -704,7 +669,7 @@ impl StorageServer {
                 }
                 IssueOutcome::Issued => {}
             }
-            self.rr.remove(i);
+            self.queues.remove(pick);
             let s = self.streams.get_mut(sid).expect("stream exists");
             s.waiting = false;
             s.dispatched = true;
@@ -1220,6 +1185,14 @@ mod tests {
     fn unknown_disk_panics() {
         let mut srv = server(cfg(1, 64, 1));
         let _ = srv.on_client_request(t(0), ClientRequest::read(0, 7, 0, 128));
+    }
+
+    #[test]
+    #[should_panic(expected = "request past disk end")]
+    fn request_end_past_u64_max_panics() {
+        // lba + blocks wraps to 4, which is inside the disk.
+        let mut srv = StorageServer::new(ServerConfig::default_tuning(), vec![1 << 30]);
+        let _ = srv.on_client_request(t(0), ClientRequest::read(1, 0, u64::MAX - 3, 8));
     }
 
     #[test]

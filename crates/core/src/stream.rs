@@ -4,8 +4,9 @@
 //! lookup is one bounds-checked index, and its creation sequence number,
 //! which orders ids and tells a live stream from a stale id whose slot was
 //! since reused. Each disk keeps a `Vec` of `(client_next, id)` sorted
-//! ascending for prefix matching; a request that advances a stream past
-//! none of its neighbours overwrites its entry in place.
+//! ascending for prefix matching. A [`Match`] carries its entry's position
+//! to [`StreamTable::advance`], so a request that advances a stream past
+//! none of its neighbours overwrites its entry in place, with no search.
 
 use std::collections::VecDeque;
 
@@ -27,6 +28,15 @@ impl StreamId {
     pub(crate) fn slot(self) -> usize {
         self.slot
     }
+}
+
+/// A stream that [`StreamTable::match_request`] found, with the position
+/// of its prefix-index entry, which [`StreamTable::advance`] reuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Match {
+    /// The matched stream.
+    pub id: StreamId,
+    at: usize,
 }
 
 /// A client request parked on a stream's private queue until its data is
@@ -142,40 +152,41 @@ impl StreamTable {
     /// `slack` blocks behind `lba` (i.e. `client_next <= lba <=
     /// client_next + slack`). Prefers the closest (largest `client_next`),
     /// then the latest created.
-    pub fn match_request(&self, disk: usize, lba: Lba, slack: u64) -> Option<StreamId> {
+    pub fn match_request(&self, disk: usize, lba: Lba, slack: u64) -> Option<Match> {
         let idx = self.index.get(disk)?;
-        let below = idx.partition_point(|&(next, _)| next <= lba);
-        let (next, id) = idx[below.checked_sub(1)?];
-        (next >= lba.saturating_sub(slack)).then_some(id)
+        let at = idx.partition_point(|&(next, _)| next <= lba).checked_sub(1)?;
+        let (next, id) = idx[at];
+        (next >= lba.saturating_sub(slack)).then_some(Match { id, at })
     }
 
-    /// Moves a stream's expected-next pointer (reindexing it).
+    /// Moves a matched stream's expected-next pointer forward to
+    /// `new_next`, past the request that matched it, and returns the
+    /// stream. Nothing may change the table between the match and this
+    /// call.
     ///
     /// # Panics
     ///
-    /// Panics if the stream does not exist.
-    pub fn advance_client_next(&mut self, id: StreamId, new_next: Lba) {
-        let s = self.get_mut(id).expect("advance on unknown stream");
-        let old = s.client_next;
-        if old == new_next {
-            return;
-        }
+    /// Panics if the stream was removed since the match.
+    pub fn advance(&mut self, m: Match, new_next: Lba) -> &mut Stream {
+        let s = self.slots[m.id.slot]
+            .as_mut()
+            .filter(|s| s.id == m.id)
+            .expect("advance on unknown stream");
+        let idx = &mut self.index[s.disk];
+        debug_assert_eq!(idx[m.at], (s.client_next, m.id), "stale match");
+        debug_assert!(new_next > s.client_next, "a match only moves its stream forward");
         s.client_next = new_next;
-        let disk = s.disk;
-        let idx = &mut self.index[disk];
-        let at = idx.binary_search(&(old, id)).expect("index out of sync");
-        let key = (new_next, id);
-        // Shift the entries the stream passes by one and drop it into the
-        // gap; with no entry passed this overwrites it in place.
-        if new_next > old {
-            let to = at + idx[at + 1..].partition_point(|e| *e < key);
-            idx[at..=to].rotate_left(1);
+        let key = (new_next, m.id);
+        // Shift the entries the stream passes down by one and drop it into
+        // the gap; with none passed, overwrite its entry in place.
+        if idx.get(m.at + 1).is_some_and(|e| *e < key) {
+            let to = m.at + 1 + idx[m.at + 2..].partition_point(|e| *e < key);
+            idx[m.at..=to].rotate_left(1);
             idx[to] = key;
         } else {
-            let to = idx[..at].partition_point(|e| *e < key);
-            idx[to..=at].rotate_right(1);
-            idx[to] = key;
+            idx[m.at] = key;
         }
+        s
     }
 
     /// Removes a stream, returning it. Its slot is reused by a later
@@ -211,12 +222,24 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    /// The id of the stream a request at `lba` on disk 0 matches.
+    fn matched(tb: &StreamTable, lba: Lba, slack: u64) -> Option<StreamId> {
+        tb.match_request(0, lba, slack).map(|m| m.id)
+    }
+
+    /// Matches a request at `lba` on disk 0 and advances its stream to
+    /// `new_next`, as the server does.
+    fn advance(tb: &mut StreamTable, lba: Lba, new_next: Lba) -> StreamId {
+        let m = tb.match_request(0, lba, 0).expect("a stream waits at lba");
+        tb.advance(m, new_next).id
+    }
+
     #[test]
     fn create_and_match_exact() {
         let mut tb = StreamTable::new();
         let id = tb.create(0, 1000, 1000, t(0));
-        assert_eq!(tb.match_request(0, 1000, 128), Some(id));
-        assert_eq!(tb.match_request(0, 999, 128), None, "behind expected");
+        assert_eq!(matched(&tb, 1000, 128), Some(id));
+        assert_eq!(matched(&tb, 999, 128), None, "behind expected");
         assert_eq!(tb.match_request(1, 1000, 128), None, "wrong disk");
     }
 
@@ -224,8 +247,8 @@ mod tests {
     fn match_allows_slack() {
         let mut tb = StreamTable::new();
         let id = tb.create(0, 1000, 1000, t(0));
-        assert_eq!(tb.match_request(0, 1100, 128), Some(id));
-        assert_eq!(tb.match_request(0, 1129, 128), None, "past slack");
+        assert_eq!(matched(&tb, 1100, 128), Some(id));
+        assert_eq!(matched(&tb, 1129, 128), None, "past slack");
     }
 
     #[test]
@@ -233,16 +256,16 @@ mod tests {
         let mut tb = StreamTable::new();
         let _far = tb.create(0, 900, 900, t(0));
         let near = tb.create(0, 1000, 1000, t(0));
-        assert_eq!(tb.match_request(0, 1000, 200), Some(near));
+        assert_eq!(matched(&tb, 1000, 200), Some(near));
     }
 
     #[test]
     fn advance_reindexes() {
         let mut tb = StreamTable::new();
         let id = tb.create(0, 1000, 1000, t(0));
-        tb.advance_client_next(id, 1128);
-        assert_eq!(tb.match_request(0, 1000, 0), None);
-        assert_eq!(tb.match_request(0, 1128, 0), Some(id));
+        assert_eq!(advance(&mut tb, 1000, 1128), id);
+        assert_eq!(matched(&tb, 1000, 0), None);
+        assert_eq!(matched(&tb, 1128, 0), Some(id));
         assert_eq!(tb.get(id).unwrap().client_next, 1128);
     }
 
@@ -252,7 +275,7 @@ mod tests {
         let id = tb.create(0, 1000, 1000, t(0));
         assert!(tb.remove(id).is_some());
         assert!(tb.remove(id).is_none());
-        assert_eq!(tb.match_request(0, 1000, 0), None);
+        assert_eq!(matched(&tb, 1000, 0), None);
         assert_eq!(tb.len(), 0);
     }
 
@@ -275,11 +298,11 @@ mod tests {
         let a = tb.create(0, 1000, 1000, t(0));
         let b = tb.create(0, 1000, 1000, t(0));
         // Both live; match returns one of them deterministically (the larger id).
-        let m = tb.match_request(0, 1000, 0).unwrap();
+        let m = matched(&tb, 1000, 0).unwrap();
         assert!(m == a || m == b);
         assert_eq!(tb.len(), 2);
         tb.remove(m);
-        assert!(tb.match_request(0, 1000, 0).is_some(), "the other remains indexed");
+        assert!(matched(&tb, 1000, 0).is_some(), "the other remains indexed");
     }
 
     #[test]
@@ -299,10 +322,14 @@ mod tests {
     fn advance_past_neighbours_keeps_the_index_sorted() {
         let mut tb = StreamTable::new();
         let ids: Vec<_> = (0..4).map(|i| tb.create(0, i * 100, i * 100, t(0))).collect();
-        tb.advance_client_next(ids[0], 250);
-        tb.advance_client_next(ids[3], 50);
+        // Past two neighbours, then past the last entry, then past none.
+        assert_eq!(advance(&mut tb, 0, 250), ids[0]);
+        assert_eq!(advance(&mut tb, 100, 400), ids[1]);
+        assert_eq!(advance(&mut tb, 200, 220), ids[2]);
         assert!(tb.index[0].windows(2).all(|w| w[0] < w[1]), "{:?}", tb.index[0]);
-        assert_eq!(tb.match_request(0, 260, 20), Some(ids[0]));
-        assert_eq!(tb.match_request(0, 60, 20), Some(ids[3]));
+        assert_eq!(matched(&tb, 260, 20), Some(ids[0]));
+        assert_eq!(matched(&tb, 410, 20), Some(ids[1]));
+        assert_eq!(matched(&tb, 230, 20), Some(ids[2]));
+        assert_eq!(matched(&tb, 300, 0), Some(ids[3]));
     }
 }

@@ -1,7 +1,7 @@
 //! The scenario experiment matrix: every named scenario run under the
 //! direct frontend, a panel of static scheduler tunes, and the adaptive
 //! tuner — the shared harness and acceptance bars behind the integration
-//! tests, the `probe scenario` report and the `scenario_matrix` figure.
+//! tests and the `scenario_matrix` figure.
 
 use seqio_core::ServerConfig;
 use seqio_node::{Experiment, Frontend, NodeShape};

@@ -2,7 +2,7 @@
 //! the direct frontend, the static tune panel and the adaptive tuner, at
 //! the quick scale. The adaptive and rescue bars are the library's own
 //! ([`check_adaptive_bar`], [`check_rescue_bar`]), which the
-//! `scenario_matrix` figure and `probe scenario` check too; this suite adds
+//! `scenario_matrix` figure checks too, at full scale; this suite adds
 //! per-scenario floors and the video bar.
 
 use seqio_scenario::{
