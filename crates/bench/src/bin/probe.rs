@@ -93,15 +93,22 @@ impl PerfPoint {
 /// - the controller that scanned every in-flight fetch of every port to
 ///   find one a read could attach to;
 /// - the calendar event queue (a bucket ring with estimated widths and
-///   resizes) that the keyed binary heap replaced;
+///   resizes) that a binary heap replaced;
 /// - the detection bitmap that set one bit per loop pass;
 /// - the scheduler that walked one admission queue of every disk's
 ///   waiting streams on each pick and searched the prefix index twice per
-///   matched request.
+///   matched request;
+/// - the event queue before its front slot, a binary heap of
+///   `(time, seq, slot)` keys over a slab of payloads, on the three
+///   `direct-*` points and the kernel-mix row.
 ///
-/// Rows not listed have no before figure.
-const BEFORE_WALL_SECS: [(&str, f64, &str); 12] = [
+/// Rows not listed have no before figure. A macro point's figure holds
+/// only at the [`PERF_WINDOW_SECS`] window it was timed at.
+const BEFORE_WALL_SECS: [(&str, f64, &str); 16] = [
+    ("direct-1disk-100streams", 0.005711, "keyed-heap queue"),
     ("stream-sched-100streams", 0.033730, "previous scheduler"),
+    ("direct-8disk-10streams", 0.099018, "keyed-heap queue"),
+    ("direct-60disk-30streams", 1.310852, "keyed-heap queue"),
     (LINK_ROW, 0.589446, "previous link"),
     ("classifier-observe-sequential", 0.126110, "bit-at-a-time bitmap"),
     ("classifier-observe-scattered", 0.158373, "bit-at-a-time bitmap"),
@@ -113,12 +120,24 @@ const BEFORE_WALL_SECS: [(&str, f64, &str); 12] = [
     ("event-queue-churn-1k-clustered", 0.372753, "calendar queue"),
     ("event-queue-churn-100k-uniform", 0.376601, "calendar queue"),
     ("event-queue-churn-100k-clustered", 0.301472, "calendar queue"),
+    (KERNEL_MIX_ROW, 0.132317, "keyed-heap queue"),
 ];
 
 /// The before wall time of row `name` and what it was timed against, if
 /// it has one.
 fn before_figure(name: &str) -> Option<(f64, &'static str)> {
     BEFORE_WALL_SECS.iter().find(|(n, ..)| *n == name).map(|&(_, secs, what)| (secs, what))
+}
+
+/// The macro points' simulated window unless `SEQIO_PERF_SECS` sets
+/// another; every macro point's before figure was timed at it.
+const PERF_WINDOW_SECS: u64 = 58;
+
+/// The before figure of macro point `name` when it runs a `secs` window:
+/// a point's wall time grows with its window, so a figure holds only at
+/// [`PERF_WINDOW_SECS`].
+fn point_before_figure(name: &str, secs: u64) -> Option<(f64, &'static str)> {
+    before_figure(name).filter(|_| secs == PERF_WINDOW_SECS)
 }
 
 /// Times `spec` `repeats` times and keeps the best (minimum) wall time —
@@ -271,6 +290,34 @@ fn queue_churn(n: u64, clustered: bool) -> u64 {
     }
     while let Some((_, v)) = q.pop() {
         acc = acc.wrapping_add(v);
+    }
+    acc
+}
+
+/// The kernel-mix queue row's name.
+const KERNEL_MIX_ROW: &str = "event-queue-kernel-mix-32";
+
+/// Events pending throughout the kernel-mix queue row: about as many as a
+/// `paper-sweep` node's queue holds at a push.
+const KERNEL_MIX_PENDING: u64 = 32;
+
+/// The node kernel's push pattern on one queue, over `ops` steps: each
+/// step pops the earliest of [`KERNEL_MIX_PENDING`] pending events and
+/// pushes one. Two pushes in three are the popped event's near follow-up,
+/// earlier than every pending event; the third lands beyond them all.
+/// Payloads are 48 bytes, the size of the node's event.
+fn kernel_mix(ops: u64) -> u64 {
+    const GAP_NS: u64 = 1_000;
+    let mut q = EventQueue::new();
+    for i in 0..KERNEL_MIX_PENDING {
+        q.push(SimTime::from_nanos(i * GAP_NS), [i; 6]);
+    }
+    let mut acc = 0u64;
+    for i in 0..ops {
+        let (t, v) = q.pop().expect("the pending set never drains");
+        acc = acc.wrapping_add(v[0]);
+        let dt = if i % 3 == 2 { KERNEL_MIX_PENDING * GAP_NS } else { 1 };
+        q.push(t + SimDuration::from_nanos(dt), [i; 6]);
     }
     acc
 }
@@ -645,6 +692,7 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
             (0..rounds).fold(0, |acc, _| acc.wrapping_add(queue_churn(n, clustered)))
         }));
     }
+    rows.push(time_micro(KERNEL_MIX_ROW, 3_000_000, repeats, || kernel_mix(3_000_000)));
     rows.push(time_micro(
         "server-feed-100readers",
         100 * FEED_REQUESTS_PER_READER,
@@ -675,8 +723,10 @@ fn micro_rows(repeats: u32) -> Vec<MicroRow> {
 /// Runs the representative macro points and writes the JSON report to
 /// `dir`.
 fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
-    let secs: u64 =
-        std::env::var("SEQIO_PERF_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(58);
+    let secs: u64 = std::env::var("SEQIO_PERF_SECS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(PERF_WINDOW_SECS);
     let repeats: u32 =
         std::env::var("SEQIO_PERF_REPEATS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
     let w = SimDuration::from_secs(2);
@@ -709,7 +759,7 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let mut json = String::from("{\n  \"window_secs\": ");
     let _ = write!(json, "{secs},\n  \"points\": [");
     for (i, p) in points.iter().enumerate() {
-        let before = before_figure(p.name);
+        let before = point_before_figure(p.name, secs);
         println!(
             "  {:<32} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec{}",
             p.name,
@@ -1136,6 +1186,14 @@ mod tests {
     fn an_unknown_mode_is_an_error() {
         let err = run(Some("migrat"), Path::new("unused")).unwrap_err().to_string();
         assert!(err.contains("unknown mode") && err.contains("migrate"), "{err}");
+    }
+
+    #[test]
+    fn a_point_has_its_before_figure_only_at_the_window_it_was_timed_at() {
+        let name = "stream-sched-100streams";
+        assert!(point_before_figure(name, PERF_WINDOW_SECS).is_some());
+        assert_eq!(point_before_figure(name, 2), None);
+        assert_eq!(point_before_figure(name, PERF_WINDOW_SECS + 1), None);
     }
 
     #[test]

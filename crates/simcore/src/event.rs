@@ -4,10 +4,10 @@
 //! queue of `(SimTime, payload)` pairs with ties on time broken by insertion
 //! order (FIFO), which makes every simulation run bit-for-bit reproducible
 //! for a given seed and event-generation order. The kernel queue
-//! ([`EventQueue`](crate::EventQueue)) keeps only small keys in its heap and
-//! the payloads in a slab; this test-only implementation, which keeps whole
-//! entries in the heap, is the semantic reference that its differential
-//! property tests compare against.
+//! ([`EventQueue`](crate::EventQueue)) holds an event pushed before every
+//! pending one in a front slot, outside its heap; this test-only
+//! implementation, a plain heap with no slot, is the semantic reference
+//! that its differential property tests compare against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

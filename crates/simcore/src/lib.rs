@@ -8,10 +8,11 @@
 //! The crate provides four small, dependency-light building blocks:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time;
-//! * [`EventQueue`] — a binary heap of small `(time, seq, slot)` keys over
-//!   a slab of payloads, with stable FIFO tie-breaking, so simulations are
-//!   bit-for-bit reproducible; held to the pop order of a whole-entry
-//!   `BinaryHeap` reference queue by differential property tests;
+//! * [`EventQueue`] — a binary heap of `(time, seq, payload)` entries with
+//!   a front slot for an event pushed before every pending one, and stable
+//!   FIFO tie-breaking, so simulations are bit-for-bit reproducible; held
+//!   to the pop order of a plain `BinaryHeap` reference queue by
+//!   differential property tests;
 //! * [`SimRng`] — explicitly seeded randomness with per-component forking;
 //! * [`SimComponent`] — the steppable-simulation contract
 //!   (`init / peek_next_time / advance_to`) that lets a co-simulation
