@@ -30,13 +30,10 @@ pub type Definition = fn() -> Result<Figure, String>;
 
 /// Every committed figure: its file under `bench_results/` and its
 /// definition, in file-name order.
-pub const FIGURES: [(&str, Definition); 23] = [
+pub const FIGURES: [(&str, Definition); 20] = [
     ("ablation_classifier.csv", ablation_classifier),
     ("ablation_dispatch_policy.csv", ablation_dispatch_policy),
     ("ablation_faults.csv", ablation_faults),
-    ("ablation_gc_timeout.csv", ablation_gc_timeout),
-    ("ablation_issue_priority.csv", ablation_issue_priority),
-    ("ablation_lead.csv", ablation_lead),
     ("ablation_queue_policy.csv", ablation_queue_policy),
     ("cluster_scaling.csv", cluster_scaling),
     ("fig01_collapse.csv", fig01_collapse),
@@ -849,119 +846,6 @@ pub fn ablation_faults() -> Result<Figure, String> {
     Ok(fig)
 }
 
-/// One issue-priority-ablation cell: `streams` streams on one disk through
-/// the stream scheduler at R = 512K (`D = 4`, `N = 8`, `M = D*R*N`), with
-/// the issue path served before client completions or after them (seed
-/// 2020, 8 s warm-up, 8 s window).
-pub fn issue_priority_point(issue_first: bool, streams: usize) -> Experiment {
-    let cfg = ServerConfig {
-        dispatch_streams: 4,
-        read_ahead_bytes: 512 * KIB,
-        requests_per_residency: 8,
-        memory_bytes: 4 * 512 * KIB * 8,
-        issue_path_priority: issue_first,
-        ..ServerConfig::default_tuning()
-    };
-    spec(8, 8, 2020).streams_per_disk(streams).frontend(Frontend::StreamScheduler(cfg)).build()
-}
-
-/// `ablation_issue_priority.csv` — the paper gives the issue path priority
-/// over client completions (§4.2) so the disks never idle while the server
-/// answers clients; this flips the order.
-///
-/// # Errors
-///
-/// Never: the ablation has no bar.
-pub fn ablation_issue_priority() -> Result<Figure, String> {
-    let mut grid = Grid::new();
-    for (label, issue_first) in [("issue-path first", true), ("completions first", false)] {
-        for n in [10, 50, 100] {
-            grid = grid.point(label, n.to_string(), issue_priority_point(issue_first, n));
-        }
-    }
-    let mut fig = Figure::new(
-        "Ablation",
-        "Issue-path priority on/off (single disk, R=512K, D=4, N=8)",
-        "Streams per Disk",
-        "Throughput (MBytes/s)",
-    );
-    grid.run().fill(&mut fig, |r| r.total_throughput_mbs());
-    Ok(fig)
-}
-
-/// One lead-ablation cell: 100 streams on one disk through the stream
-/// scheduler at R = 512K (`D = 8`, `N = 16`, 128 MiB), each staging at
-/// most `lead` bytes ahead of its client (seed 2222, 8 s warm-up, 8 s
-/// window).
-pub fn lead_point(lead: u64) -> Experiment {
-    let cfg = ServerConfig {
-        dispatch_streams: 8,
-        read_ahead_bytes: 512 * KIB,
-        requests_per_residency: 16,
-        memory_bytes: 128 * MIB,
-        prefetch_lead_bytes: lead,
-        ..ServerConfig::default_tuning()
-    };
-    spec(8, 8, 2222).streams_per_disk(100).frontend(Frontend::StreamScheduler(cfg)).build()
-}
-
-/// `ablation_lead.csv` — the bound on how far a stream may stage ahead of
-/// its client, which trades memory hygiene against pipeline smoothness.
-///
-/// # Errors
-///
-/// Never: the ablation has no bar.
-pub fn ablation_lead() -> Result<Figure, String> {
-    let mut grid = Grid::new();
-    for lead in [512 * KIB, MIB, 4 * MIB, 16 * MIB] {
-        grid = grid.point("throughput", format_bytes(lead), lead_point(lead));
-    }
-    let mut fig = Figure::new(
-        "Ablation",
-        "Prefetch lead bound (100 streams, R=512K, D=8, N=16)",
-        "Lead bound",
-        "Throughput (MBytes/s)",
-    );
-    grid.run().fill(&mut fig, |r| r.total_throughput_mbs());
-    Ok(fig)
-}
-
-/// One GC-timeout-ablation cell: 100 streams on one disk, all dispatched at
-/// R = 1M, whose idle buffers the collector frees after `timeout_secs`
-/// (seed 2223, 8 s warm-up, 8 s window).
-pub fn gc_timeout_point(timeout_secs: u64) -> Experiment {
-    let cfg = ServerConfig {
-        buffer_timeout: SimDuration::from_secs(timeout_secs),
-        ..ServerConfig::all_dispatched(100, MIB)
-    };
-    spec(8, 8, 2223).streams_per_disk(100).frontend(Frontend::StreamScheduler(cfg)).build()
-}
-
-/// `ablation_gc_timeout.csv` — the garbage collector's buffer timeout:
-/// throughput and the buffers it freed.
-///
-/// # Errors
-///
-/// Never: the ablation has no bar.
-pub fn ablation_gc_timeout() -> Result<Figure, String> {
-    let mut grid = Grid::new();
-    for secs in [1, 5, 20] {
-        grid = grid.point("throughput", secs.to_string(), gc_timeout_point(secs));
-    }
-    let run = grid.run();
-    let mut fig = Figure::new(
-        "Ablation",
-        "GC buffer timeout (100 streams, R=1M, D=S)",
-        "Buffer timeout (s)",
-        "Throughput (MBytes/s)",
-    );
-    run.fill(&mut fig, |r| r.total_throughput_mbs());
-    fig.add(run.extract("throughput", "buffers GC-freed (x1000)", |r| {
-        r.server_metrics.as_ref().expect("metrics").streams_gced as f64 / 1000.0
-    }));
-    Ok(fig)
-}
-
 /// One queue-policy-ablation cell: `streams` direct-path streams on one
 /// disk that orders its queue by `policy` (seed 2525, 4 s warm-up, 8 s
 /// window).
@@ -980,7 +864,7 @@ pub fn queue_policy_point(policy: QueuePolicy, streams: usize) -> Experiment {
 /// Never: the ablation has no bar.
 pub fn ablation_queue_policy() -> Result<Figure, String> {
     let mut grid = Grid::new();
-    for policy in [QueuePolicy::Fifo, QueuePolicy::Elevator, QueuePolicy::Sstf] {
+    for policy in [QueuePolicy::Fifo, QueuePolicy::Sstf] {
         let label = format!("{policy:?}");
         for n in [1, 10, 30, 100] {
             grid = grid.point(&label, n.to_string(), queue_policy_point(policy, n));

@@ -3,8 +3,9 @@
 //! and fails if it drifted from the file. Each cell runs through the same
 //! `*_point` function of `seqio_bench::figures` that the figure's
 //! definition uses, and sits in a cheap corner of its figure (a low
-//! throughput, so few simulated events); `ablation_faults.csv` is cheap
-//! enough to run whole, bars included. The full byte-for-byte check is
+//! throughput, so few simulated events) unless it is the cell a finding
+//! or bar reads; `ablation_faults.csv` is cheap enough to run whole, bars
+//! included. The full byte-for-byte check is
 //! `probe figures` followed by `git diff --exit-code`.
 //!
 //! The last two tests re-derive committed cells through the wider drivers
@@ -190,25 +191,10 @@ fn ablation_faults_committed_csv_matches_current_build() {
 }
 
 #[test]
-fn ablation_gc_timeout_committed_csv_matches_current_build() {
-    assert_cell("ablation_gc_timeout.csv", "1", "throughput", mbs(gc_timeout_point(1)));
-}
-
-#[test]
-fn ablation_issue_priority_committed_csv_matches_current_build() {
-    let y = mbs(issue_priority_point(false, 10));
-    assert_cell("ablation_issue_priority.csv", "10", "completions first", y);
-}
-
-#[test]
-fn ablation_lead_committed_csv_matches_current_build() {
-    assert_cell("ablation_lead.csv", "512K", "throughput", mbs(lead_point(512 * KIB)));
-}
-
-#[test]
 fn ablation_queue_policy_committed_csv_matches_current_build() {
-    let y = mbs(queue_policy_point(QueuePolicy::Elevator, 100));
-    assert_cell("ablation_queue_policy.csv", "100", "Elevator", y);
+    // The figure's finding: SSTF triples FIFO at 100 streams.
+    let y = mbs(queue_policy_point(QueuePolicy::Sstf, 100));
+    assert_cell("ablation_queue_policy.csv", "100", "Sstf", y);
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Scheduler configuration: the paper's four tunables `D`, `R`, `N`, `M`
-//! plus classifier and garbage-collection knobs.
+//! plus classifier, garbage-collection, admission-order and degradation
+//! knobs. How far a stream may stage ahead of its client is not a knob: it
+//! is one residency, `R * N`.
 
 use seqio_simcore::units::{format_bytes, GIB, KIB, MIB};
 use seqio_simcore::{SeqioError, SimDuration};
@@ -49,11 +51,6 @@ pub struct ServerConfig {
     pub requests_per_residency: u64,
     /// `M`: host memory devoted to I/O buffering, in bytes.
     pub memory_bytes: u64,
-    /// How far ahead of the client's consumption point a stream may stage
-    /// data, in bytes (`0` = auto: one residency, `R * N`). Without this
-    /// bound a stream whose client went away would keep cycling through the
-    /// dispatch set prefetching data nobody reads.
-    pub prefetch_lead_bytes: u64,
     /// Classifier: set-bit count within a region that flags a sequential
     /// stream. The region's bitmap covers 4096 blocks on each side of the
     /// first request, so the threshold is at most 8192.
@@ -62,10 +59,6 @@ pub struct ServerConfig {
     pub buffer_timeout: SimDuration,
     /// Period of the garbage-collection sweep.
     pub gc_period: SimDuration,
-    /// Paper §4.2: the completion path calls the classifier/issue path
-    /// before completing client requests, keeping disks busy. Disabling
-    /// reverses the order (ablation).
-    pub issue_path_priority: bool,
     /// Dispatch-set admission order.
     pub dispatch_policy: DispatchPolicy,
     /// Graceful degradation (fault injection): a stream whose disk is
@@ -85,11 +78,9 @@ impl ServerConfig {
             read_ahead_bytes: MIB,
             requests_per_residency: 8,
             memory_bytes: 64 * MIB,
-            prefetch_lead_bytes: 0,
             detect_threshold_blocks: 192,
             buffer_timeout: SimDuration::from_secs(10),
             gc_period: SimDuration::from_secs(1),
-            issue_path_priority: true,
             dispatch_policy: DispatchPolicy::RoundRobin,
             degraded_rotate_threshold: 2.0,
         }
@@ -146,17 +137,15 @@ impl ServerConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `disks == 0` or the memory cannot hold one buffer per disk.
+    /// Panics if `disks == 0` or half the node's memory cannot hold one
+    /// buffer per disk.
     pub fn auto_tune(node_memory_bytes: u64, disks: usize) -> Self {
         assert!(disks > 0, "auto_tune needs at least one disk");
         let r = 512 * KIB;
         let d = disks;
         let budget = node_memory_bytes / 2;
-        let n = (budget / (d as u64 * r)).clamp(1, 128);
-        assert!(
-            d as u64 * r <= budget.max(d as u64 * r),
-            "node memory too small for one buffer per disk"
-        );
+        assert!(d as u64 * r <= budget, "node memory too small for one buffer per disk");
+        let n = (budget / (d as u64 * r)).min(128);
         ServerConfig {
             dispatch_streams: d,
             read_ahead_bytes: r,
@@ -169,16 +158,6 @@ impl ServerConfig {
     /// The staging-memory lower bound `D * R * N`.
     pub fn working_set_bytes(&self) -> u64 {
         self.dispatch_streams as u64 * self.read_ahead_bytes * self.requests_per_residency
-    }
-
-    /// The per-stream staging lead actually in effect (resolves the `0 =
-    /// auto` setting of [`prefetch_lead_bytes`](Self::prefetch_lead_bytes)).
-    pub fn effective_lead_bytes(&self) -> u64 {
-        if self.prefetch_lead_bytes > 0 {
-            self.prefetch_lead_bytes
-        } else {
-            self.read_ahead_bytes * self.requests_per_residency
-        }
     }
 
     /// Read-ahead size in 512-byte blocks.
@@ -286,6 +265,13 @@ mod tests {
         assert!(small.requests_per_residency < large.requests_per_residency * 8);
         assert_eq!(large.dispatch_streams, 8);
         assert!(large.memory_bytes <= GIB / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node memory too small")]
+    fn auto_tune_too_small_panics() {
+        // 1 MiB leaves a 512 KiB budget against eight 512 KiB buffers.
+        let _ = ServerConfig::auto_tune(MIB, 8);
     }
 
     #[test]

@@ -191,9 +191,6 @@ pub struct StorageServer {
     pending_disk: Vec<Option<PendingDisk>>,
     pending_free: Vec<u64>,
     pending_count: usize,
-    /// Reusable issue-/completion-path buffers for `on_disk_complete_into`.
-    scratch_issue: Vec<ServerOutput>,
-    scratch_complete: Vec<ServerOutput>,
     /// Per-disk degradation flags reported by the embedding layer (fault
     /// injection); degraded disks rotate their streams out early.
     degraded: Vec<bool>,
@@ -233,8 +230,6 @@ impl StorageServer {
             pending_disk: Vec::new(),
             pending_free: Vec::new(),
             pending_count: 0,
-            scratch_issue: Vec::new(),
-            scratch_complete: Vec::new(),
             degraded: vec![false; n_disks],
             span_log: None,
             metrics: ServerMetrics::default(),
@@ -309,9 +304,10 @@ impl StorageServer {
     /// Taking effect is gradual by design: a larger `D` admits more
     /// streams on the next issue path, a smaller one self-corrects as
     /// dispatched streams rotate out (`try_admit` re-checks the bound on
-    /// every admission), and a new `R` applies from the next fill. Staged
-    /// buffers bought under the old tune remain valid — retuning never
-    /// invalidates data, only future scheduling decisions.
+    /// every admission), and a new `R` applies from the next fill, as does
+    /// the staging lead bound `R * N`. Staged buffers bought under the old
+    /// tune remain valid — retuning never invalidates data, only future
+    /// scheduling decisions.
     ///
     /// # Errors
     ///
@@ -525,13 +521,9 @@ impl StorageServer {
                     s.last_active = now;
                     (s.dispatched, s.issued_in_residency)
                 });
-                // Reusable scratch: issue- and completion-path outputs are
-                // collected separately so their relative order can follow
-                // `issue_path_priority`, without allocating per completion.
-                let mut issue = std::mem::take(&mut self.scratch_issue);
-                let mut complete = std::mem::take(&mut self.scratch_complete);
                 if let Some((dispatched, issued)) = state {
-                    // Issue path (paper §4.2: runs before completing clients).
+                    // Issue path first (paper §4.2), so its disk requests
+                    // precede the client completions in `out`.
                     if dispatched {
                         // Graceful degradation: a stream on a disk reported
                         // degraded is rotated out after every fill rather
@@ -541,8 +533,7 @@ impl StorageServer {
                             self.streams.get(stream).is_some_and(|s| self.degraded[s.disk]);
                         let keep = !degraded
                             && issued < self.cfg.requests_per_residency
-                            && self.issue_fill(now, stream, false, &mut issue)
-                                == IssueOutcome::Issued;
+                            && self.issue_fill(now, stream, false, out) == IssueOutcome::Issued;
                         if !keep {
                             if degraded && issued < self.cfg.requests_per_residency {
                                 self.metrics.degraded_rotations += 1;
@@ -550,20 +541,11 @@ impl StorageServer {
                             self.retire(stream);
                         }
                     }
-                    self.try_admit(now, &mut issue);
+                    self.try_admit(now, out);
                     // Completion path: drain every pending request now covered.
-                    self.serve_pending(now, stream, &mut complete);
+                    self.serve_pending(now, stream, out);
                     self.requeue_if_demand(stream);
                 }
-                if self.cfg.issue_path_priority {
-                    out.append(&mut issue);
-                    out.append(&mut complete);
-                } else {
-                    out.append(&mut complete);
-                    out.append(&mut issue);
-                }
-                self.scratch_issue = issue;
-                self.scratch_complete = complete;
                 // Serving may have freed memory: admissions may now succeed.
                 self.try_admit(now, out);
             }
@@ -616,7 +598,10 @@ impl StorageServer {
     }
 
     /// `true` while the stream should keep prefetching: it has unserved
-    /// requests, or its staging lead over the client is below the bound.
+    /// requests, or it has staged less than one residency (`R * N`, under
+    /// the tune in effect) ahead of its client. Without that bound a stream
+    /// whose client went away would keep cycling through the dispatch set
+    /// prefetching data nobody reads.
     fn has_demand(&self, stream: StreamId) -> bool {
         let Some(s) = self.streams.get(stream) else { return false };
         if !s.pending.is_empty() {
@@ -626,7 +611,7 @@ impl StorageServer {
             return false;
         }
         let lead_blocks = s.frontier.saturating_sub(s.client_next);
-        lead_blocks * 512 < self.cfg.effective_lead_bytes()
+        lead_blocks * 512 < self.cfg.read_ahead_bytes * self.cfg.requests_per_residency
     }
 
     /// Puts a stream back on its disk's admission queue if it still has
@@ -1102,37 +1087,58 @@ mod tests {
     }
 
     #[test]
-    fn issue_path_priority_orders_outputs() {
-        // With priority on, SubmitDisk entries precede CompleteClient in the
-        // fill-completion output; with it off, the reverse.
-        for priority in [true, false] {
-            let mut c = cfg(1, 64, 8);
-            c.issue_path_priority = priority;
-            let mut srv = server(c);
-            let mut fills = Vec::new();
-            // Detect.
-            let _ = srv.on_client_request(t(0), ClientRequest::read(0, 0, 0, 128));
-            for o in srv.on_client_request(t(1), ClientRequest::read(1, 0, 128, 128)) {
-                if let ServerOutput::SubmitDisk(b) = o {
-                    fills.push(b);
-                }
+    fn issue_path_comes_before_completions() {
+        // Paper §4.2: in a fill completion's output the SubmitDisk entries of
+        // the issue path precede the CompleteClient entries.
+        let mut srv = server(cfg(1, 64, 8));
+        let mut fills = Vec::new();
+        // Detect.
+        let _ = srv.on_client_request(t(0), ClientRequest::read(0, 0, 0, 128));
+        for o in srv.on_client_request(t(1), ClientRequest::read(1, 0, 128, 128)) {
+            if let ServerOutput::SubmitDisk(b) = o {
+                fills.push(b);
             }
-            // Queue a request for data the first fill will deliver, then
-            // complete the fill. 64 KiB fill covers blocks [256, 384).
-            let fill = fills.iter().find(|b| b.admitted).expect("fill issued");
-            let _ = srv.on_client_request(t(2), ClientRequest::read(2, 0, 256, 128));
-            let outs = srv.on_disk_complete(t(3), fill.id);
-            let submit_pos = outs.iter().position(|o| matches!(o, ServerOutput::SubmitDisk(_)));
-            let complete_pos =
-                outs.iter().position(|o| matches!(o, ServerOutput::CompleteClient { .. }));
-            let (Some(s), Some(c)) = (submit_pos, complete_pos) else {
-                panic!("expected both a submit and a completion, got {outs:?}");
-            };
-            if priority {
-                assert!(s < c, "issue path must come first: {outs:?}");
-            } else {
-                assert!(c < s, "completion path must come first: {outs:?}");
-            }
+        }
+        // Queue a request for data the first fill will deliver, then
+        // complete the fill. 64 KiB fill covers blocks [256, 384).
+        let fill = fills.iter().find(|b| b.admitted).expect("fill issued");
+        let _ = srv.on_client_request(t(2), ClientRequest::read(2, 0, 256, 128));
+        let outs = srv.on_disk_complete(t(3), fill.id);
+        let submit_pos = outs.iter().position(|o| matches!(o, ServerOutput::SubmitDisk(_)));
+        let complete_pos =
+            outs.iter().position(|o| matches!(o, ServerOutput::CompleteClient { .. }));
+        let (Some(s), Some(c)) = (submit_pos, complete_pos) else {
+            panic!("expected both a submit and a completion, got {outs:?}");
+        };
+        assert!(s < c, "issue path must come first: {outs:?}");
+    }
+
+    #[test]
+    fn staging_stops_one_residency_ahead_of_the_client() {
+        // R = 64 KiB and N = 4: a stream stages at most R * N = 256 KiB past
+        // its client. M holds four residencies, so only that bound can stop
+        // it. Every staged byte lies past the client's next block, so the
+        // memory in use is the stream's lead.
+        let mut c = cfg(1, 64, 4);
+        c.memory_bytes *= 4;
+        let lead = c.read_ahead_bytes * c.requests_per_residency;
+        let mut srv = server(c);
+        let mut clock = 10;
+        // Detection at blocks 0 and 128 puts the client's next block at 256;
+        // the client then stops reading while every fill completes.
+        let _ = srv.on_client_request(t(0), ClientRequest::read(0, 0, 0, 128));
+        let outs = srv.on_client_request(t(1), ClientRequest::read(1, 0, 128, 128));
+        drain(&mut srv, outs, &mut clock);
+        assert_eq!(srv.memory_used(), lead, "staging must stop one residency ahead");
+        // Each 64 KiB the client reads frees one R of lead: the stream is
+        // admitted again, stages exactly that R, and its next fill inside
+        // the residency is refused for lack of demand.
+        for (i, lba) in [(2u64, 256u64), (3, 384)] {
+            let refused = srv.metrics().issue_no_demand;
+            let outs = srv.on_client_request(t(1_000 * i), ClientRequest::read(i, 0, lba, 128));
+            assert_eq!(drain(&mut srv, outs, &mut clock), vec![i]);
+            assert_eq!(srv.memory_used(), lead);
+            assert_eq!(srv.metrics().issue_no_demand, refused + 1);
         }
     }
 

@@ -85,12 +85,6 @@ impl DiskConfig {
         self
     }
 
-    /// Replaces the queue policy.
-    pub fn with_queue_policy(mut self, policy: QueuePolicy) -> Self {
-        self.queue_policy = policy;
-        self
-    }
-
     /// Validates every sub-configuration.
     ///
     /// # Errors
@@ -127,11 +121,8 @@ mod tests {
 
     #[test]
     fn builder_helpers_replace_fields() {
-        let c = DiskConfig::wd800jd()
-            .with_cache(CacheConfig::disabled())
-            .with_queue_policy(QueuePolicy::Elevator);
+        let c = DiskConfig::wd800jd().with_cache(CacheConfig::disabled());
         assert_eq!(c.cache.segment_count, 0);
-        assert_eq!(c.queue_policy, QueuePolicy::Elevator);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   ([`SeekModel`]);
 //! * a segmented disk cache with configurable segment count, segment size
 //!   and read-ahead ([`SegmentedCache`], [`CacheConfig`]);
-//! * a command queue with FIFO or elevator ordering ([`CommandQueue`]);
+//! * a command queue with FIFO or shortest-seek-first ordering
+//!   ([`CommandQueue`]);
 //! * the event-driven drive itself ([`Disk`]).
 //!
 //! # Examples

@@ -18,7 +18,7 @@
 
 use seqio_simcore::{DiskFaults, SimDuration, SimRng, SimTime};
 
-use crate::cache::{CacheMetrics, FillTicket, SegmentedCache};
+use crate::cache::{FillTicket, SegmentedCache};
 use crate::config::DiskConfig;
 use crate::geometry::Geometry;
 use crate::queue::CommandQueue;
@@ -188,11 +188,6 @@ impl Disk {
     /// Behaviour counters.
     pub fn metrics(&self) -> DiskMetrics {
         self.metrics
-    }
-
-    /// Cache reclaim counters.
-    pub fn cache_metrics(&self) -> CacheMetrics {
-        self.cache.metrics()
     }
 
     /// `true` when no operation is active and nothing is queued.

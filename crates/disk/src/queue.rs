@@ -1,10 +1,10 @@
 //! Disk command queue.
 //!
-//! Holds requests waiting for the mechanism. Three policies are provided:
-//! plain FIFO (how a commodity disk treats a shallow queue), a C-LOOK
-//! elevator (one-directional sweep by block address — what the kernel-side
-//! "noop"/elevator layer effectively provides), and greedy shortest-seek
-//! first (an NCQ-style what-if).
+//! Holds requests waiting for the mechanism. Two policies are provided:
+//! plain FIFO (how a commodity disk treats a shallow queue) and greedy
+//! shortest-seek first (an NCQ-style what-if). There is no elevator:
+//! uniformly placed streams already queue in address order, so a C-LOOK
+//! sweep picks what FIFO picks.
 
 use std::collections::VecDeque;
 
@@ -16,9 +16,6 @@ pub enum QueuePolicy {
     /// First-come first-served.
     #[default]
     Fifo,
-    /// C-LOOK elevator: service the nearest request at or above the current
-    /// head position; wrap to the lowest address when the sweep runs out.
-    Elevator,
     /// Shortest seek first: always the request nearest the head, in either
     /// direction (NCQ-style greedy; can starve distant requests).
     Sstf,
@@ -72,31 +69,6 @@ impl CommandQueue {
         }
         match self.policy {
             QueuePolicy::Fifo => self.entries.pop_front(),
-            QueuePolicy::Elevator => {
-                // Nearest at-or-above head; else wrap to the lowest LBA.
-                let mut best: Option<(usize, Lba)> = None;
-                for (i, r) in self.entries.iter().enumerate() {
-                    if r.lba >= head {
-                        match best {
-                            Some((_, lba)) if r.lba >= lba => {}
-                            _ => best = Some((i, r.lba)),
-                        }
-                    }
-                }
-                let idx = match best {
-                    Some((i, _)) => i,
-                    None => {
-                        // Wrap: take the smallest LBA.
-                        self.entries
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, r)| r.lba)
-                            .map(|(i, _)| i)
-                            .expect("queue not empty")
-                    }
-                };
-                self.entries.remove(idx)
-            }
             QueuePolicy::Sstf => {
                 let idx = self
                     .entries
@@ -130,27 +102,6 @@ mod tests {
         assert_eq!(q.pop_next(0).unwrap().id, RequestId(2));
         assert_eq!(q.pop_next(0).unwrap().id, RequestId(3));
         assert!(q.pop_next(0).is_none());
-    }
-
-    #[test]
-    fn elevator_sweeps_upward() {
-        let mut q = CommandQueue::new(QueuePolicy::Elevator);
-        q.push(req(1, 500));
-        q.push(req(2, 100));
-        q.push(req(3, 900));
-        // Head at 200: nearest upward is 500, then 900, then wrap to 100.
-        assert_eq!(q.pop_next(200).unwrap().lba, 500);
-        assert_eq!(q.pop_next(500).unwrap().lba, 900);
-        assert_eq!(q.pop_next(900).unwrap().lba, 100);
-    }
-
-    #[test]
-    fn elevator_wraps_to_lowest() {
-        let mut q = CommandQueue::new(QueuePolicy::Elevator);
-        q.push(req(1, 10));
-        q.push(req(2, 20));
-        assert_eq!(q.pop_next(1000).unwrap().lba, 10);
-        assert_eq!(q.pop_next(1000).unwrap().lba, 20);
     }
 
     #[test]
@@ -195,22 +146,5 @@ mod tests {
         q.push(req(9, 0));
         assert_eq!(q.peak(), 5);
         assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn elevator_full_drain_visits_everything_once() {
-        let mut q = CommandQueue::new(QueuePolicy::Elevator);
-        let lbas = [44u64, 3, 77, 12, 99, 51, 3];
-        for (i, &l) in lbas.iter().enumerate() {
-            q.push(req(i as u64, l));
-        }
-        let mut head = 50;
-        let mut seen = Vec::new();
-        while let Some(r) = q.pop_next(head) {
-            head = r.lba;
-            seen.push(r.id.0);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 }

@@ -69,11 +69,6 @@ impl HealthSnapshot {
     pub fn worst_straggler_factor(&self) -> f64 {
         self.straggler_factors.iter().copied().fold(1.0, f64::max)
     }
-
-    /// Total requests queued across all disks.
-    pub fn total_queue_depth(&self) -> usize {
-        self.queue_depths.iter().sum()
-    }
 }
 
 impl SimComponent for NodeSim {

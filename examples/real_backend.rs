@@ -41,14 +41,14 @@ fn main() {
 
     // Interactive timeouts: readers finish quickly here, and a finished
     // reader's staged read-ahead is only reclaimed by the periodic garbage
-    // collector (paper 4.3) — so use a short buffer timeout, and bound how
-    // far a stream may stage ahead of its reader.
+    // collector (paper 4.3) — so use a short buffer timeout. A stream
+    // stages at most one residency (R * N) ahead of its reader, so N = 1
+    // bounds that lead at 1 MiB.
     let cfg = ServerConfig {
         dispatch_streams: 4,
         read_ahead_bytes: MIB,
-        requests_per_residency: 4,
-        memory_bytes: 4 * MIB * 4,
-        prefetch_lead_bytes: MIB,
+        requests_per_residency: 1,
+        memory_bytes: 16 * MIB,
         gc_period: SimDuration::from_millis(25),
         buffer_timeout: SimDuration::from_millis(200),
         ..ServerConfig::default_tuning()
