@@ -9,7 +9,7 @@
 
 use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig};
 use seqio_cluster::{ClusterExperiment, ClusterResult, SessionSlo, ShardPolicy};
-use seqio_core::{DispatchPolicy, ServerConfig};
+use seqio_core::ServerConfig;
 use seqio_disk::{CacheConfig, QueuePolicy};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_node::{
@@ -30,9 +30,8 @@ pub type Definition = fn() -> Result<Figure, String>;
 
 /// Every committed figure: its file under `bench_results/` and its
 /// definition, in file-name order.
-pub const FIGURES: [(&str, Definition); 20] = [
+pub const FIGURES: [(&str, Definition); 19] = [
     ("ablation_classifier.csv", ablation_classifier),
-    ("ablation_dispatch_policy.csv", ablation_dispatch_policy),
     ("ablation_faults.csv", ablation_faults),
     ("ablation_queue_policy.csv", ablation_queue_policy),
     ("cluster_scaling.csv", cluster_scaling),
@@ -742,46 +741,6 @@ pub fn ablation_classifier() -> Result<Figure, String> {
     fig.add(run.extract("throughput", "direct requests (x1000)", |r| {
         r.server_metrics.as_ref().expect("stream scheduler metrics").direct_requests as f64 / 1000.0
     }));
-    Ok(fig)
-}
-
-/// One dispatch-policy-ablation cell: 100 streams on one disk through the
-/// stream scheduler at `read_ahead` (`D = 4`, `N = 4`, `M = D*R*N`),
-/// admitting streams by `policy` (seed 2424, 8 s warm-up, 8 s window).
-pub fn dispatch_policy_point(policy: DispatchPolicy, read_ahead: u64) -> Experiment {
-    let cfg = ServerConfig {
-        dispatch_streams: 4,
-        read_ahead_bytes: read_ahead,
-        requests_per_residency: 4,
-        memory_bytes: 4 * read_ahead * 4,
-        dispatch_policy: policy,
-        ..ServerConfig::default_tuning()
-    };
-    spec(8, 8, 2424).streams_per_disk(100).frontend(Frontend::StreamScheduler(cfg)).build()
-}
-
-/// `ablation_dispatch_policy.csv` — the paper's round-robin admission
-/// against the offset-ordered placement it sketches (§4.2), at small and
-/// large read-ahead.
-///
-/// # Errors
-///
-/// Never: the ablation has no bar.
-pub fn ablation_dispatch_policy() -> Result<Figure, String> {
-    let mut grid = Grid::new();
-    for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered] {
-        let label = format!("{policy:?}");
-        for ra in [128 * KIB, 512 * KIB, 2 * MIB] {
-            grid = grid.point(&label, format_bytes(ra), dispatch_policy_point(policy, ra));
-        }
-    }
-    let mut fig = Figure::new(
-        "Ablation",
-        "Dispatch policy: round-robin vs offset-ordered (100 streams, D=4, N=4)",
-        "Read-ahead",
-        "Throughput (MBytes/s)",
-    );
-    grid.run().fill(&mut fig, |r| r.total_throughput_mbs());
     Ok(fig)
 }
 

@@ -18,7 +18,6 @@
 use seqio_bench::figures::*;
 use seqio_client::ClientExperiment;
 use seqio_cluster::{ClusterExperiment, ShardPolicy};
-use seqio_core::DispatchPolicy;
 use seqio_disk::QueuePolicy;
 use seqio_hostsched::SchedKind;
 use seqio_node::Experiment;
@@ -171,12 +170,6 @@ fn ablation_classifier_committed_csv_matches_current_build() {
     let direct = r.server_metrics.as_ref().expect("stream scheduler metrics").direct_requests;
     assert_cell("ablation_classifier.csv", "8", "throughput", r.total_throughput_mbs());
     assert_cell("ablation_classifier.csv", "8", "direct requests (x1000)", direct as f64 / 1000.0);
-}
-
-#[test]
-fn ablation_dispatch_policy_committed_csv_matches_current_build() {
-    let y = mbs(dispatch_policy_point(DispatchPolicy::OffsetOrdered, 128 * KIB));
-    assert_cell("ablation_dispatch_policy.csv", "128K", "OffsetOrdered", y);
 }
 
 #[test]

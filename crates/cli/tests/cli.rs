@@ -4,7 +4,8 @@
 //! --spans` completes every recorded request, `scenario record` →
 //! `scenario replay` reproduces `scenario run` exactly, and replayed
 //! spans and traces that do not fit the node end cleanly instead of
-//! crashing, as do clock-overflowing runs and hostile trace files.
+//! crashing, as do clock-overflowing runs, sizes that are not whole
+//! blocks and hostile trace files.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -329,6 +330,25 @@ fn run_refuses_a_retry_delay_past_the_end_of_the_clock() {
         "errors:disk=0,rate=1;retry:backoff=18446744073709551615ns,max=1",
     ]);
     assert!(err.contains("retry delay") && err.contains("overflows"), "{err}");
+}
+
+/// A request or read-ahead size that is not whole 512-byte blocks is
+/// refused, naming the value, instead of being rounded up to whole blocks
+/// and counted at the rounded size. The all-dispatched preset's read-ahead
+/// is checked before the node builds its server, so a zero one is refused
+/// too instead of panicking there.
+#[test]
+fn run_refuses_sizes_that_are_not_whole_blocks() {
+    let window = ["--streams", "2", "--warmup", "0s", "--duration", "1s"];
+    let err = typed_error(&[&["run", "--request", "1000"][..], &window].concat());
+    assert!(err.contains("request size 1000 bytes"), "{err}");
+    let stream = |readahead| {
+        [&["run", "--frontend", "stream", "--readahead", readahead][..], &window].concat()
+    };
+    let err = typed_error(&stream("1000"));
+    assert!(err.contains("R = 1000 bytes"), "{err}");
+    let err = typed_error(&stream("0"));
+    assert!(err.contains("R > 0"), "{err}");
 }
 
 /// A measurement window that ends past the end of the simulated clock is

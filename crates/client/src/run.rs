@@ -452,12 +452,6 @@ impl ClientExperimentBuilder {
         self
     }
 
-    /// Switches to the closed-loop population (the default).
-    pub fn closed_loop(mut self) -> Self {
-        self.spec.mode = DriveMode::ClosedLoop;
-        self
-    }
-
     /// Configures the shared client-facing link.
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.spec.link = link;

@@ -1,6 +1,6 @@
 //! Controller configuration and presets.
 
-use seqio_simcore::SimDuration;
+use seqio_simcore::{RetryPolicy, SimDuration};
 
 /// Configuration of one disk controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,17 +28,12 @@ pub struct ControllerConfig {
     /// effect the paper names for the Figure 12 collapse (many large
     /// outstanding buffers) and the Figure 13 recovery (few).
     pub cpu_per_resident_mib: SimDuration,
-    /// Maximum retries for a disk fetch that reports a transient read
-    /// error (fault injection) before the controller gives up and lets the
-    /// drive's internal recovery complete the request.
-    pub max_retries: u32,
-    /// Backoff before the first retry of an errored fetch; doubles on each
-    /// further attempt.
-    pub retry_backoff: SimDuration,
-    /// Per-request deadline: a fetch whose total service time exceeds this
-    /// is counted as timed out and is no longer retried. `ZERO` disables
-    /// the deadline (the default — healthy runs count nothing).
-    pub request_timeout: SimDuration,
+    /// Retries of a disk fetch that reports a transient read error (fault
+    /// injection), their backoff and the per-request deadline. Once the
+    /// retries run out, or the deadline passes, the drive's internal
+    /// recovery completes the request. The default deadline is `ZERO`
+    /// (none), so healthy runs count no timeouts.
+    pub retry: RetryPolicy,
 }
 
 impl ControllerConfig {
@@ -54,9 +49,7 @@ impl ControllerConfig {
             cpu_fixed: SimDuration::from_micros(30),
             cpu_per_mib: SimDuration::from_micros(100),
             cpu_per_resident_mib: SimDuration::from_micros(5),
-            max_retries: 3,
-            retry_backoff: SimDuration::from_micros(500),
-            request_timeout: SimDuration::ZERO,
+            retry: RetryPolicy::default(),
         }
     }
 

@@ -417,14 +417,15 @@ impl Controller {
                         .expect("errored completion for unknown disk request");
                     assert_eq!(fetch.port, port, "completion port mismatch");
                     self.port_faults[port].errors += 1;
-                    let within_deadline = self.cfg.request_timeout == SimDuration::ZERO
-                        || now.duration_since(fetch.started) < self.cfg.request_timeout;
-                    if fetch.attempts < self.cfg.max_retries && within_deadline {
+                    let retry = self.cfg.retry;
+                    let within_deadline = retry.timeout == SimDuration::ZERO
+                        || now.duration_since(fetch.started) < retry.timeout;
+                    if fetch.attempts < retry.max_retries && within_deadline {
                         fetch.attempts += 1;
                         self.port_faults[port].retries += 1;
                         let shift = (fetch.attempts - 1).min(20);
                         let backoff = SimDuration::from_nanos(
-                            self.cfg.retry_backoff.as_nanos().saturating_mul(1 << shift),
+                            retry.backoff.as_nanos().saturating_mul(1 << shift),
                         );
                         out.push(CtrlOutput::Event {
                             at: now + backoff,
@@ -441,8 +442,9 @@ impl Controller {
                 let at =
                     index.iter().position(|e| e.2 == slot).expect("in-flight fetch is indexed");
                 index.swap_remove(at);
-                let timed_out = self.cfg.request_timeout > SimDuration::ZERO
-                    && now.duration_since(fetch.started) > self.cfg.request_timeout;
+                let timeout = self.cfg.retry.timeout;
+                let timed_out =
+                    timeout > SimDuration::ZERO && now.duration_since(fetch.started) > timeout;
                 if timed_out {
                     self.port_faults[port].timeouts += 1;
                 }
@@ -825,7 +827,7 @@ mod tests {
         let done = run(&mut c, vec![(SimTime::ZERO, HostRequest::read(RequestId(1), 0, 0, 128))]);
         assert_eq!(done.len(), 1, "request must still complete");
         let f = c.fault_counters()[0];
-        let max = c.config().max_retries as u64;
+        let max = c.config().retry.max_retries as u64;
         assert_eq!(f.retries, max);
         assert_eq!(f.errors, max + 1, "initial attempt plus every retry errors");
         assert_eq!(f.timeouts, 0, "deadline disabled");
@@ -837,7 +839,7 @@ mod tests {
         use seqio_simcore::FaultPlan;
         let disk_cfg = DiskConfig::wd800jd().with_cache(CacheConfig::disabled());
         let mut cfg = ControllerConfig::single_port();
-        cfg.request_timeout = SimDuration::from_millis(1);
+        cfg.retry.timeout = SimDuration::from_millis(1);
         let mut c = make(cfg, disk_cfg);
         let plan = FaultPlan::new().read_errors(0, 1.0);
         c.disk_mut(0).install_faults(plan.disk(0).unwrap().clone(), 5);
@@ -928,9 +930,9 @@ mod tests {
     /// lookups must answer as the slab scans do. Returns how many probes
     /// found two or more covering fetches.
     fn differential_program(cfg: ControllerConfig, seed: u64, calls: usize) -> u64 {
-        use seqio_simcore::FaultPlan;
-        let cfg =
-            ControllerConfig { ports: 4, request_timeout: SimDuration::from_millis(30), ..cfg };
+        use seqio_simcore::{FaultPlan, RetryPolicy};
+        let retry = RetryPolicy { timeout: SimDuration::from_millis(30), ..cfg.retry };
+        let cfg = ControllerConfig { ports: 4, retry, ..cfg };
         let mut c = make(cfg, DiskConfig::wd800jd());
         let plan = (0..4).fold(FaultPlan::new(), |p, d| p.read_errors(d, 0.1));
         for d in 0..4 {

@@ -2,9 +2,9 @@
 //!
 //! Each disk keeps a FIFO of `(push sequence number, stream)`, and the
 //! front entries of the non-empty FIFOs are kept sorted by sequence
-//! number. A round-robin pick walks those heads in order and takes the
-//! first one on a disk below its dispatch quota. It passes over at most one
-//! entry per full disk, instead of every waiting stream whose disk is full.
+//! number. A pick walks those heads in order and takes the first one on a
+//! disk below its dispatch quota. It passes over at most one entry per
+//! full disk, instead of every waiting stream whose disk is full.
 //!
 //! The order is that of one queue holding every disk's entries in push
 //! order. Entries are pushed only at the back, and an entry leaves only
@@ -13,17 +13,15 @@
 
 use std::collections::VecDeque;
 
-use crate::buffer::Lba;
-use crate::config::DispatchPolicy;
 use crate::stream::{StreamId, StreamTable};
 
-/// A picked entry and where it sits, for [`AdmissionQueues::remove`].
+/// A picked entry, the front of its disk's FIFO, for
+/// [`AdmissionQueues::remove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Pick {
     /// The stream to admit.
     pub id: StreamId,
     disk: usize,
-    at: usize,
 }
 
 /// Waiting streams, one FIFO per disk.
@@ -60,70 +58,35 @@ impl AdmissionQueues {
         self.next_seq += 1;
     }
 
-    /// Picks the next stream to admit among the waiting streams of disks
-    /// that are `open` (below quota), per `policy`: the earliest pushed
-    /// (round robin), or the one whose frontier is nearest its disk's
-    /// `last_admit` offset, the earliest pushed on ties (offset ordered).
-    /// Drops the stale entries it meets: streams removed since their push,
-    /// or no longer waiting. The pick stays queued until
-    /// [`remove`](Self::remove)d.
-    pub fn pick(
-        &mut self,
-        streams: &StreamTable,
-        policy: DispatchPolicy,
-        open: impl Fn(usize) -> bool,
-        last_admit: &[Lba],
-    ) -> Option<Pick> {
-        let waiting = |id| streams.get(id).filter(|s| s.waiting);
-        match policy {
-            DispatchPolicy::RoundRobin => {
-                let mut i = 0;
-                while let Some(&(seq, disk)) = self.heads.get(i) {
-                    if !open(disk) {
-                        i += 1;
-                        continue;
-                    }
-                    let (_, id) = self.disks[disk][0];
-                    if waiting(id).is_some() {
-                        return Some(Pick { id, disk, at: 0 });
-                    }
-                    // The disk's next entry, if any, sorts after position i.
-                    self.disks[disk].pop_front();
-                    self.refile(disk, seq);
-                }
-                None
+    /// Picks the next stream to admit, round robin: the earliest pushed
+    /// waiting stream whose disk is `open` (below quota). Drops the stale
+    /// entries it meets: streams removed since their push, or no longer
+    /// waiting. The pick stays queued, at the front of its disk's FIFO,
+    /// until [`remove`](Self::remove)d.
+    pub fn pick(&mut self, streams: &StreamTable, open: impl Fn(usize) -> bool) -> Option<Pick> {
+        let mut i = 0;
+        while let Some(&(seq, disk)) = self.heads.get(i) {
+            if !open(disk) {
+                i += 1;
+                continue;
             }
-            DispatchPolicy::OffsetOrdered => {
-                let mut best: Option<((u64, u64), usize, usize)> = None;
-                for disk in (0..self.disks.len()).filter(|&disk| open(disk)) {
-                    let Some(&(front, _)) = self.disks[disk].front() else { continue };
-                    let mut at = 0;
-                    self.disks[disk].retain(|&(seq, id)| {
-                        let Some(s) = waiting(id) else { return false };
-                        let key = (s.frontier.abs_diff(last_admit[disk]), seq);
-                        if best.is_none_or(|(b, ..)| key < b) {
-                            best = Some((key, disk, at));
-                        }
-                        at += 1;
-                        true
-                    });
-                    if self.disks[disk].front().is_none_or(|&(seq, _)| seq != front) {
-                        self.refile(disk, front);
-                    }
-                }
-                best.map(|(_, disk, at)| Pick { id: self.disks[disk][at].1, disk, at })
+            let (_, id) = self.disks[disk][0];
+            if streams.get(id).is_some_and(|s| s.waiting) {
+                return Some(Pick { id, disk });
             }
+            // The disk's next entry, if any, sorts after position i.
+            self.disks[disk].pop_front();
+            self.refile(disk, seq);
         }
+        None
     }
 
     /// Removes a picked entry. Nothing may be pushed or picked between the
     /// pick and this call.
     pub fn remove(&mut self, pick: Pick) {
-        let (seq, id) = self.disks[pick.disk].remove(pick.at).expect("picked entry is queued");
+        let (seq, id) = self.disks[pick.disk].pop_front().expect("picked entry is queued");
         debug_assert_eq!(id, pick.id, "stale pick");
-        if pick.at == 0 {
-            self.refile(pick.disk, seq);
-        }
+        self.refile(pick.disk, seq);
     }
 
     /// Re-sorts `disk` among the heads after its front entry, which had

@@ -1,24 +1,10 @@
 //! Scheduler configuration: the paper's four tunables `D`, `R`, `N`, `M`
-//! plus classifier, garbage-collection, admission-order and degradation
-//! knobs. How far a stream may stage ahead of its client is not a knob: it
-//! is one residency, `R * N`.
+//! plus classifier, garbage-collection and degradation knobs. How far a
+//! stream may stage ahead of its client is not a knob: it is one
+//! residency, `R * N`. Streams are admitted round robin (paper §4.2).
 
 use seqio_simcore::units::{format_bytes, GIB, KIB, MIB};
 use seqio_simcore::{SeqioError, SimDuration};
-
-/// How the scheduler picks the next stream to admit into the dispatch set
-/// (paper §4.2: "involved policies are possible ... we currently use a
-/// simple round-robin policy").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// First-come first-served over waiting streams (the paper's choice).
-    #[default]
-    RoundRobin,
-    /// Prefer the waiting stream whose next disk access is closest to the
-    /// last admitted offset on that disk — the paper's sketched alternative
-    /// that tries to keep nearby streams together to shorten seeks.
-    OffsetOrdered,
-}
 
 /// Classifier: how far around a request's block the detection bitmap
 /// extends, in blocks (the paper's `offset`; "a few tens" of requests).
@@ -45,7 +31,8 @@ pub(crate) const STREAM_MATCH_SLACK_BLOCKS: u64 = 128;
 pub struct ServerConfig {
     /// `D`: maximum number of streams in the dispatch set.
     pub dispatch_streams: usize,
-    /// `R`: read-ahead (disk request) size in bytes.
+    /// `R`: read-ahead (disk request) size in bytes, a whole number of
+    /// 512-byte blocks.
     pub read_ahead_bytes: u64,
     /// `N`: requests a stream issues per dispatch-set residency.
     pub requests_per_residency: u64,
@@ -59,8 +46,6 @@ pub struct ServerConfig {
     pub buffer_timeout: SimDuration,
     /// Period of the garbage-collection sweep.
     pub gc_period: SimDuration,
-    /// Dispatch-set admission order.
-    pub dispatch_policy: DispatchPolicy,
     /// Graceful degradation (fault injection): a stream whose disk is
     /// reported degraded by at least this service-time factor is rotated
     /// out of the dispatch set after each fill instead of holding its slot
@@ -81,7 +66,6 @@ impl ServerConfig {
             detect_threshold_blocks: 192,
             buffer_timeout: SimDuration::from_secs(10),
             gc_period: SimDuration::from_secs(1),
-            dispatch_policy: DispatchPolicy::RoundRobin,
             degraded_rotate_threshold: 2.0,
         }
     }
@@ -179,6 +163,12 @@ impl ServerConfig {
         }
         if self.read_ahead_bytes == 0 {
             return fail("read-ahead must be positive (R > 0)".into());
+        }
+        if !self.read_ahead_bytes.is_multiple_of(512) {
+            return fail(format!(
+                "read-ahead R = {} bytes is not a whole number of 512-byte blocks",
+                self.read_ahead_bytes
+            ));
         }
         if self.requests_per_residency == 0 {
             return fail("residency must allow at least one request (N >= 1)".into());
@@ -288,5 +278,23 @@ mod tests {
         let mut c = ServerConfig::default_tuning();
         c.detect_threshold_blocks = DETECT_OFFSET_BLOCKS * 3;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn read_ahead_must_be_whole_blocks() {
+        // R = 1000 B with D = 4, N = 8 and M = D*R*N: each fill would
+        // reserve two whole blocks (1024 B), so the pool would hold 31
+        // fills, not D*N = 32.
+        let c = ServerConfig {
+            dispatch_streams: 4,
+            read_ahead_bytes: 1000,
+            requests_per_residency: 8,
+            memory_bytes: 32_000,
+            ..ServerConfig::default_tuning()
+        };
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("R = 1000 bytes") && err.contains("512-byte blocks"), "{err}");
+        let c = ServerConfig { read_ahead_bytes: 1024, memory_bytes: 32 * 1024, ..c };
+        assert!(c.validate().is_ok());
     }
 }

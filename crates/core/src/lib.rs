@@ -49,7 +49,7 @@ mod stream;
 
 pub use bitmap::RegionBitmap;
 pub use classifier::{Classification, Classifier};
-pub use config::{DispatchPolicy, ServerConfig};
+pub use config::ServerConfig;
 pub use runner::RealNode;
 pub use server::{
     BackendRequest, ClientRequest, ServerMetrics, ServerOutput, SpanEvent, StorageServer,

@@ -19,7 +19,6 @@ use seqio_simcore::{SimRng, SimTime};
 use crate::admission::AdmissionQueues;
 use crate::bitmap::RegionBitmap;
 use crate::buffer::{BufferId, BufferPool, Coverage, Lba};
-use crate::config::DispatchPolicy;
 use crate::stream::{PendingRequest, StreamId, StreamTable};
 
 /// The stream table, buffered set, admission queue and region bitmap as
@@ -30,7 +29,6 @@ mod old {
     use seqio_simcore::SimTime;
 
     use crate::buffer::{Coverage, Lba};
-    use crate::config::DispatchPolicy;
     use crate::stream::{self, PendingRequest};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -359,13 +357,8 @@ mod old {
         pub fn pick(
             &mut self,
             streams: &stream::StreamTable,
-            policy: DispatchPolicy,
             open: impl Fn(usize) -> bool,
-            last_admit_frontier: &[Lba],
         ) -> Option<usize> {
-            let mut chosen: Option<usize> = None;
-            // Ties keep the earliest queue entry.
-            let mut best_distance = u64::MAX;
             let mut i = 0;
             while i < self.rr.len() {
                 let sid = self.rr[i];
@@ -378,23 +371,13 @@ mod old {
                     }
                     Some(s) => {
                         if open(s.disk) {
-                            let last = last_admit_frontier[s.disk];
-                            match policy {
-                                DispatchPolicy::RoundRobin => return Some(i),
-                                DispatchPolicy::OffsetOrdered => {
-                                    let distance = s.frontier.abs_diff(last);
-                                    if chosen.is_none() || distance < best_distance {
-                                        best_distance = distance;
-                                        chosen = Some(i);
-                                    }
-                                }
-                            }
+                            return Some(i);
                         }
                         i += 1;
                     }
                 }
             }
-            chosen
+            None
         }
     }
 
@@ -691,12 +674,12 @@ fn match_prefers_the_later_stream_on_a_recycled_lower_slot() {
 
 /// Drives the per-disk admission queues and the old single queue side by
 /// side, the way the server does: streams wait on five disks, picks run
-/// under both policies against per-disk quotas that a retune moves, and a
-/// pick ends as `NoMemory` (it stays queued), `NoDemand` or `Issued`.
-/// Dispatched streams retire and queue again, and the collector removes
-/// streams while their entries are still queued, so stale ids of removed
-/// streams sit in the queues while their slots hold new streams. Every pick
-/// must name the same stream.
+/// against per-disk quotas that a retune moves, and a pick ends as
+/// `NoMemory` (it stays queued), `NoDemand` or `Issued`. Dispatched
+/// streams retire and queue again, and the collector removes streams while
+/// their entries are still queued, so stale ids of removed streams sit in
+/// the queues while their slots hold new streams. Every pick must name the
+/// same stream.
 #[test]
 fn admission_queues_match_the_single_queue_scan() {
     const DISKS: usize = 5;
@@ -706,20 +689,17 @@ fn admission_queues_match_the_single_queue_scan() {
     let mut old = old::AdmissionQueue::default();
     let (mut live, mut admitted): (Vec<StreamId>, Vec<StreamId>) = (Vec::new(), Vec::new());
     let mut dispatched = [0usize; DISKS];
-    let mut last_admit = [0; DISKS];
     let mut quota = 2;
     let mut waiting = 0;
     let mut slots_seen = 0;
-    let (mut picks, mut offset_picks, mut held, mut issued) = (0, 0, 0, 0);
+    let (mut picks, mut held, mut issued) = (0, 0, 0);
     let (mut stale, mut reused, mut retunes) = (0, 0, 0);
-    // A frontier from a coarse grid, so offset distances tie often.
-    let grid = |rng: &mut SimRng| rng.below(32) * 1024;
     for _ in 0..OPS {
         let at = rng.below(live.len().max(1) as u64) as usize;
-        match rng.below(20) {
+        match rng.below(17) {
             0..=3 if live.len() < 96 => {
                 let disk = rng.below(DISKS as u64) as usize;
-                let id = table.create(disk, 0, grid(&mut rng), SimTime::ZERO);
+                let id = table.create(disk, 0, 0, SimTime::ZERO);
                 reused += usize::from(id.slot() < slots_seen);
                 slots_seen = slots_seen.max(id.slot() + 1);
                 table.get_mut(id).expect("just created").waiting = true;
@@ -738,18 +718,12 @@ fn admission_queues_match_the_single_queue_scan() {
                 }
             }
             6..=11 => {
-                let policy = if rng.chance(0.5) {
-                    DispatchPolicy::RoundRobin
-                } else {
-                    DispatchPolicy::OffsetOrdered
-                };
                 let open = |disk: usize| dispatched[disk] < quota;
-                let got = new.pick(&table, policy, open, &last_admit);
-                let expect = old.pick(&table, policy, open, &last_admit);
-                assert_eq!(got.map(|p| p.id), expect.map(|i| old.get(i)), "{policy:?} pick");
+                let got = new.pick(&table, open);
+                let expect = old.pick(&table, open);
+                assert_eq!(got.map(|p| p.id), expect.map(|i| old.get(i)), "pick");
                 let (Some(got), Some(i)) = (got, expect) else { continue };
                 picks += 1;
-                offset_picks += usize::from(policy == DispatchPolicy::OffsetOrdered);
                 match rng.below(3) {
                     0 => held += 1,
                     outcome => {
@@ -761,7 +735,6 @@ fn admission_queues_match_the_single_queue_scan() {
                         if outcome == 2 {
                             s.dispatched = true;
                             dispatched[s.disk] += 1;
-                            last_admit[s.disk] = s.frontier;
                             admitted.push(s.id);
                             issued += 1;
                         }
@@ -793,18 +766,13 @@ fn admission_queues_match_the_single_queue_scan() {
                 quota = rng.range(1, 4) as usize;
                 retunes += 1;
             }
-            17..=18 if !live.is_empty() => {
-                let s = table.get_mut(live[at]).expect("live");
-                s.frontier =
-                    if rng.chance(0.5) { s.frontier + rng.below(3) * 1024 } else { grid(&mut rng) };
-            }
             _ => {}
         }
         assert!(waiting == 0 || !new.is_empty(), "a waiting stream is always queued");
     }
     assert!(
-        picks > 20_000 && offset_picks > 10_000 && held > 5_000 && issued > 5_000,
-        "{picks} picks, {offset_picks} offset ordered, {held} held, {issued} issued"
+        picks > 20_000 && held > 5_000 && issued > 5_000,
+        "{picks} picks, {held} held, {issued} issued"
     );
     assert!(
         stale > 2_000 && reused > 5_000 && retunes > 3_000,

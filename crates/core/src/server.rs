@@ -183,8 +183,6 @@ pub struct StorageServer {
     disk_dispatched: Vec<usize>,
     /// Per-disk dispatch bound: `ceil(D / #disks)`.
     disk_quota: usize,
-    /// Last admitted frontier per disk (for the offset-ordered policy).
-    last_admit_frontier: Vec<Lba>,
     /// In-flight backend operations, slot-indexed by backend id. Ids are
     /// reused from `pending_free`, so the table stays as small as the
     /// in-flight window and lookups skip hashing entirely.
@@ -226,7 +224,6 @@ impl StorageServer {
             dispatched_count: 0,
             disk_dispatched: vec![0; n_disks],
             disk_quota,
-            last_admit_frontier: vec![0; n_disks],
             pending_disk: Vec::new(),
             pending_free: Vec::new(),
             pending_count: 0,
@@ -631,12 +628,10 @@ impl StorageServer {
     /// disks by the per-disk quota.
     fn try_admit(&mut self, now: SimTime, out: &mut Vec<ServerOutput>) {
         while self.dispatched_count < self.cfg.dispatch_streams {
-            let Some(pick) = self.queues.pick(
-                &self.streams,
-                self.cfg.dispatch_policy,
-                |disk| self.disk_dispatched[disk] < self.disk_quota,
-                &self.last_admit_frontier,
-            ) else {
+            let Some(pick) = self
+                .queues
+                .pick(&self.streams, |disk| self.disk_dispatched[disk] < self.disk_quota)
+            else {
                 break;
             };
             let sid = pick.id;
@@ -660,10 +655,8 @@ impl StorageServer {
             s.dispatched = true;
             s.issued_in_residency = 1; // issue_fill counted the first request
             let disk = s.disk;
-            let frontier = s.frontier;
             self.dispatched_count += 1;
             self.disk_dispatched[disk] += 1;
-            self.last_admit_frontier[disk] = frontier;
             self.metrics.admissions += 1;
             if let Some(log) = self.span_log.as_mut() {
                 // Every request parked on the stream rode this admission.
@@ -1360,7 +1353,6 @@ mod tests {
 #[cfg(test)]
 mod dispatch_policy_tests {
     use super::*;
-    use crate::config::DispatchPolicy;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1_000)
@@ -1381,91 +1373,73 @@ mod dispatch_policy_tests {
         subs
     }
 
-    /// With D=1 and three waiting streams, the offset-ordered policy
-    /// admits the stream nearest the previously admitted offset, while
-    /// round robin follows detection order.
+    /// With D=1 and three detected streams, round robin admits in
+    /// detection order: the far stream, detected before the nearby one,
+    /// goes first.
     #[test]
-    fn offset_ordered_prefers_nearby_streams() {
-        for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered] {
-            let cfg = ServerConfig {
-                dispatch_streams: 1,
-                read_ahead_bytes: 64 * 1024,
-                requests_per_residency: 1,
-                memory_bytes: 64 * 1024,
-                dispatch_policy: policy,
-                ..ServerConfig::default_tuning()
-            };
-            let mut srv = StorageServer::new(cfg, vec![10_000_000]);
-            // Detect three streams: near (100_000), far (5_000_000),
-            // middle (120_000) — in this arrival order. The first detected
-            // stream is admitted immediately (slot free); the other two wait.
-            let mut subs = Vec::new();
-            subs.extend(detect_stream(&mut srv, 100_000, 1));
-            subs.extend(detect_stream(&mut srv, 5_000_000, 2));
-            subs.extend(detect_stream(&mut srv, 120_000, 3));
-            // Complete all outstanding disk work; the first fill completion
-            // frees the slot and the policy picks the next stream.
-            let mut order = Vec::new();
-            while let Some(b) = subs.pop() {
-                for o in srv.on_disk_complete(t(10_000 + b.id), b.id) {
-                    if let ServerOutput::SubmitDisk(nb) = o {
-                        if nb.admitted {
-                            order.push(nb.lba);
-                        }
-                        subs.push(nb);
+    fn round_robin_admits_in_detection_order() {
+        // M holds all three streams' fills: no client reads them back.
+        let cfg = ServerConfig {
+            dispatch_streams: 1,
+            read_ahead_bytes: 64 * 1024,
+            requests_per_residency: 1,
+            memory_bytes: 3 * 64 * 1024,
+            ..ServerConfig::default_tuning()
+        };
+        let mut srv = StorageServer::new(cfg, vec![10_000_000]);
+        // Detect three streams: near (100_000), far (5_000_000),
+        // middle (120_000) — in this arrival order. The first detected
+        // stream is admitted immediately (slot free); the other two wait.
+        let mut subs = Vec::new();
+        subs.extend(detect_stream(&mut srv, 100_000, 1));
+        subs.extend(detect_stream(&mut srv, 5_000_000, 2));
+        subs.extend(detect_stream(&mut srv, 120_000, 3));
+        // Complete all outstanding disk work; each admitted stream's fill
+        // completion ends its residency and frees the slot.
+        let mut order = Vec::new();
+        while let Some(b) = subs.pop() {
+            for o in srv.on_disk_complete(t(10_000 + b.id), b.id) {
+                if let ServerOutput::SubmitDisk(nb) = o {
+                    if nb.admitted {
+                        order.push(nb.lba);
                     }
-                }
-            }
-            match policy {
-                DispatchPolicy::RoundRobin => {
-                    // Detection order: the far stream (5M) comes before the
-                    // nearby one (120K).
-                    let far_pos = order.iter().position(|&l| l >= 4_000_000);
-                    let near_pos = order.iter().position(|&l| (110_000..1_000_000).contains(&l));
-                    if let (Some(f), Some(n)) = (far_pos, near_pos) {
-                        assert!(f < n, "round robin follows arrival order: {order:?}");
-                    }
-                }
-                DispatchPolicy::OffsetOrdered => {
-                    // The 120K stream is nearer the admitted offset than
-                    // the 5M one, so it goes first.
-                    let far_pos = order.iter().position(|&l| l >= 4_000_000);
-                    let near_pos = order.iter().position(|&l| (110_000..1_000_000).contains(&l));
-                    if let (Some(f), Some(n)) = (far_pos, near_pos) {
-                        assert!(n < f, "{policy:?} admits the nearby stream first: {order:?}");
-                    }
+                    subs.push(nb);
                 }
             }
         }
+        // Each admission's fill starts past the two detecting requests.
+        assert_eq!(order, [5_000_256, 120_256], "round robin follows arrival order");
     }
 
-    /// Every policy preserves the dispatch bound and completes all work.
+    /// Admission preserves the dispatch bound and completes all work.
     #[test]
     fn policies_respect_dispatch_bound() {
-        for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::OffsetOrdered] {
-            let cfg = ServerConfig {
-                dispatch_streams: 2,
-                read_ahead_bytes: 64 * 1024,
-                requests_per_residency: 2,
-                memory_bytes: 2 * 2 * 64 * 1024,
-                dispatch_policy: policy,
-                ..ServerConfig::default_tuning()
-            };
-            let mut srv = StorageServer::new(cfg, vec![10_000_000]);
-            let mut subs = Vec::new();
-            for i in 0..6u64 {
-                subs.extend(detect_stream(&mut srv, i * 1_000_000, i + 1));
-                assert!(srv.dispatched_streams() <= 2);
-            }
-            while let Some(b) = subs.pop() {
-                for o in srv.on_disk_complete(t(50_000 + b.id), b.id) {
-                    if let ServerOutput::SubmitDisk(nb) = o {
-                        subs.push(nb);
-                    }
-                }
-                assert!(srv.dispatched_streams() <= 2, "{policy:?}");
-            }
+        // M holds every stream's residency, so only D bounds admission.
+        let cfg = ServerConfig {
+            dispatch_streams: 2,
+            read_ahead_bytes: 64 * 1024,
+            requests_per_residency: 2,
+            memory_bytes: 6 * 2 * 64 * 1024,
+            ..ServerConfig::default_tuning()
+        };
+        let mut srv = StorageServer::new(cfg, vec![10_000_000]);
+        let mut subs = Vec::new();
+        let mut most = 0;
+        for i in 0..6u64 {
+            subs.extend(detect_stream(&mut srv, i * 1_000_000, i + 1));
+            most = most.max(srv.dispatched_streams());
         }
+        while let Some(b) = subs.pop() {
+            for o in srv.on_disk_complete(t(50_000 + b.id), b.id) {
+                if let ServerOutput::SubmitDisk(nb) = o {
+                    subs.push(nb);
+                }
+            }
+            most = most.max(srv.dispatched_streams());
+        }
+        assert_eq!(most, 2, "the dispatch set fills to D and no further");
+        let m = srv.metrics();
+        assert_eq!((m.admissions, m.fills_issued), (6, 12), "every stream gets one residency");
     }
 
     /// A retune updates the cached derived values, keeps `M` fixed, and

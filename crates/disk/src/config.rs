@@ -34,9 +34,6 @@ pub struct DiskConfig {
     /// contiguous read arrives within this long of the previous media
     /// operation finishing, no rotational re-alignment is charged.
     pub sequential_gap_tolerance: SimDuration,
-    /// Interface (SATA link) rate in bytes/second. The disk model itself is
-    /// media-only; the controller uses this figure to charge link transfers.
-    pub interface_rate: u64,
 }
 
 impl DiskConfig {
@@ -74,7 +71,6 @@ impl DiskConfig {
             // absorbing idle gaps up to roughly one revolution plus a host
             // round-trip before charging rotational re-alignment.
             sequential_gap_tolerance: SimDuration::from_millis(10),
-            interface_rate: 150_000_000,
         }
     }
 
@@ -93,11 +89,7 @@ impl DiskConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.geometry.validate()?;
         self.seek.validate()?;
-        self.cache.validate()?;
-        if self.interface_rate == 0 {
-            return Err("interface rate must be positive".into());
-        }
-        Ok(())
+        self.cache.validate()
     }
 }
 
@@ -116,19 +108,11 @@ mod tests {
         assert_eq!(c.geometry.rpm, 7200);
         assert_eq!(c.cache.total_bytes(), 8 * MIB);
         assert_eq!(c.seek.average, SimDuration::from_millis_f64(8.9));
-        assert_eq!(c.interface_rate, 150_000_000);
     }
 
     #[test]
     fn builder_helpers_replace_fields() {
         let c = DiskConfig::wd800jd().with_cache(CacheConfig::disabled());
         assert_eq!(c.cache.segment_count, 0);
-    }
-
-    #[test]
-    fn invalid_interface_rate_rejected() {
-        let mut c = DiskConfig::wd800jd();
-        c.interface_rate = 0;
-        assert!(c.validate().is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 use seqio_controller::ControllerConfig;
 use seqio_core::{ServerConfig, ServerMetrics};
-use seqio_disk::{bytes_to_blocks, DiskConfig, Geometry};
+use seqio_disk::{bytes_to_blocks, DiskConfig, Geometry, BLOCK_SIZE};
 use seqio_hostsched::{ReadaheadConfig, SchedKind};
 use seqio_simcore::{
     FaultPlan, KernelProfile, LatencyHistogram, MetricSeries, ObsConfig, ProfConfig, SeqioError,
@@ -141,7 +141,7 @@ pub struct Experiment {
     /// bit-identical to builds without this field. Used by the cluster
     /// layer, where a router hands each node an uneven share of streams.
     pub stream_counts: Option<Vec<usize>>,
-    /// Client request size in bytes.
+    /// Client request size in bytes, a whole number of 512-byte blocks.
     pub request_bytes: u64,
     /// Request path.
     pub frontend: Frontend,
@@ -284,6 +284,12 @@ impl Experiment {
         if self.request_bytes == 0 {
             return Err(SeqioError::Experiment("request size must be positive".into()));
         }
+        if !self.request_bytes.is_multiple_of(BLOCK_SIZE) {
+            return Err(SeqioError::Experiment(format!(
+                "request size {} bytes is not a whole number of {BLOCK_SIZE}-byte blocks",
+                self.request_bytes
+            )));
+        }
         if self.duration == SimDuration::ZERO {
             return Err(SeqioError::Experiment("measurement window must be positive".into()));
         }
@@ -292,15 +298,21 @@ impl Experiment {
                 "the window end (`warmup` + `duration`) overflows the simulated clock".into(),
             ));
         };
-        if let Frontend::StreamScheduler(cfg) = &self.frontend {
-            cfg.validate()?;
-        }
-        if let Frontend::Linux { readahead, .. } = &self.frontend {
-            readahead.validate().map_err(SeqioError::component("read-ahead"))?;
-            if self.writes {
-                return Err(SeqioError::Experiment(
-                    "the Linux front end models a read path only".into(),
-                ));
+        match &self.frontend {
+            Frontend::Direct => {}
+            Frontend::StreamScheduler(cfg) => cfg.validate()?,
+            Frontend::AllDispatched { read_ahead_bytes } => {
+                // The node derives this configuration and panics on an
+                // invalid one, so refuse it here.
+                ServerConfig::all_dispatched(self.total_streams(), *read_ahead_bytes).validate()?;
+            }
+            Frontend::Linux { readahead, .. } => {
+                readahead.validate().map_err(SeqioError::component("read-ahead"))?;
+                if self.writes {
+                    return Err(SeqioError::Experiment(
+                        "the Linux front end models a read path only".into(),
+                    ));
+                }
             }
         }
         if let Some(spans) = &self.replay {
@@ -684,6 +696,15 @@ mod tests {
         let mut e = Experiment::builder().build();
         e.request_bytes = 0;
         assert!(e.validate().is_err());
+        // A size that is not whole 512-byte blocks would be rounded up.
+        let mut e = Experiment::builder().build();
+        e.request_bytes = 1000;
+        let err = e.validate().unwrap_err().to_string();
+        assert!(err.contains("request size 1000 bytes"), "{err}");
+        let e =
+            Experiment::builder().frontend(Frontend::stream_scheduler_with_readahead(1000)).build();
+        let err = e.validate().unwrap_err().to_string();
+        assert!(err.contains("R = 1000 bytes"), "{err}");
         let mut e = Experiment::builder().build();
         e.duration = SimDuration::ZERO;
         assert!(e.validate().is_err());

@@ -320,9 +320,7 @@ impl NodeSim {
         for c in 0..spec.shape.controllers {
             let mut cfg = ControllerConfig { ports: dpc, ..spec.shape.controller.clone() };
             if let Some(policy) = spec.faults.as_ref().and_then(|pl| pl.retry_policy()) {
-                cfg.max_retries = policy.max_retries;
-                cfg.retry_backoff = policy.backoff;
-                cfg.request_timeout = policy.timeout;
+                cfg.retry = policy;
             }
             let disks = (0..dpc)
                 .map(|p| {

@@ -140,3 +140,30 @@ fn eight_disk_small_dispatch_recovers_aggregate() {
     let t = r.total_throughput_mbs();
     assert!(t > 270.0, "expected >60% of 450 MB/s, got {t:.0}");
 }
+
+/// Round robin rotates every stream through the dispatch set on a
+/// multi-disk node: with one dispatch slot per disk pair (D = 4 on eight
+/// disks) and residencies of N = 8 fills, each of the 80 streams still
+/// delivers data inside the window.
+#[test]
+fn round_robin_rotates_every_stream_on_eight_disks() {
+    let cfg = ServerConfig {
+        dispatch_streams: 4,
+        read_ahead_bytes: MIB,
+        requests_per_residency: 8,
+        memory_bytes: 32 * MIB,
+        ..ServerConfig::default_tuning()
+    };
+    let r = Experiment::builder()
+        .shape(NodeShape::eight_disk())
+        .streams_per_disk(10)
+        .frontend(Frontend::StreamScheduler(cfg))
+        .warmup(SimDuration::from_secs(2))
+        .duration(SimDuration::from_secs(4))
+        .seed(2424)
+        .run();
+    let starved: Vec<usize> =
+        (0..r.per_stream_bytes.len()).filter(|&s| r.per_stream_bytes[s] == 0).collect();
+    assert_eq!(r.per_stream_bytes.len(), 80);
+    assert!(starved.is_empty(), "streams with no bytes in the window: {starved:?}");
+}
