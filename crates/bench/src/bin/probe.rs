@@ -20,8 +20,7 @@
 //! `probe slo` runs the user-scale open-loop point: a million diurnally
 //! modulated sessions against a 4-node cluster behind a 250 MiB/s
 //! fair-share link, writing end-to-end session SLO percentiles to
-//! `bench_results/slo_probe.json` alongside a closed-loop companion run
-//! for contrast.
+//! `bench_results/slo_probe.json`.
 //!
 //! `probe tail` runs the slo operating point at 50,000 sessions with span
 //! recording on, correlates the run into cross-tier session traces,
@@ -42,8 +41,7 @@ use std::time::Instant;
 use seqio_bench::figures::FIGURES;
 use seqio_bench::reports::REPORTS;
 use seqio_bench::{ensure, write_result};
-use seqio_client::{ArrivalConfig, ClientExperiment, DriveMode, LinkConfig, RateModulation};
-use seqio_cluster::ShardPolicy;
+use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig, RateModulation};
 use seqio_controller::{Controller, ControllerConfig, CtrlOutput, HostRequest};
 use seqio_core::{Classifier, ClientRequest, ServerConfig, ServerOutput, StorageServer};
 use seqio_disk::{
@@ -941,9 +939,8 @@ fn open_loop(target: u64) -> ClientExperiment {
 }
 
 /// Runs the user-scale open-loop point: a diurnally modulated million-
-/// session day on [`open_loop`], plus a closed-loop companion for
-/// contrast, and writes the end-to-end session SLO percentiles to
-/// `dir/slo_probe.json`.
+/// session day on [`open_loop`], and writes the end-to-end session SLO
+/// percentiles to `dir/slo_probe.json`.
 fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let xp = open_loop(SLO_SESSIONS);
     let (nodes, duration) = (xp.nodes, xp.template.duration);
@@ -952,19 +949,6 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     let open = xp.run().expect("open-loop slo point");
     let wall = start.elapsed().as_secs_f64();
     let slo = open.slo.clone().expect("sessions completed");
-
-    // Closed-loop companion: the same cluster and link with a fixed
-    // 32-streams/disk population pinned from t = 0. Its "sessions" all
-    // start together, so the latency spread reflects batch drain, not
-    // user-perceived arrival-to-delivery time — the contrast the open
-    // loop exists to fix.
-    let mut companion = open_loop(SLO_SESSIONS);
-    companion.template.streams_per_disk = 32;
-    companion.template.requests_per_stream = Some(2);
-    companion.mode = DriveMode::ClosedLoop;
-    companion.policy = ShardPolicy::HashByStream;
-    let closed = companion.run().expect("closed-loop slo companion");
-    let closed_slo = closed.slo.clone().expect("finite streams complete");
 
     println!(
         "-- slo probe: {SESSION_RATE} sessions/s open loop, {nodes} nodes, link 250 MiB/s, \
@@ -980,10 +964,6 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
     println!(
         "               p50 {:.2} ms  p95 {:.2} ms  p99 {:.2} ms  p99.9 {:.2} ms  max {:.2} ms",
         slo.p50_ms, slo.p95_ms, slo.p99_ms, slo.p999_ms, slo.max_ms
-    );
-    println!(
-        "  closed loop  {:>9} streams  p50 {:.2} ms  p99.9 {:.2} ms (batch drain, not arrivals)",
-        closed_slo.sessions, closed_slo.p50_ms, closed_slo.p999_ms
     );
 
     // Acceptance bars: the full-scale probe must admit the target session
@@ -1013,9 +993,7 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
          \"open_loop\": {{\"sessions\": {}, \"completed\": {}, \
          \"completion_ratio\": {:.6}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
          \"p99_ms\": {:.4}, \"p999_ms\": {:.4}, \"mean_ms\": {:.4}, \"max_ms\": {:.4}, \
-         \"aggregate_mbs\": {:.4}}},\n  \
-         \"closed_loop\": {{\"sessions\": {}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
-         \"p99_ms\": {:.4}, \"p999_ms\": {:.4}, \"mean_ms\": {:.4}}}\n}}\n",
+         \"aggregate_mbs\": {:.4}}}\n}}\n",
         duration.as_secs_f64(),
         slo.sessions,
         slo.completed,
@@ -1027,12 +1005,6 @@ fn slo_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
         slo.mean_ms,
         slo.max_ms,
         open.total_throughput_mbs(),
-        closed_slo.sessions,
-        closed_slo.p50_ms,
-        closed_slo.p95_ms,
-        closed_slo.p99_ms,
-        closed_slo.p999_ms,
-        closed_slo.mean_ms,
     );
 
     Ok(write_result(dir, "slo_probe.json", &json)?)

@@ -11,7 +11,7 @@ use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig};
 use seqio_cluster::{ClusterExperiment, ClusterResult, SessionSlo, ShardPolicy};
 use seqio_core::ServerConfig;
 use seqio_disk::{CacheConfig, QueuePolicy};
-use seqio_hostsched::{ReadaheadConfig, SchedKind};
+use seqio_hostsched::SchedKind;
 use seqio_node::{
     CostModel, Experiment, ExperimentBuilder, FaultPlan, Frontend, NodeShape, Placement,
 };
@@ -119,13 +119,13 @@ pub fn fig01_collapse() -> Result<Figure, String> {
 }
 
 /// One Fig. 2 cell: `streams` xdd readers of 4 KiB on one disk under the
-/// Linux `scheduler` with default read-ahead and the local xdd costs (seed
+/// Linux `scheduler` with the kernel read-ahead and the local xdd costs (seed
 /// 22, 3 s warm-up, 6 s window).
 pub fn fig02_point(scheduler: SchedKind, streams: usize) -> Experiment {
     spec(3, 6, 22)
         .streams_per_disk(streams)
         .request_size(4 * KIB)
-        .frontend(Frontend::Linux { scheduler, readahead: ReadaheadConfig::default() })
+        .frontend(Frontend::Linux { scheduler })
         .costs(CostModel::local_xdd())
         .build()
 }

@@ -8,15 +8,13 @@
 //! included. The full byte-for-byte check is
 //! `probe figures` followed by `git diff --exit-code`.
 //!
-//! The last two tests re-derive committed cells through the wider drivers
-//! — the shared-clock cluster driver (a 1-node identity
-//! [`ClusterExperiment`]) and the client front end's closed-loop identity
-//! mode — the committed figure data must be reachable through those paths
-//! too, bit for bit, pinning the layer-equivalence guarantees to the same
+//! The last test re-derives committed cells through the shared-clock
+//! cluster driver (a 1-node [`ClusterExperiment`] under the default
+//! router): the committed figure data must be reachable through that path
+//! too, bit for bit, pinning the layer-equivalence guarantee to the same
 //! goldens the figures use.
 
 use seqio_bench::figures::*;
-use seqio_client::ClientExperiment;
 use seqio_cluster::{ClusterExperiment, ShardPolicy};
 use seqio_disk::QueuePolicy;
 use seqio_hostsched::SchedKind;
@@ -258,20 +256,4 @@ fn cluster_path_reproduces_committed_figure_cells() {
             .expect("figure templates are valid 1-node clusters");
         assert_cell(file, row, column, c.total_throughput_mbs());
     }
-}
-
-#[test]
-fn client_identity_path_reproduces_committed_figure_cells() {
-    // The client front end's identity configuration — closed loop, the
-    // default unconstrained link — must reduce bit-identically to the
-    // plain run. Any drift here means the client tier perturbed the
-    // storage simulation it claims to only observe.
-    let c = ClientExperiment::builder()
-        .template(fig01_point(2, 256 * KIB))
-        .run()
-        .expect("1-node closed-loop identity run");
-    assert_cell("fig01_collapse.csv", "256K", "120 Streams", c.total_throughput_mbs());
-    // Open-ended streams never complete a session, so the identity run
-    // has no SLO to report.
-    assert!(c.slo.is_none(), "open-ended streams have no session completions");
 }

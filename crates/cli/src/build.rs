@@ -1,7 +1,7 @@
 //! Builds an [`Experiment`] from parsed flags (shared by `run` and `sweep`).
 
 use seqio_core::ServerConfig;
-use seqio_hostsched::{ReadaheadConfig, SchedKind};
+use seqio_hostsched::SchedKind;
 use seqio_node::{CostModel, Experiment, Frontend, NodeShape, Placement};
 use seqio_simcore::SimDuration;
 use seqio_workload::Pattern;
@@ -87,7 +87,7 @@ pub fn experiment_from(args: &Args, common: &CommonArgs) -> Result<Experiment, S
                     ))
                 }
             };
-            Frontend::Linux { scheduler, readahead: ReadaheadConfig::default() }
+            Frontend::Linux { scheduler }
         }
         other => return Err(format!("--frontend: expected direct|stream|linux, got {other:?}")),
     };

@@ -235,8 +235,7 @@ fn cmd_cluster(rest: Vec<String>) -> Result<(), String> {
 /// at `--rate` per second (optionally bursty or diurnal), pick Zipf-
 /// popular titles, stream them from the cluster described by the
 /// experiment flags, and receive their bytes across a shared `--link`.
-/// Reports end-to-end session SLO percentiles. `--closed-loop` instead
-/// wraps the plain cluster run (identical results) and adds the SLO.
+/// Reports end-to-end session SLO percentiles.
 fn cmd_client(rest: Vec<String>) -> Result<(), String> {
     let mut rest = rest.into_iter();
     match rest.next().as_deref() {
@@ -253,7 +252,6 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
     known.extend_from_slice(COMMON_FLAGS);
     known.extend_from_slice(&[
         "nodes",
-        "shard",
         "base-seed",
         "rate",
         "titles",
@@ -263,7 +261,6 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         "link",
         "burst",
         "diurnal",
-        "closed-loop",
         "correlate-out",
     ]);
     let unknown = args.unknown_flags(&known);
@@ -280,8 +277,6 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         template.obs = Some(obs.with_spans());
     }
     let nodes = nodes_flag(&args)?;
-    let policy = seqio_cluster::ShardPolicy::parse(args.get("shard").unwrap_or("hash"))
-        .map_err(|e| format!("--shard: {e}"))?;
 
     let modulation = match (args.get("burst"), args.get("diurnal")) {
         (Some(_), Some(_)) => return Err("--burst and --diurnal are mutually exclusive".into()),
@@ -331,6 +326,8 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
             None => None,
         },
     };
+    // Refused before the banner, and before any table is sized by it.
+    arrivals.validate().map_err(|e| e.to_string())?;
     let link = match args.get("link") {
         None | Some("inf") => seqio_client::LinkConfig::default(),
         Some(v) => seqio_client::LinkConfig {
@@ -339,15 +336,11 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
         },
     };
 
-    let open_loop = !args.switch("closed-loop");
     let mut b = seqio_client::ClientExperiment::builder()
         .template(template)
         .nodes(nodes)
-        .policy(policy)
+        .arrivals(arrivals.clone())
         .link(link);
-    if open_loop {
-        b = b.arrivals(arrivals.clone());
-    }
     if let Some(seed) = args.get("base-seed") {
         let s: u64 = seed.parse().map_err(|_| format!("--base-seed: bad integer {seed:?}"))?;
         b = b.base_seed(s);
@@ -355,26 +348,15 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
     if let Some(j) = common.jobs {
         b = b.jobs(j);
     }
-    if open_loop {
-        eprintln!(
-            "client: {} session(s)/s open loop over {} node(s), {} titles (zipf {}), link {}",
-            arrivals.rate_per_sec,
-            nodes,
-            arrivals.titles,
-            arrivals.zipf_exponent,
-            args.get("link").unwrap_or("unconstrained"),
-        );
-    } else {
-        eprintln!("client: closed loop over {nodes} node(s) (identity reduction + SLO)");
-    }
+    eprintln!(
+        "client: {} session(s)/s open loop over {} node(s), {} titles (zipf {}), link {}",
+        arrivals.rate_per_sec,
+        nodes,
+        arrivals.titles,
+        arrivals.zipf_exponent,
+        args.get("link").unwrap_or("unconstrained"),
+    );
     let xp = b.build();
-    // The session schedule regenerates deterministically from the same
-    // seeds the run will use; grab it before the run for the trace join.
-    let schedule = if args.get("correlate-out").is_some() && open_loop {
-        Some(xp.session_schedule().map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
     let c = xp.run().map_err(|e| e.to_string())?;
 
     println!("throughput:      {:>9.2} MB/s aggregate over {}", c.total_throughput_mbs(), c.window);
@@ -413,10 +395,10 @@ fn cmd_client(rest: Vec<String>) -> Result<(), String> {
     });
     common.write_outputs(merged_spans.as_ref(), c.metrics.as_ref())?;
     if let Some(path) = args.get("correlate-out") {
-        let traces = match &schedule {
-            Some(s) => seqio_telemetry::correlate(&c, s),
-            None => seqio_telemetry::correlate_cluster(&c),
-        };
+        // The session schedule regenerates deterministically from the
+        // seeds the run used; the trace join reads arrivals and titles.
+        let schedule = xp.session_schedule().map_err(|e| e.to_string())?;
+        let traces = seqio_telemetry::correlate(&c, &schedule);
         let completed = traces.iter().filter(|t| t.latency().is_some()).count();
         let multi = traces.iter().filter(|t| t.node_path.len() > 1).count();
         std::fs::write(path, seqio_telemetry::traces_to_jsonl(&traces))
@@ -941,7 +923,7 @@ FLAGS (sweep only):
 
 FLAGS (cluster run):
   --nodes K                      storage nodes             [1]
-  --shard identity|hash|straggler-aware                    [hash]
+  --shard hash|straggler-aware   stream sharding policy    [hash]
   --fault-node I                 node receiving --faults   [0]
   --base-seed N                  derive per-node seeds from (N, node)
   --rebalance DUR                migrate live streams off degraded nodes,
@@ -966,7 +948,7 @@ FLAGS (scenario run / record / replay):
                                  here to reproduce such a run exactly)
 
 FLAGS (client run):
-  --nodes K --shard POLICY       cluster under the client tier  [1 / hash]
+  --nodes K                      cluster under the client tier  [1]
   --rate R                       session arrivals per second    [100]
   --burst PERIOD,DUTY,FACTOR     bursty rate modulation
   --diurnal PERIOD,DEPTH         sinusoidal rate modulation
@@ -975,8 +957,6 @@ FLAGS (client run):
   --lifetime DUR                 abandon sessions older than DUR
   --link RATE                    shared client link, bytes/s (e.g. 125M)
                                  [unconstrained]
-  --closed-loop                  wrap the plain cluster run instead
-                                 (bit-identical results, SLO added)
   --correlate-out FILE           write correlated session traces (JSONL):
                                  client arrivals joined with node spans and
                                  migrations; feed to `report --trace`

@@ -290,6 +290,32 @@ fn removed_trace_flags_are_unknown() {
     }
 }
 
+/// `client run` drives open-loop sessions only: the closed-loop mode and
+/// the shard policy it alone read are unknown flags.
+#[test]
+fn client_run_refuses_the_removed_closed_loop_flags() {
+    for (args, flag) in [
+        (&["client", "run", "--shard", "hash"][..], "shard"),
+        (&["client", "run", "--closed-loop"][..], "closed-loop"),
+    ] {
+        let out = seqio(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag(s): {flag}")), "{args:?}: {err}");
+    }
+}
+
+/// A catalogue above `MAX_TITLES` is refused before anything is sized by
+/// it: one size overflows every capacity, the other would allocate.
+#[test]
+fn client_run_refuses_too_many_titles() {
+    for titles in ["2305843009213693952", "50000000"] {
+        let args = ["client", "run", "--titles", titles, "--warmup", "0s", "--duration", "1s"];
+        let err = typed_error(&args);
+        assert!(err.contains(&format!("titles: {titles}")), "{args:?}: {err}");
+    }
+}
+
 /// Runs `seqio` expecting the clean exit 1 of a typed error and returns
 /// its stderr.
 fn typed_error(args: &[&str]) -> String {

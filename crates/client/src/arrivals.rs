@@ -171,6 +171,26 @@ impl ArrivalProcess {
     }
 }
 
+/// The most titles one catalogue may hold. [`ZipfSampler`] keeps one
+/// cumulative weight per title, so a larger catalogue would ask for its
+/// whole table up front; the scenario generator's largest catalogue
+/// (16 titles per disk on [`MAX_NODES`](seqio_node::driver::MAX_NODES)
+/// sixty-disk nodes) stays below it.
+pub const MAX_TITLES: usize = 1 << 24;
+
+/// Refuses an empty catalogue and one above [`MAX_TITLES`].
+pub(crate) fn check_titles(titles: usize) -> Result<(), SeqioError> {
+    if titles == 0 {
+        return Err(SeqioError::Experiment("need at least one title".into()));
+    }
+    if titles > MAX_TITLES {
+        return Err(SeqioError::Experiment(format!(
+            "titles: {titles} is more than the {MAX_TITLES} one catalogue may hold"
+        )));
+    }
+    Ok(())
+}
+
 /// A Zipf-distributed sampler over a catalogue of `n` titles: title `k`
 /// (0-based rank) is drawn with probability proportional to
 /// `(k + 1)^-exponent`. Sampling is O(log n) via a binary search over the
@@ -186,11 +206,10 @@ impl ZipfSampler {
     ///
     /// # Errors
     ///
-    /// Rejects an empty catalogue and a negative or non-finite exponent.
+    /// Rejects an empty catalogue, one above [`MAX_TITLES`] and a negative
+    /// or non-finite exponent.
     pub fn new(titles: usize, exponent: f64) -> Result<Self, SeqioError> {
-        if titles == 0 {
-            return Err(SeqioError::Experiment("need at least one title".into()));
-        }
+        check_titles(titles)?;
         if !exponent.is_finite() || exponent < 0.0 {
             return Err(SeqioError::Experiment(format!(
                 "Zipf exponent must be finite and non-negative, got {exponent}"
@@ -309,6 +328,17 @@ mod tests {
         assert!(ZipfSampler::new(0, 1.0).is_err());
         assert!(ZipfSampler::new(10, -1.0).is_err());
         assert!(ZipfSampler::new(10, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn catalogues_above_the_bound_are_refused_before_allocating() {
+        for titles in [MAX_TITLES + 1, usize::MAX] {
+            let config = crate::ArrivalConfig { titles, ..crate::ArrivalConfig::default() };
+            for err in [ZipfSampler::new(titles, 0.8).unwrap_err(), config.validate().unwrap_err()]
+            {
+                assert!(err.to_string().contains(&format!("titles: {titles}")), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -25,11 +25,6 @@
 //!   condense into [`SessionSlo`](seqio_cluster::SessionSlo) percentiles
 //!   on the merged [`ClusterResult`](seqio_cluster::ClusterResult).
 //!
-//! The identity configuration — closed loop + unconstrained link — is
-//! bit-identical to [`ClusterExperiment::run`](seqio_cluster::ClusterExperiment::run)
-//! on every pre-existing output, including span and metric recordings;
-//! the client tier then only fills in the new `slo` field.
-//!
 //! # Examples
 //!
 //! A thousand-user open-loop run against two nodes behind a gigabit
@@ -64,8 +59,6 @@ mod arrivals;
 mod run;
 mod session;
 
-pub use arrivals::{ArrivalProcess, RateModulation, ZipfSampler};
-pub use run::{
-    ClientExperiment, ClientExperimentBuilder, DriveMode, LinkConfig, SESSION_SEED_INDEX,
-};
+pub use arrivals::{ArrivalProcess, RateModulation, ZipfSampler, MAX_TITLES};
+pub use run::{ClientExperiment, ClientExperimentBuilder, LinkConfig, SESSION_SEED_INDEX};
 pub use session::{generate_sessions, ArrivalConfig, SessionSpec};

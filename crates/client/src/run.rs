@@ -3,20 +3,13 @@
 //!
 //! # Execution model
 //!
-//! **Open loop** ([`DriveMode::OpenLoop`]): the pre-generated session
-//! schedule (see [`generate_sessions`](crate::generate_sessions)) is split
-//! per node into a timeline for the [`driver`](seqio_node::driver): each
-//! node runs *independently*, injecting every new session at its arrival
-//! through the same `StreamHandoff` surface mid-run migration uses and
-//! retiring sessions whose lifetime bound expires. Nodes never exchange
-//! state mid-run, so results are bit-identical at every `SEQIO_JOBS`
-//! value.
-//!
-//! **Closed loop** ([`DriveMode::ClosedLoop`]): the classic all-streams-
-//! at-`t=0` population, executed by the unmodified cluster driver. With an
-//! unconstrained link this reduces *bit-identically* to
-//! [`ClusterExperiment::run`] — the client tier only fills in the new
-//! [`slo`](ClusterResult::slo) field.
+//! The pre-generated session schedule (see
+//! [`generate_sessions`](crate::generate_sessions)) is split per node into
+//! a timeline for the [`driver`](seqio_node::driver): each node runs
+//! *independently*, injecting every new session at its arrival through
+//! the same `StreamHandoff` surface mid-run migration uses and retiring
+//! sessions whose lifetime bound expires. Nodes never exchange state
+//! mid-run, so results are bit-identical at every `SEQIO_JOBS` value.
 //!
 //! # The network overlay
 //!
@@ -32,9 +25,7 @@
 //! the storage simulation, so node results stay untouched by link
 //! configuration.
 
-use seqio_cluster::{
-    ClusterExperiment, ClusterResult, NodeHealth, NodeOutcome, SessionSlo, ShardPolicy,
-};
+use seqio_cluster::{ClusterResult, NodeHealth, NodeOutcome, SessionSlo};
 use seqio_node::driver::{self, NodeDrive, NodeOp};
 use seqio_node::sweep::{derive_seed, resolve_jobs};
 use seqio_node::Experiment;
@@ -51,22 +42,12 @@ use crate::session::{generate_sessions, ArrivalConfig, SessionSpec};
 /// `tests/arrival_stats.rs` guards this).
 pub const SESSION_SEED_INDEX: usize = 0x5e55_10aa;
 
-/// How the client population drives the cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DriveMode {
-    /// Every stream lives from `t = 0` (the paper's closed-loop clients),
-    /// executed by the unmodified cluster driver.
-    ClosedLoop,
-    /// User-scale open-loop session arrivals against live nodes.
-    OpenLoop(ArrivalConfig),
-}
-
 /// The shared client-facing network link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Link capacity in bytes per second, shared equally among all
     /// in-flight responses. `f64::INFINITY` (the default) removes the
-    /// network constraint entirely — the identity configuration.
+    /// network constraint entirely.
     pub capacity_bps: f64,
     /// Per-session receive cap in bytes per second (a client NIC or
     /// player drain rate). `f64::INFINITY` takes whatever the link
@@ -115,35 +96,32 @@ impl LinkConfig {
     }
 }
 
-/// A complete client-driven experiment: a cluster of storage nodes, a
-/// drive mode (open- or closed-loop) and the shared front-end link.
+/// A complete client-driven experiment: a cluster of storage nodes, an
+/// open-loop session population and the shared front-end link.
 /// Build with [`ClientExperiment::builder`], run with
 /// [`run`](ClientExperiment::run).
 #[derive(Debug, Clone)]
 pub struct ClientExperiment {
     /// Per-node storage template (shape, frontend, costs, clock,
-    /// observability). In open-loop mode its stream layout is ignored:
-    /// nodes start empty and adopt sessions mid-run.
+    /// observability). Its stream layout is ignored: nodes start empty
+    /// and adopt sessions mid-run.
     pub template: Experiment,
     /// Number of storage nodes.
     pub nodes: usize,
-    /// Closed-loop stream sharding policy (open-loop placement is by
-    /// title, not by this policy).
-    pub policy: ShardPolicy,
     /// When set, node `k` runs with seed `derive_seed(base, k)` and the
     /// session stream with `derive_seed(base, SESSION_SEED_INDEX)`.
     pub base_seed: Option<u64>,
     /// Worker override (`None` = `SEQIO_JOBS`, then available
     /// parallelism).
     pub jobs: Option<usize>,
-    /// Open- or closed-loop client population.
-    pub mode: DriveMode,
+    /// The open-loop session population.
+    pub arrivals: ArrivalConfig,
     /// The shared client-facing link.
     pub link: LinkConfig,
 }
 
 impl ClientExperiment {
-    /// Starts a builder: 1 node, identity routing, closed loop,
+    /// Starts a builder: 1 node, [`ArrivalConfig::default`] sessions,
     /// unconstrained link, template defaults from
     /// [`Experiment::builder`].
     pub fn builder() -> ClientExperimentBuilder {
@@ -151,46 +129,25 @@ impl ClientExperiment {
             spec: ClientExperiment {
                 template: Experiment::builder().build(),
                 nodes: 1,
-                policy: ShardPolicy::Identity,
                 base_seed: None,
                 jobs: None,
-                mode: DriveMode::ClosedLoop,
+                arrivals: ArrivalConfig::default(),
                 link: LinkConfig::default(),
             },
         }
     }
 
-    /// Runs the experiment and merges everything into a [`ClusterResult`]
-    /// whose [`slo`](ClusterResult::slo) field carries the end-to-end
-    /// session percentiles (when any session completed).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first specification error; a valid specification
-    /// always runs to completion.
-    pub fn run(&self) -> Result<ClusterResult, SeqioError> {
-        driver::check_nodes(self.nodes)?;
-        self.link.validate()?;
-        match &self.mode {
-            DriveMode::ClosedLoop => self.run_closed(),
-            DriveMode::OpenLoop(cfg) => self.run_open(cfg),
-        }
-    }
-
-    /// The exact open-loop session schedule [`run`](Self::run) will
-    /// execute: the same deterministic `generate_sessions` call the
-    /// driver performs internally, exposed so post-hoc consumers — trace
-    /// correlation in `seqio-telemetry`, the CLI's `--correlate-out` —
-    /// can join global session ids back to arrival instants and titles
-    /// without re-deriving seeds. Returns an empty schedule in
-    /// closed-loop mode, where every stream is a session arriving at
-    /// `t = 0`.
+    /// The exact session schedule [`run`](Self::run) will execute: the
+    /// same deterministic `generate_sessions` call the driver performs
+    /// internally, exposed so post-hoc consumers — trace correlation in
+    /// `seqio-telemetry`, the CLI's `--correlate-out` — can join global
+    /// session ids back to arrival instants and titles without
+    /// re-deriving seeds.
     ///
     /// # Errors
     ///
     /// Returns the first specification error, exactly as `run` would.
     pub fn session_schedule(&self) -> Result<Vec<SessionSpec>, SeqioError> {
-        let DriveMode::OpenLoop(cfg) = &self.mode else { return Ok(Vec::new()) };
         if self.nodes == 0 {
             return Err(SeqioError::Experiment("need at least one node".into()));
         }
@@ -203,7 +160,7 @@ impl ClientExperiment {
         let base = self.base_seed.unwrap_or(self.template.seed);
         let session_seed = derive_seed(base, SESSION_SEED_INDEX);
         generate_sessions(
-            cfg,
+            &self.arrivals,
             self.nodes,
             disks,
             request_blocks,
@@ -213,32 +170,19 @@ impl ClientExperiment {
         )
     }
 
-    /// Closed loop: the unmodified cluster driver plus the link overlay.
-    /// Every stream is one session arriving at `t = 0`; a stream only
-    /// yields a latency sample if it exhausts a finite request budget.
-    fn run_closed(&self) -> Result<ClusterResult, SeqioError> {
-        let mut b = ClusterExperiment::builder()
-            .template(self.template.clone())
-            .nodes(self.nodes)
-            .policy(self.policy);
-        if let Some(s) = self.base_seed {
-            b = b.base_seed(s);
-        }
-        if let Some(j) = self.jobs {
-            b = b.jobs(j);
-        }
-        let mut result = b.run()?;
-        let total = result.assignment.len();
-        let bytes = self.template.requests_per_stream.unwrap_or(0) * self.template.request_bytes;
-        let arrivals = vec![SimTime::ZERO; total];
-        let session_bytes = vec![bytes; total];
-        overlay_link(&self.link, &mut result, &arrivals, &session_bytes, total as u64, &[])?;
-        Ok(result)
-    }
-
-    /// Open loop: pre-generate the schedule, run each node's sessions as
-    /// its timeline, merge, overlay the link.
-    fn run_open(&self, cfg: &ArrivalConfig) -> Result<ClusterResult, SeqioError> {
+    /// Runs the experiment: pre-generates the session schedule, runs each
+    /// node's sessions as its timeline, merges the nodes and overlays the
+    /// link. The merged [`ClusterResult`]'s [`slo`](ClusterResult::slo)
+    /// field carries the end-to-end session percentiles (when any session
+    /// completed).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first specification error; a valid specification
+    /// always runs to completion.
+    pub fn run(&self) -> Result<ClusterResult, SeqioError> {
+        driver::check_nodes(self.nodes)?;
+        self.link.validate()?;
         if self.nodes == 0 {
             return Err(SeqioError::Experiment("need at least one node".into()));
         }
@@ -274,7 +218,7 @@ impl ClientExperiment {
         let mut ops: Vec<Vec<(SimTime, usize, bool)>> = vec![Vec::new(); self.nodes];
         for s in &sessions {
             ops[s.node].push((s.arrival, s.id, false));
-            if let Some(life) = cfg.session_lifetime {
+            if let Some(life) = self.arrivals.session_lifetime {
                 let cut = s.arrival + life;
                 if cut < horizon_at {
                     ops[s.node].push((cut, s.id, true));
@@ -328,14 +272,7 @@ impl ClientExperiment {
         let arrivals: Vec<SimTime> = sessions.iter().map(|s| s.arrival).collect();
         let session_bytes: Vec<u64> =
             sessions.iter().map(|s| s.requests * template.request_bytes).collect();
-        overlay_link(
-            &self.link,
-            &mut result,
-            &arrivals,
-            &session_bytes,
-            sessions.len() as u64,
-            &skip,
-        )?;
+        overlay_link(&self.link, &mut result, &arrivals, &session_bytes, &skip)?;
         Ok(result)
     }
 }
@@ -344,14 +281,14 @@ impl ClientExperiment {
 /// its exact storage-completion instant, fills in
 /// [`ClusterResult::slo`], and — on a constrained link — stamps the
 /// `network_delivered` phase onto each session's final span. With an
-/// unconstrained link the network adds zero delay and spans are left
-/// byte-identical to a run without the front-end tier.
+/// unconstrained link the network adds zero delay and spans are left as
+/// the nodes recorded them. Sessions marked in `skip` were abandoned and
+/// yield no latency sample.
 fn overlay_link(
     link: &LinkConfig,
     result: &mut ClusterResult,
     arrivals: &[SimTime],
     session_bytes: &[u64],
-    admitted: u64,
     skip: &[bool],
 ) -> Result<(), SeqioError> {
     // Completed sessions in deterministic (instant, session) order.
@@ -359,7 +296,7 @@ fn overlay_link(
     for outcome in &result.nodes {
         let Some(r) = &outcome.result else { continue };
         for (slot, &g) in result.node_stream_ids[outcome.node].iter().enumerate() {
-            if skip.get(g).copied().unwrap_or(false) {
+            if skip[g] {
                 continue;
             }
             if let Some(t) = r.stream_done_at.get(slot).copied().flatten() {
@@ -384,7 +321,7 @@ fn overlay_link(
         .enumerate()
         .filter_map(|(g, t)| t.map(|t| t.duration_since(arrivals[g])))
         .collect();
-    result.slo = SessionSlo::from_latencies(admitted, latencies);
+    result.slo = SessionSlo::from_latencies(arrivals.len() as u64, latencies);
 
     if !link.is_unconstrained() {
         let ids = result.node_stream_ids.clone();
@@ -428,12 +365,6 @@ impl ClientExperimentBuilder {
         self
     }
 
-    /// Sets the closed-loop sharding policy.
-    pub fn policy(mut self, p: ShardPolicy) -> Self {
-        self.spec.policy = p;
-        self
-    }
-
     /// Derives per-node and session seeds from a cluster base seed.
     pub fn base_seed(mut self, seed: u64) -> Self {
         self.spec.base_seed = Some(seed);
@@ -446,9 +377,9 @@ impl ClientExperimentBuilder {
         self
     }
 
-    /// Switches to open-loop session arrivals.
+    /// Sets the open-loop session population.
     pub fn arrivals(mut self, cfg: ArrivalConfig) -> Self {
-        self.spec.mode = DriveMode::OpenLoop(cfg);
+        self.spec.arrivals = cfg;
         self
     }
 

@@ -12,7 +12,7 @@
 use seqio_disk::Lba;
 use seqio_simcore::{SeqioError, SimDuration, SimRng, SimTime};
 
-use crate::arrivals::{ArrivalProcess, RateModulation, ZipfSampler};
+use crate::arrivals::{check_titles, ArrivalProcess, RateModulation, ZipfSampler};
 
 /// Open-loop session workload parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +21,8 @@ pub struct ArrivalConfig {
     pub rate_per_sec: f64,
     /// Rate modulation on top of the base rate.
     pub modulation: RateModulation,
-    /// Catalogue size: sessions pick one of this many titles.
+    /// Catalogue size: sessions pick one of this many titles (at most
+    /// [`MAX_TITLES`](crate::MAX_TITLES)).
     pub titles: usize,
     /// Zipf popularity exponent over the catalogue (0 = uniform).
     pub zipf_exponent: f64,
@@ -63,9 +64,7 @@ impl ArrivalConfig {
             )));
         }
         self.modulation.validate()?;
-        if self.titles == 0 {
-            return Err(SeqioError::Experiment("need at least one title".into()));
-        }
+        check_titles(self.titles)?;
         if !self.zipf_exponent.is_finite() || self.zipf_exponent < 0.0 {
             return Err(SeqioError::Experiment(format!(
                 "Zipf exponent must be finite and non-negative, got {}",

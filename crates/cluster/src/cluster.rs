@@ -54,14 +54,14 @@ pub struct ClusterExperiment {
 }
 
 impl ClusterExperiment {
-    /// Starts a builder: 1 node, identity routing, healthy, template
-    /// defaults from [`Experiment::builder`].
+    /// Starts a builder: 1 node, [`ShardPolicy::HashByStream`] routing,
+    /// healthy, template defaults from [`Experiment::builder`].
     pub fn builder() -> ClusterExperimentBuilder {
         ClusterExperimentBuilder {
             spec: ClusterExperiment {
                 template: Experiment::builder().build(),
                 nodes: 1,
-                policy: ShardPolicy::Identity,
+                policy: ShardPolicy::HashByStream,
                 node_faults: vec![None],
                 base_seed: None,
                 jobs: None,
@@ -144,12 +144,12 @@ impl ClusterExperiment {
         let disks = spec.shape.total_disks();
         if self.nodes == 1 && spec.stream_counts.is_some() {
             // A 1-node cluster honours the template's explicit per-disk
-            // layout verbatim (identity routing assigns the whole
-            // population to this node anyway).
+            // layout verbatim (the router assigns the whole population to
+            // this node anyway).
             debug_assert_eq!(assigned, spec.total_streams());
         } else if assigned.is_multiple_of(disks) {
             // An even share keeps the uniform layout, so a 1-node
-            // identity cluster runs the template spec verbatim.
+            // cluster runs the template spec verbatim.
             spec.streams_per_disk = assigned / disks;
         } else {
             let base = assigned / disks;
@@ -577,13 +577,23 @@ mod tests {
         let c = ClusterExperiment::builder().template(quick_template()).build();
         assert!(c.validate().is_ok());
         assert_eq!(c.total_streams(), 4);
+        // The default policy deals across several nodes too, exactly as
+        // the hash policy named explicitly.
+        let c = ClusterExperiment::builder().template(quick_template()).nodes(2).base_seed(7);
+        let default = c.clone().build();
+        assert!(default.validate().is_ok());
+        let named = c.policy(ShardPolicy::HashByStream).run().unwrap();
+        let default = default.run().unwrap();
+        assert_eq!(default.assignment, named.assignment);
+        assert_eq!(default.bytes_delivered, named.bytes_delivered);
+        assert_eq!(default.events_simulated, named.events_simulated);
+        let bits =
+            |r: &ClusterResult| r.per_stream_mbs.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&default), bits(&named));
     }
 
     #[test]
     fn invalid_specs_are_rejected() {
-        // Identity routing on K > 1.
-        let c = ClusterExperiment::builder().template(quick_template()).nodes(2).build();
-        assert!(c.validate().is_err());
         // Template-level faults.
         let mut c = ClusterExperiment::builder().template(quick_template()).build();
         c.template.faults = Some(FaultPlan::new().read_errors(0, 0.01));

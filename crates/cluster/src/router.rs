@@ -11,14 +11,13 @@ use seqio_simcore::{FaultPlan, SeqioError};
 /// How client streams are sharded across the cluster's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// Every stream goes to node 0. Only valid for single-node clusters;
-    /// exists so a 1-node cluster is bit-identical to a plain
-    /// [`Experiment`](seqio_node::Experiment) (the equivalence oracle).
-    Identity,
     /// Streams are dealt across nodes in the order of a hash of their
     /// global stream id (a SplitMix64 mix). Dealing by hash *rank* rather
     /// than by `hash % K` keeps placement pseudo-random while guaranteeing
-    /// exact balance: node loads differ by at most one stream.
+    /// exact balance: node loads differ by at most one stream. On one
+    /// node every stream lands on node 0, so a 1-node cluster is
+    /// bit-identical to a plain [`Experiment`](seqio_node::Experiment)
+    /// (the equivalence oracle).
     HashByStream,
     /// Like [`HashByStream`](ShardPolicy::HashByStream), but the deal
     /// skips nodes whose health is at or past the degraded threshold, so
@@ -31,7 +30,6 @@ impl ShardPolicy {
     /// Stable lowercase name, used by the CLI and JSON probes.
     pub fn name(self) -> &'static str {
         match self {
-            ShardPolicy::Identity => "identity",
             ShardPolicy::HashByStream => "hash",
             ShardPolicy::StragglerAware => "straggler-aware",
         }
@@ -44,11 +42,10 @@ impl ShardPolicy {
     /// Returns a usage-style message listing the accepted names.
     pub fn parse(s: &str) -> Result<Self, SeqioError> {
         match s {
-            "identity" => Ok(ShardPolicy::Identity),
             "hash" => Ok(ShardPolicy::HashByStream),
             "straggler-aware" | "aware" => Ok(ShardPolicy::StragglerAware),
             other => Err(SeqioError::Experiment(format!(
-                "shard policy: expected identity|hash|straggler-aware, got {other:?}"
+                "shard policy: expected hash|straggler-aware, got {other:?}"
             ))),
         }
     }
@@ -131,8 +128,7 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Rejects empty clusters, a health vector of the wrong length and
-    /// the identity policy on more than one node.
+    /// Rejects empty clusters and a health vector of the wrong length.
     pub fn validate(&self) -> Result<(), SeqioError> {
         if self.nodes == 0 {
             return Err(SeqioError::Experiment("cluster needs at least one node".into()));
@@ -143,11 +139,6 @@ impl Router {
                 self.health.len(),
                 self.nodes
             )));
-        }
-        if self.policy == ShardPolicy::Identity && self.nodes != 1 {
-            return Err(SeqioError::Experiment(
-                "identity routing is only meaningful on a 1-node cluster".into(),
-            ));
         }
         Ok(())
     }
@@ -168,7 +159,6 @@ impl Router {
         }
         let all: Vec<usize> = (0..self.nodes).collect();
         match self.policy {
-            ShardPolicy::Identity => vec![0; streams],
             ShardPolicy::HashByStream => deal(streams, &all),
             ShardPolicy::StragglerAware => {
                 let healthy: Vec<usize> =
@@ -219,7 +209,7 @@ mod tests {
 
     #[test]
     fn policy_names_round_trip() {
-        for p in [ShardPolicy::Identity, ShardPolicy::HashByStream, ShardPolicy::StragglerAware] {
+        for p in [ShardPolicy::HashByStream, ShardPolicy::StragglerAware] {
             assert_eq!(ShardPolicy::parse(p.name()).unwrap(), p);
         }
         assert!(ShardPolicy::parse("round-robin").is_err());
@@ -266,8 +256,6 @@ mod tests {
     #[test]
     fn invalid_routers_are_rejected() {
         assert!(Router::new(ShardPolicy::HashByStream, 0).validate().is_err());
-        assert!(Router::new(ShardPolicy::Identity, 2).validate().is_err());
-        assert!(Router::new(ShardPolicy::Identity, 1).validate().is_ok());
         let short = Router::new(ShardPolicy::HashByStream, 3).with_health(vec![]);
         assert!(short.validate().is_err());
     }

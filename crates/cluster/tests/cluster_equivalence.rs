@@ -1,9 +1,9 @@
-//! The 1-node equivalence oracle: a single-node cluster with the
-//! identity router is the plain `Experiment` — bit for bit, with the
-//! observability recorder both off and on — and the fig01 golden subset
-//! reproduces through the cluster path unchanged.
+//! The 1-node equivalence oracle: a single-node cluster under the default
+//! router is the plain `Experiment` — bit for bit, with the observability
+//! recorder both off and on — and the fig01 golden subset reproduces
+//! through the cluster path unchanged.
 
-use seqio_cluster::{ClusterExperiment, ShardPolicy};
+use seqio_cluster::ClusterExperiment;
 use seqio_node::span::spans_to_csv;
 use seqio_node::{Experiment, Frontend, NodeShape, ObsConfig, RunResult};
 use seqio_simcore::units::{KIB, MIB};
@@ -41,15 +41,15 @@ fn template() -> Experiment {
         .build()
 }
 
-fn identity_cluster(t: Experiment) -> ClusterExperiment {
+fn one_node_cluster(t: Experiment) -> ClusterExperiment {
     // No base seed: the node must keep the template seed verbatim.
-    ClusterExperiment::builder().template(t).nodes(1).policy(ShardPolicy::Identity).build()
+    ClusterExperiment::builder().template(t).nodes(1).build()
 }
 
 #[test]
 fn one_node_identity_cluster_is_the_plain_experiment() {
     let plain = template().run();
-    let cluster = identity_cluster(template()).run().unwrap();
+    let cluster = one_node_cluster(template()).run().unwrap();
 
     // The node ran the template spec verbatim and produced the same
     // RunResult bit for bit.
@@ -78,7 +78,7 @@ fn one_node_identity_cluster_is_the_plain_experiment() {
 fn equivalence_holds_with_the_observability_recorder_on() {
     let obs = ObsConfig::all().sample_every(SimDuration::from_millis(5));
     let plain = template().observe(obs).run();
-    let cluster = identity_cluster(template().observe(obs)).run().unwrap();
+    let cluster = one_node_cluster(template().observe(obs)).run().unwrap();
     let node_result = cluster.nodes[0].result.as_ref().unwrap();
 
     // Simulation outputs stay bit-identical with recording enabled.
@@ -103,14 +103,13 @@ fn equivalence_holds_with_the_observability_recorder_on() {
     }
 }
 
-/// The Figure-1 golden subset reproduced through 1-node identity
-/// clusters: the cluster path must not perturb a single byte of the
+/// The Figure-1 golden subset reproduced through 1-node clusters: the cluster path must not perturb a single byte of the
 /// figure pipeline.
 #[test]
 fn fig01_subset_golden_reproduces_through_the_cluster_path() {
     let mbs: Vec<f64> = fig01_golden::points()
         .into_iter()
-        .map(|t| identity_cluster(t).run().unwrap().total_throughput_mbs())
+        .map(|t| one_node_cluster(t).run().unwrap().total_throughput_mbs())
         .collect();
     let (csv, hash) = fig01_golden::render(&mbs);
     assert_eq!(

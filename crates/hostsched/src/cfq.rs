@@ -2,8 +2,10 @@
 //!
 //! One queue per process, served round-robin with a per-turn request
 //! quantum. This CFQ generation has no idling (that arrived with the later
-//! time-sliced rewrite), which is why the paper's Figure 2 shows it between
-//! noop and anticipatory for many sequential readers.
+//! time-sliced rewrite). Under the node's page-cache read-ahead a file has
+//! at most one fetch in flight, so each process queue holds at most one
+//! request and the round robin serves requests in arrival order: in
+//! Figure 2 this model reads exactly as noop (DESIGN.md §5b).
 
 use std::collections::{HashMap, VecDeque};
 

@@ -27,5 +27,5 @@ mod scheduler;
 
 pub use anticipatory::Anticipatory;
 pub use cfq::Cfq;
-pub use readahead::{RaOutcome, ReadaheadConfig, StreamRa};
+pub use readahead::{RaOutcome, StreamRa};
 pub use scheduler::{BlockRequest, Deadline, IoScheduler, Lba, Noop, SchedDecision, SchedKind};

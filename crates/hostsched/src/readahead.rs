@@ -8,34 +8,11 @@
 
 use crate::scheduler::Lba;
 
-/// Read-ahead tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadaheadConfig {
-    /// Initial window in bytes (Linux: 16 KiB).
-    pub initial_bytes: u64,
-    /// Maximum window in bytes (Linux: 128 KiB).
-    pub max_bytes: u64,
-}
+/// The window a file's first read fetches, in bytes (Linux: 16 KiB).
+const INITIAL_BYTES: u64 = 16 * 1024;
 
-impl Default for ReadaheadConfig {
-    fn default() -> Self {
-        ReadaheadConfig { initial_bytes: 16 * 1024, max_bytes: 128 * 1024 }
-    }
-}
-
-impl ReadaheadConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the windows are zero or misordered.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.initial_bytes == 0 || self.max_bytes < self.initial_bytes {
-            return Err("need 0 < initial <= max read-ahead".into());
-        }
-        Ok(())
-    }
-}
+/// The largest window, in bytes (Linux's `VM_MAX_READAHEAD`, 128 KiB).
+const MAX_BYTES: u64 = 128 * 1024;
 
 /// Outcome of a page-cache read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +38,6 @@ pub enum RaOutcome {
 /// Per-file (per-stream) read-ahead state.
 #[derive(Debug, Clone)]
 pub struct StreamRa {
-    cfg: ReadaheadConfig,
     /// Cached extent `[start, end)` (the most recent window(s)).
     cached: Option<(Lba, Lba)>,
     /// Extent currently being fetched.
@@ -76,17 +52,11 @@ pub struct StreamRa {
 
 impl StreamRa {
     /// Creates fresh state for a file that ends before block `end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(cfg: ReadaheadConfig, end: Lba) -> Self {
-        cfg.validate().expect("invalid read-ahead config");
+    pub fn new(end: Lba) -> Self {
         StreamRa {
-            cfg,
             cached: None,
             inflight: None,
-            window: cfg.initial_bytes / 512,
+            window: INITIAL_BYTES / 512,
             triggered: false,
             end,
         }
@@ -98,7 +68,7 @@ impl StreamRa {
     }
 
     fn grow(&mut self) {
-        self.window = (self.window * 2).min(self.cfg.max_bytes / 512);
+        self.window = (self.window * 2).min(MAX_BYTES / 512);
     }
 
     /// Processes a read of `[lba, lba+blocks)`, which must end by the
@@ -156,13 +126,6 @@ impl StreamRa {
     pub fn cached_bytes(&self) -> u64 {
         self.cached.map(|(s, e)| (e - s) * 512).unwrap_or(0)
     }
-
-    /// Drops the cached extent (memory pressure).
-    pub fn shrink(&mut self) {
-        self.cached = None;
-        self.window = self.cfg.initial_bytes / 512;
-        self.triggered = false;
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +133,7 @@ mod tests {
     use super::*;
 
     fn ra() -> StreamRa {
-        StreamRa::new(ReadaheadConfig::default(), Lba::MAX)
+        StreamRa::new(Lba::MAX)
     }
 
     #[test]
@@ -278,26 +241,16 @@ mod tests {
 
     #[test]
     fn fetches_stop_at_the_file_end() {
-        let mut r = StreamRa::new(ReadaheadConfig::default(), 48);
+        let mut r = StreamRa::new(48);
         // A miss near the end fetches only what is left.
         assert_eq!(r.on_read(40, 8), RaOutcome::Miss { lba: 40, blocks: 8 });
         r.on_fetch_complete();
         // Crossing the middle of the last extent prefetches nothing.
         assert_eq!(r.on_read(40, 8), RaOutcome::Hit { prefetch: None });
         // A prefetch that would cross the end is clipped to it.
-        let mut r = StreamRa::new(ReadaheadConfig::default(), 60);
+        let mut r = StreamRa::new(60);
         let _ = r.on_read(0, 8);
         r.on_fetch_complete(); // cached [0, 32)
         assert_eq!(r.on_read(16, 8), RaOutcome::Hit { prefetch: Some((32, 28)) });
-    }
-
-    #[test]
-    fn shrink_resets_state() {
-        let mut r = ra();
-        let _ = r.on_read(0, 8);
-        r.on_fetch_complete();
-        r.shrink();
-        assert_eq!(r.cached_bytes(), 0);
-        assert!(matches!(r.on_read(8, 8), RaOutcome::Miss { .. }));
     }
 }

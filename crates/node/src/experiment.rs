@@ -3,7 +3,7 @@
 use seqio_controller::ControllerConfig;
 use seqio_core::{ServerConfig, ServerMetrics};
 use seqio_disk::{bytes_to_blocks, DiskConfig, Geometry, BLOCK_SIZE};
-use seqio_hostsched::{ReadaheadConfig, SchedKind};
+use seqio_hostsched::SchedKind;
 use seqio_simcore::{
     FaultPlan, KernelProfile, LatencyHistogram, MetricSeries, ObsConfig, ProfConfig, SeqioError,
     SimDuration, SimTime, SpanPhase,
@@ -100,13 +100,11 @@ pub enum Frontend {
         /// Read-ahead size `R` in bytes.
         read_ahead_bytes: u64,
     },
-    /// A Linux-like kernel path: page-cache read-ahead plus a block-layer
-    /// scheduler (Figure 2).
+    /// A Linux-like kernel path: page-cache read-ahead (the 2.6 kernel's
+    /// 16–128 KiB window) plus a block-layer scheduler (Figure 2).
     Linux {
         /// Block-layer scheduling policy.
         scheduler: SchedKind,
-        /// Kernel read-ahead tunables.
-        readahead: ReadaheadConfig,
     },
 }
 
@@ -306,8 +304,7 @@ impl Experiment {
                 // invalid one, so refuse it here.
                 ServerConfig::all_dispatched(self.total_streams(), *read_ahead_bytes).validate()?;
             }
-            Frontend::Linux { readahead, .. } => {
-                readahead.validate().map_err(SeqioError::component("read-ahead"))?;
+            Frontend::Linux { .. } => {
                 if self.writes {
                     return Err(SeqioError::Experiment(
                         "the Linux front end models a read path only".into(),

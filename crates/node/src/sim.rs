@@ -163,10 +163,7 @@ mod tests {
 
     #[test]
     fn a_stream_that_reaches_its_disk_end_finishes_there() {
-        let linux = Frontend::Linux {
-            scheduler: seqio_hostsched::SchedKind::Anticipatory,
-            readahead: seqio_hostsched::ReadaheadConfig::default(),
-        };
+        let linux = Frontend::Linux { scheduler: seqio_hostsched::SchedKind::Anticipatory };
         let scheduler = Frontend::StreamScheduler(seqio_core::ServerConfig::default_tuning());
         for frontend in [Frontend::Direct, scheduler, linux] {
             let spec = Experiment::builder()

@@ -1039,12 +1039,8 @@ impl NodeSim {
             }
             Fe::Linux(disks) => {
                 let d = &mut disks[meta.disk];
-                let ra_cfg = match &self.spec.frontend {
-                    Frontend::Linux { readahead, .. } => *readahead,
-                    _ => unreachable!("Linux fe implies Linux frontend"),
-                };
                 let end = d.blocks;
-                let ra = d.ra[meta.stream].get_or_insert_with(|| StreamRa::new(ra_cfg, end));
+                let ra = d.ra[meta.stream].get_or_insert_with(|| StreamRa::new(end));
                 match ra.on_read(meta.lba, meta.blocks) {
                     RaOutcome::Hit { prefetch } => {
                         let at = now + self.spec.costs.cpu_request;
@@ -1270,7 +1266,7 @@ impl NodeSim {
 mod tests {
     use super::*;
     use crate::experiment::NodeShape;
-    use seqio_hostsched::{ReadaheadConfig, SchedKind};
+    use seqio_hostsched::SchedKind;
     use seqio_simcore::units::{KIB, MIB};
 
     fn quick(spec: Experiment) -> RunResult {
@@ -1353,10 +1349,7 @@ mod tests {
             Experiment::builder()
                 .streams_per_disk(streams)
                 .request_size(4 * KIB)
-                .frontend(Frontend::Linux {
-                    scheduler: SchedKind::Anticipatory,
-                    readahead: ReadaheadConfig::default(),
-                })
+                .frontend(Frontend::Linux { scheduler: SchedKind::Anticipatory })
                 .costs(crate::calibration::CostModel::local_xdd())
                 .warmup(SimDuration::from_millis(500))
                 .duration(SimDuration::from_secs(2))
@@ -1522,13 +1515,10 @@ mod pattern_tests {
 
     #[test]
     fn linux_frontend_rejects_writes() {
-        use seqio_hostsched::{ReadaheadConfig, SchedKind};
+        use seqio_hostsched::SchedKind;
         let e = Experiment::builder()
             .writes(true)
-            .frontend(Frontend::Linux {
-                scheduler: SchedKind::Noop,
-                readahead: ReadaheadConfig::default(),
-            })
+            .frontend(Frontend::Linux { scheduler: SchedKind::Noop })
             .build();
         assert!(e.validate().is_err());
     }

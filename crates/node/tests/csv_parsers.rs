@@ -12,7 +12,7 @@ mod mutator;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mutator::Mutator;
-use seqio_hostsched::{ReadaheadConfig, SchedKind};
+use seqio_hostsched::SchedKind;
 use seqio_node::span::{spans_from_csv, spans_to_csv};
 use seqio_node::{run_node, Experiment, Frontend, NodeShape, ObsConfig, SpanPhase};
 use seqio_simcore::units::MIB;
@@ -132,10 +132,7 @@ fn replay_input_mutants_never_panic() {
     let (spec, csv) = recorded_corpus();
     let frontends = [
         Frontend::Direct,
-        Frontend::Linux {
-            scheduler: SchedKind::Anticipatory,
-            readahead: ReadaheadConfig::default(),
-        },
+        Frontend::Linux { scheduler: SchedKind::Anticipatory },
         spec.frontend.clone(),
     ];
     let mut rng = SimRng::seed_from(0x5eed_5a4e);

@@ -3,7 +3,7 @@
 //! trace and replayed through `ScenarioRun` gives every node the
 //! `RunResult` the client run produced, bit for bit, at any worker count.
 
-use seqio_client::{ArrivalConfig, ClientExperiment, DriveMode};
+use seqio_client::{ArrivalConfig, ClientExperiment};
 use seqio_node::{Experiment, NodeShape, RunResult};
 use seqio_scenario::{ScenarioRun, ScenarioTrace, TraceOp, TraceOpKind};
 use seqio_simcore::{SimDuration, SimTime};
@@ -43,8 +43,7 @@ fn client(jobs: usize) -> ClientExperiment {
 fn schedule_as_trace(xp: &ClientExperiment) -> ScenarioTrace {
     let t = &xp.template;
     let horizon = SimTime::ZERO + t.warmup + t.duration;
-    let DriveMode::OpenLoop(cfg) = &xp.mode else { panic!("open-loop experiment") };
-    let life = cfg.session_lifetime.expect("sessions have a lifetime");
+    let life = xp.arrivals.session_lifetime.expect("sessions have a lifetime");
     let mut trace = ScenarioTrace::new("client", NODES);
     for s in xp.session_schedule().unwrap() {
         let kind = TraceOpKind::Inject {

@@ -6,7 +6,7 @@
 //! cargo run --release --example linux_schedulers
 //! ```
 
-use seqio::hostsched::{ReadaheadConfig, SchedKind};
+use seqio::hostsched::SchedKind;
 use seqio::node::CostModel;
 use seqio::prelude::*;
 use seqio::simcore::units::KIB;
@@ -28,7 +28,7 @@ fn main() {
             let r = Experiment::builder()
                 .streams_per_disk(n)
                 .request_size(4 * KIB)
-                .frontend(Frontend::Linux { scheduler: k, readahead: ReadaheadConfig::default() })
+                .frontend(Frontend::Linux { scheduler: k })
                 .costs(CostModel::local_xdd())
                 .warmup(SimDuration::from_secs(2))
                 .duration(SimDuration::from_secs(4))

@@ -2,7 +2,7 @@
 //! spanning workload -> node -> core -> controller -> disk.
 
 use seqio::core::ServerConfig;
-use seqio::hostsched::{ReadaheadConfig, SchedKind};
+use seqio::hostsched::SchedKind;
 use seqio::node::{CostModel, Experiment, Frontend, NodeShape, Placement};
 use seqio::simcore::units::{GIB, KIB, MIB};
 use seqio::simcore::SimDuration;
@@ -13,13 +13,7 @@ fn conservation_across_frontends() {
     let frontends: Vec<(&str, Frontend)> = vec![
         ("direct", Frontend::Direct),
         ("stream", Frontend::stream_scheduler_with_readahead(MIB)),
-        (
-            "linux",
-            Frontend::Linux {
-                scheduler: SchedKind::Anticipatory,
-                readahead: ReadaheadConfig::default(),
-            },
-        ),
+        ("linux", Frontend::Linux { scheduler: SchedKind::Anticipatory }),
     ];
     for (name, fe) in frontends {
         let r = Experiment::builder()
@@ -101,7 +95,7 @@ fn all_linux_schedulers_run() {
             .streams_per_disk(4)
             .request_size(4 * KIB)
             .requests_per_stream(200)
-            .frontend(Frontend::Linux { scheduler: k, readahead: ReadaheadConfig::default() })
+            .frontend(Frontend::Linux { scheduler: k })
             .costs(CostModel::local_xdd())
             .warmup(SimDuration::ZERO)
             .duration(SimDuration::from_secs(30))
