@@ -11,8 +11,10 @@
 //!
 //! `probe perf` instead runs the kernel performance harness: a few
 //! representative macro points timed wall-clock, reporting events
-//! simulated and events/sec, a link point replaying a fixed feed through
-//! `FairShareLink` and reporting deliveries/sec, and micro rows timing the
+//! simulated and events/sec, a cluster row running a two-node migrating
+//! batch through `ClusterExperiment::run`, a link point replaying a fixed
+//! feed through `FairShareLink` back to back and reporting seconds per
+//! feed and deliveries/sec, and micro rows timing the
 //! hot data structures (classifier, disk cache, event queue) and the
 //! `StorageServer` state machine over fixed op counts, with
 //! machine-readable JSON written to `bench_results/perf_probe.json`.
@@ -42,6 +44,7 @@ use seqio_bench::figures::FIGURES;
 use seqio_bench::reports::REPORTS;
 use seqio_bench::{ensure, write_result};
 use seqio_client::{ArrivalConfig, ClientExperiment, LinkConfig, RateModulation};
+use seqio_cluster::{ClusterExperiment, RebalanceConfig};
 use seqio_controller::{Controller, ControllerConfig, CtrlOutput, HostRequest};
 use seqio_core::{Classifier, ClientRequest, ServerConfig, ServerOutput, StorageServer};
 use seqio_disk::{
@@ -50,7 +53,7 @@ use seqio_disk::{
 use seqio_node::{Experiment, Frontend, NodeShape, ObsConfig};
 use seqio_simcore::units::{KIB, MIB};
 use seqio_simcore::{
-    EventQueue, FairShareLink, ProfConfig, SimComponent, SimDuration, SimRng, SimTime,
+    EventQueue, FairShareLink, FaultPlan, ProfConfig, SimComponent, SimDuration, SimRng, SimTime,
 };
 use seqio_telemetry::{
     correlate, monitor, parse_percentile, traces_to_jsonl, BurnRateConfig, TailAttribution,
@@ -98,15 +101,18 @@ impl PerfPoint {
 ///   matched request;
 /// - the event queue before its front slot, a binary heap of
 ///   `(time, seq, slot)` keys over a slab of payloads, on the three
-///   `direct-*` points and the kernel-mix row.
+///   `direct-*` points and the kernel-mix row;
+/// - the cluster driver that stopped every node at every check boundary
+///   until all had drained, on the cluster row.
 ///
 /// Rows not listed have no before figure. A macro point's figure holds
 /// only at the [`PERF_WINDOW_SECS`] window it was timed at.
-const BEFORE_WALL_SECS: [(&str, f64, &str); 16] = [
+const BEFORE_WALL_SECS: [(&str, f64, &str); 17] = [
     ("direct-1disk-100streams", 0.005711, "keyed-heap queue"),
     ("stream-sched-100streams", 0.033730, "previous scheduler"),
     ("direct-8disk-10streams", 0.099018, "keyed-heap queue"),
     ("direct-60disk-30streams", 1.310852, "keyed-heap queue"),
+    (CLUSTER_ROW, 0.093187, "every-boundary lockstep"),
     (LINK_ROW, 0.589446, "previous link"),
     ("classifier-observe-sequential", 0.126110, "bit-at-a-time bitmap"),
     ("classifier-observe-scattered", 0.158373, "bit-at-a-time bitmap"),
@@ -141,23 +147,64 @@ fn point_before_figure(name: &str, secs: u64) -> Option<(f64, &'static str)> {
 /// Times `spec` `repeats` times and keeps the best (minimum) wall time —
 /// the usual way to suppress scheduler noise in a throughput harness.
 fn time_point(name: &'static str, spec: Experiment, repeats: u32) -> PerfPoint {
+    time_events(name, repeats, || spec.run().events_simulated)
+}
+
+/// Times `run` (which returns the events it simulated) `repeats` times
+/// and keeps the best wall time.
+fn time_events(name: &'static str, repeats: u32, run: impl Fn() -> u64) -> PerfPoint {
     let mut best = f64::INFINITY;
     let mut events = 0;
     for _ in 0..repeats {
         let start = Instant::now();
-        let r = spec.run();
-        let secs = start.elapsed().as_secs_f64();
-        best = best.min(secs);
-        events = r.events_simulated;
+        events = run();
+        best = best.min(start.elapsed().as_secs_f64());
     }
     PerfPoint { name, wall_secs: best, events, repeats }
+}
+
+/// The cluster row's name.
+const CLUSTER_ROW: &str = "cluster-migrate-2x8disk";
+
+/// The cluster row: perfbench's `cluster-migrate` shape through
+/// `ClusterExperiment::run`. Two eight-disk nodes of 100 streams a disk,
+/// each stream 256 requests of 64 KiB, behind the stream scheduler with
+/// 512 KiB read-ahead; a factor-8 straggler on node 1's disk 0 from 24 s;
+/// 2.4 s checks; seed 7, two workers. A finite batch, so
+/// `SEQIO_PERF_SECS` does not change it.
+fn time_cluster(repeats: u32) -> PerfPoint {
+    let template = Experiment::builder()
+        .shape(NodeShape::eight_disk())
+        .streams_per_disk(100)
+        .request_size(64 * KIB)
+        .frontend(Frontend::stream_scheduler_with_readahead(512 * KIB))
+        .requests_per_stream(256)
+        .warmup(SimDuration::ZERO)
+        .duration(SimDuration::from_secs(600))
+        .build();
+    let cluster = ClusterExperiment::builder()
+        .template(template)
+        .nodes(2)
+        .node_fault(1, FaultPlan::new().straggler(0, 8.0, SimDuration::from_secs(24), None))
+        .rebalance(RebalanceConfig::new(SimDuration::from_millis(2_400)))
+        .base_seed(7)
+        .jobs(2)
+        .build();
+    time_events(CLUSTER_ROW, repeats, || {
+        let r = cluster.run().expect("the cluster row's spec is valid");
+        assert!(!r.migrations.is_empty(), "the straggler moves streams");
+        r.events_simulated
+    })
 }
 
 /// The link point of the perf harness, timed like a [`PerfPoint`].
 struct LinkPoint {
     transfers: usize,
     peak_active: usize,
+    /// Wall seconds per feed, in the best repeat.
     wall_secs: f64,
+    /// Feeds replayed back to back in the best repeat.
+    feeds: u32,
     repeats: u32,
 }
 
@@ -181,26 +228,39 @@ fn link_feed() -> Vec<SimTime> {
 /// The link point's row name.
 const LINK_ROW: &str = "link-250mibs-128k";
 
-/// Replays [`link_feed`] through a 250 MiB/s link `repeats` times and
-/// keeps the best wall time.
+/// Host time one repeat of the link point spends replaying feeds back to
+/// back: a feed alone takes about 12 ms, short enough that host jitter
+/// would decide the row.
+const LINK_REPEAT_SECS: f64 = 0.1;
+
+/// Replays [`link_feed`] through a 250 MiB/s link, back to back for at
+/// least [`LINK_REPEAT_SECS`] per repeat, `repeats` times, and keeps the
+/// best repeat's wall time per feed.
 fn time_link(repeats: u32) -> LinkPoint {
     let feed = link_feed();
-    let mut best = f64::INFINITY;
-    let mut peak_active = 0;
-    let mut transfers = 0;
+    let mut best =
+        LinkPoint { transfers: 0, peak_active: 0, wall_secs: f64::INFINITY, feeds: 0, repeats };
     for _ in 0..repeats {
         let start = Instant::now();
-        let mut link = FairShareLink::new(250.0 * MIB as f64).expect("positive capacity");
-        for (tag, &at) in feed.iter().enumerate() {
-            link.start_transfer(at, 128 * KIB, f64::INFINITY, tag as u64);
-            peak_active = peak_active.max(link.active_count());
+        let mut feeds = 0;
+        while feeds == 0 || start.elapsed().as_secs_f64() < LINK_REPEAT_SECS {
+            let mut link = FairShareLink::new(250.0 * MIB as f64).expect("positive capacity");
+            for (tag, &at) in feed.iter().enumerate() {
+                link.start_transfer(at, 128 * KIB, f64::INFINITY, tag as u64);
+                best.peak_active = best.peak_active.max(link.active_count());
+            }
+            link.advance_to(SimTime::MAX);
+            best.transfers = link.take_deliveries().len();
+            feeds += 1;
         }
-        link.advance_to(SimTime::MAX);
-        transfers = link.take_deliveries().len();
-        best = best.min(start.elapsed().as_secs_f64());
+        let per_feed = start.elapsed().as_secs_f64() / f64::from(feeds);
+        if per_feed < best.wall_secs {
+            best.wall_secs = per_feed;
+            best.feeds = feeds;
+        }
     }
-    assert_eq!(transfers, feed.len(), "every transfer is delivered");
-    LinkPoint { transfers, peak_active, wall_secs: best, repeats }
+    assert_eq!(best.transfers, feed.len(), "every transfer is delivered");
+    best
 }
 
 /// One micro row of the perf harness: a closure over a fixed op count,
@@ -785,24 +845,53 @@ fn perf_mode(dir: &Path) -> Result<(), Box<dyn Error>> {
             ))
         );
     }
+    let cluster = time_cluster(repeats);
+    let cluster_before = before_figure(CLUSTER_ROW);
+    println!(
+        "  {CLUSTER_ROW:<32} {:>8.3}s wall  {:>10} events  {:>12.0} events/sec{}",
+        cluster.wall_secs,
+        cluster.events,
+        cluster.events_per_sec(),
+        cluster_before.map_or(String::new(), |(b, what)| format!(
+            "  ({what} {b:.3}s, {:.0}/sec)",
+            cluster.rate(b)
+        ))
+    );
+    let _ = write!(
+        json,
+        "\n  ],\n  \"cluster\": {{\"name\": \"{CLUSTER_ROW}\", \"wall_secs\": {:.6}, \
+         \"events\": {}, \"events_per_sec\": {:.1}, \"repeats\": {}{}}},",
+        cluster.wall_secs,
+        cluster.events,
+        cluster.events_per_sec(),
+        cluster.repeats,
+        cluster_before.map_or(String::new(), |(b, _)| format!(
+            ", \"before\": {{\"wall_secs\": {b:.6}, \"events_per_sec\": {:.1}}}",
+            cluster.rate(b)
+        ))
+    );
     let link = time_link(repeats);
     let rate = |wall: f64| link.transfers as f64 / wall;
     let link_before = before_figure(LINK_ROW);
     println!(
-        "  {LINK_ROW:<32} {:>8.3}s wall  {:>10} transfers  {:>12.0} deliveries/sec  (peak {} active{})",
+        "  {LINK_ROW:<32} {:>8.3}s/feed  {:>7} transfers  {:>12.0} deliveries/sec  \
+         ({} feeds, peak {} active{})",
         link.wall_secs,
         link.transfers,
         rate(link.wall_secs),
+        link.feeds,
         link.peak_active,
-        link_before.map_or(String::new(), |(b, what)| format!("; {what} {b:.3}s, {:.0}/sec", rate(b)))
+        link_before
+            .map_or(String::new(), |(b, what)| format!("; {what} {b:.3}s, {:.0}/sec", rate(b)))
     );
     let _ = write!(
         json,
-        "\n  ],\n  \"link\": {{\"name\": \"{LINK_ROW}\", \"transfers\": {}, \
-         \"peak_active\": {}, \"wall_secs\": {:.6}, \"deliveries_per_sec\": {:.1}, \
-         \"repeats\": {}{}}},\n  \"micro\": [",
+        "\n  \"link\": {{\"name\": \"{LINK_ROW}\", \"transfers\": {}, \
+         \"peak_active\": {}, \"feeds\": {}, \"wall_secs\": {:.6}, \
+         \"deliveries_per_sec\": {:.1}, \"repeats\": {}{}}},\n  \"micro\": [",
         link.transfers,
         link.peak_active,
+        link.feeds,
         link.wall_secs,
         rate(link.wall_secs),
         link.repeats,

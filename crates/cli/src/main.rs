@@ -926,8 +926,9 @@ FLAGS (cluster run):
   --shard hash|straggler-aware   stream sharding policy    [hash]
   --fault-node I                 node receiving --faults   [0]
   --base-seed N                  derive per-node seeds from (N, node)
-  --rebalance DUR                migrate live streams off degraded nodes,
-                                 checking health every DUR of sim time
+  --rebalance DUR                migrate live streams off degraded nodes
+                                 at the first multiple of DUR (sim time)
+                                 after each degradation change
   (experiment flags above describe each node's template; --faults applies
    to --fault-node only and drives straggler-aware health)
 

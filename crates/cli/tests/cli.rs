@@ -5,7 +5,8 @@
 //! `scenario replay` reproduces `scenario run` exactly, and replayed
 //! spans and traces that do not fit the node end cleanly instead of
 //! crashing, as do clock-overflowing runs, sizes that are not whole
-//! blocks and hostile trace files.
+//! blocks and hostile trace files; a healthy `cluster run --rebalance`
+//! prints what the static run prints.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -582,6 +583,30 @@ fn cluster_run_refuses_too_many_nodes() {
         "--streams",
         "1",
     ]);
+}
+
+/// With nothing degraded no migration can happen, so the nodes never
+/// meet: 10 µs checks over 600 s would otherwise be 6·10^7 stops.
+#[test]
+fn a_healthy_rebalanced_cluster_runs_like_a_static_one() {
+    let args = [
+        "cluster",
+        "run",
+        "--nodes",
+        "2",
+        "--frontend",
+        "stream",
+        "--streams",
+        "4",
+        "--requests",
+        "8",
+        "--warmup",
+        "0s",
+        "--duration",
+        "600s",
+    ];
+    let rebalanced = seqio(&[&args[..], &["--rebalance", "10us"]].concat());
+    assert_eq!(stdout(&rebalanced), stdout(&seqio(&args)));
 }
 
 #[test]

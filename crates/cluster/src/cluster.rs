@@ -19,12 +19,13 @@ use crate::router::{degraded_threshold, NodeHealth, Router, ShardPolicy};
 /// into one [`ClusterResult`].
 ///
 /// With [`rebalance`](ClusterExperimentBuilder::rebalance) set, the
-/// cluster-level planner [`plan`] reads every node's health at each
-/// epoch boundary and migrates live streams off disks degraded past the
-/// rotate threshold, mid-run. Decisions derive only from the shared
-/// clock and the seeds, so results stay bit-identical at any
-/// `SEQIO_JOBS` count; without a rebalancer the per-node simulations are
-/// bit-identical to running each node standalone.
+/// cluster-level planner [`plan`] reads every node's health at the first
+/// epoch boundary after each degradation change and migrates live
+/// streams off disks degraded past the rotate threshold, mid-run.
+/// Decisions derive only from the shared clock and the seeds, so results
+/// stay bit-identical at any `SEQIO_JOBS` count; without a rebalancer the
+/// per-node simulations are bit-identical to running each node
+/// standalone.
 ///
 /// Faults are opt-in per node; observability is opt-in via the
 /// template's `ObsConfig` and never perturbs results.
@@ -47,9 +48,10 @@ pub struct ClusterExperiment {
     /// Worker override for the fan-out (`None` = `SEQIO_JOBS`, then
     /// available parallelism).
     pub jobs: Option<usize>,
-    /// Mid-run rebalancing: when set, the shared-clock driver checks
-    /// node health every `check_interval` and migrates live streams off
-    /// degraded disks. `None` runs the cluster statically.
+    /// Mid-run rebalancing: when set, the nodes meet at the first
+    /// `check_interval` boundary after each degradation change, where
+    /// live streams migrate off degraded disks. `None` runs the cluster
+    /// statically.
     pub rebalance: Option<RebalanceConfig>,
 }
 
@@ -169,8 +171,10 @@ impl ClusterExperiment {
     /// whose worker pool is sized by [`resolve_jobs`] like a
     /// [`seqio_node::Sweep`]. Without a rebalancer each node runs
     /// independently to the end of time, which is exactly its standalone
-    /// event loop; with one, nodes advance in `check_interval` lockstep
-    /// and live streams migrate off degraded disks between epochs.
+    /// event loop; with one, the nodes meet at the first
+    /// `check_interval` boundary after each degradation change
+    /// ([`RebalanceConfig`]'s barriers), where live streams migrate off
+    /// degraded disks, and run independently in between.
     ///
     /// # Errors
     ///
@@ -178,6 +182,16 @@ impl ClusterExperiment {
     /// always runs to completion.
     pub fn run(&self) -> Result<ClusterResult, SeqioError> {
         self.validate()?;
+        let barriers = self
+            .rebalance
+            .as_ref()
+            .map_or_else(Vec::new, |cfg| cfg.barriers(self.node_faults.iter().flatten()));
+        self.run_at(&barriers)
+    }
+
+    /// Runs a validated specification with the nodes meeting at
+    /// `barriers`, where the planner may migrate streams.
+    fn run_at(&self, barriers: &[SimTime]) -> Result<ClusterResult, SeqioError> {
         let total = self.total_streams();
         let router = self.router();
         let assignment = router.assign(total);
@@ -209,36 +223,30 @@ impl ClusterExperiment {
         let mut slot_map = node_ids.clone();
         let mut migrations: Vec<MigrationRecord> = Vec::new();
 
-        let runs = match &self.rebalance {
-            None => driver::run(nodes, jobs),
-            Some(cfg) => {
-                let pos = |k: usize| live.binary_search(&k).expect("plans name live nodes only");
-                driver::run_lockstep(nodes, jobs, cfg.check_interval, |t, nodes| {
-                    let views = build_views(nodes, &live, &slot_map, t);
-                    for mv in plan(&views) {
-                        // Slots only grow, so a stream's live slot on a
-                        // node is its last one there.
-                        let src_slot = slot_map[mv.from]
-                            .iter()
-                            .rposition(|&g| g == mv.global)
-                            .expect("planned streams live on their source node");
-                        let Some(handoff) = nodes[pos(mv.from)].sim_mut().retire_stream(src_slot)
-                        else {
-                            continue;
-                        };
-                        let new_slot = nodes[pos(mv.to)].sim_mut().inject_stream(t, handoff);
-                        debug_assert_eq!(new_slot, slot_map[mv.to].len());
-                        slot_map[mv.to].push(mv.global);
-                        migrations.push(MigrationRecord {
-                            at: t,
-                            stream: mv.global,
-                            from: mv.from,
-                            to: mv.to,
-                        });
-                    }
-                })
+        let pos = |k: usize| live.binary_search(&k).expect("plans name live nodes only");
+        let runs = driver::run_lockstep(nodes, jobs, barriers, |t, nodes| {
+            let views = build_views(nodes, &live, &slot_map, t);
+            for mv in plan(&views) {
+                // Slots only grow, so a stream's live slot on a node is
+                // its last one there.
+                let src_slot = slot_map[mv.from]
+                    .iter()
+                    .rposition(|&g| g == mv.global)
+                    .expect("planned streams live on their source node");
+                let Some(handoff) = nodes[pos(mv.from)].sim_mut().retire_stream(src_slot) else {
+                    continue;
+                };
+                let new_slot = nodes[pos(mv.to)].sim_mut().inject_stream(t, handoff);
+                debug_assert_eq!(new_slot, slot_map[mv.to].len());
+                slot_map[mv.to].push(mv.global);
+                migrations.push(MigrationRecord {
+                    at: t,
+                    stream: mv.global,
+                    from: mv.from,
+                    to: mv.to,
+                });
             }
-        };
+        });
 
         let disks = self.template.shape.total_disks();
         let mut runs = runs.into_iter();
@@ -259,7 +267,7 @@ impl ClusterExperiment {
 /// A cluster node on the driver: no timeline, no per-node controller.
 type Node = NodeDrive<std::iter::Empty<NodeOp>, ()>;
 
-/// Snapshots every live node's health at epoch boundary `at` into the
+/// Snapshots every live node's health at barrier `at` into the
 /// [`NodeView`]s the rebalancer plans from; `live[i]` is `nodes[i]`'s
 /// cluster index. Only live streams on degraded disks become migration
 /// candidates.
@@ -351,9 +359,9 @@ impl ClusterExperimentBuilder {
         self
     }
 
-    /// Enables mid-run rebalancing: the shared-clock driver checks node
-    /// health every `cfg.check_interval` and migrates live streams off
-    /// degraded disks.
+    /// Enables mid-run rebalancing: the nodes meet at the first
+    /// `cfg.check_interval` boundary after each degradation change and
+    /// migrate live streams off degraded disks.
     pub fn rebalance(mut self, cfg: RebalanceConfig) -> Self {
         self.spec.rebalance = Some(cfg);
         self
@@ -562,6 +570,8 @@ impl ClusterResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqio_node::Frontend;
+    use seqio_simcore::units::KIB;
 
     fn quick_template() -> Experiment {
         Experiment::builder()
@@ -704,6 +714,155 @@ mod tests {
         assert_eq!(n1.spec.as_ref().unwrap().seed, derive_seed(3, 1));
         assert!(n1.health == NodeHealth::healthy());
         assert_eq!(result.requests_completed, 8 * 8);
+    }
+
+    /// One fault panel case: `nodes` single-disk nodes under the hash
+    /// deal, each node's plan, the stop time and whether any stream
+    /// should move.
+    struct Case {
+        name: &'static str,
+        nodes: usize,
+        faults: Vec<(usize, FaultPlan)>,
+        stop: SimDuration,
+        moves: bool,
+    }
+
+    fn ms(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+
+    fn straggler(factor: f64, from: u64, len: Option<u64>) -> FaultPlan {
+        FaultPlan::new().straggler(0, factor, ms(from), len.map(ms))
+    }
+
+    /// Twelve 48-request streams per node finish in 1.5-2.3 s healthy,
+    /// under either front end, so every window opens mid-run.
+    fn panel() -> Vec<Case> {
+        let case =
+            |name, nodes, faults, moves| Case { name, nodes, faults, stop: ms(20_000), moves };
+        let overlapping = FaultPlan::new()
+            .straggler(0, 1.5, ms(100), None)
+            .straggler(0, 4.0, ms(200), Some(ms(400)))
+            .straggler(0, 8.0, ms(300), Some(ms(200)));
+        vec![
+            case("onset mid-run", 2, vec![(1, straggler(8.0, 300, None))], true),
+            case("onset between boundaries", 2, vec![(1, straggler(8.0, 325, None))], true),
+            case("window from 0", 2, vec![(1, straggler(8.0, 0, None))], true),
+            case("factor below the threshold", 2, vec![(1, straggler(1.5, 300, None))], false),
+            case(
+                "target recovers, source stays degraded",
+                2,
+                vec![(0, straggler(4.0, 0, Some(500))), (1, straggler(8.0, 200, None))],
+                true,
+            ),
+            case(
+                "every node degraded",
+                2,
+                vec![(0, straggler(8.0, 300, None)), (1, straggler(4.0, 300, None))],
+                false,
+            ),
+            case("window inside one epoch", 2, vec![(1, straggler(8.0, 310, Some(20)))], false),
+            case(
+                "staggered onsets on three nodes",
+                3,
+                vec![
+                    (0, straggler(8.0, 200, Some(600))),
+                    (1, straggler(4.0, 410, None)),
+                    (2, straggler(16.0, 600, Some(300))),
+                ],
+                true,
+            ),
+            case("a lone node", 1, vec![(0, straggler(8.0, 300, None))], false),
+            case(
+                "overlapping windows on one disk",
+                2,
+                vec![(1, overlapping), (0, straggler(3.0, 450, Some(100)))],
+                true,
+            ),
+            Case {
+                name: "onset after the stop time",
+                nodes: 2,
+                faults: vec![(1, straggler(8.0, 1_500, None))],
+                stop: ms(1_000),
+                moves: false,
+            },
+        ]
+    }
+
+    fn panel_cluster(case: &Case, frontend: Frontend) -> ClusterExperiment {
+        let template = Experiment::builder()
+            .streams_per_disk(12)
+            .request_size(64 * KIB)
+            .requests_per_stream(48)
+            .frontend(frontend)
+            .warmup(SimDuration::ZERO)
+            .duration(case.stop)
+            .build();
+        let mut b = ClusterExperiment::builder()
+            .template(template)
+            .nodes(case.nodes)
+            .base_seed(7)
+            .rebalance(RebalanceConfig::new(ms(50)));
+        for (k, plan) in &case.faults {
+            b = b.node_fault(*k, plan.clone());
+        }
+        b.build()
+    }
+
+    /// The schedule before barriers came from the fault plans: every
+    /// `check_interval` boundary up to the first one at or past the stop
+    /// time, by which every node has drained.
+    fn every_boundary(c: &ClusterExperiment) -> Vec<SimTime> {
+        let every = c.rebalance.as_ref().expect("a rebalanced cluster").check_interval;
+        let stop = SimTime::ZERO + c.template.warmup + c.template.duration;
+        (1..).map(|k| SimTime::ZERO + every * k).take_while(|&b| b - every < stop).collect()
+    }
+
+    /// The migration log and every node's per-slot result.
+    fn fingerprint(r: &ClusterResult) -> String {
+        let per_node: Vec<_> = r
+            .nodes
+            .iter()
+            .map(|n| {
+                n.result.as_ref().map(|res| {
+                    (
+                        res.per_stream_bytes.clone(),
+                        res.per_stream_mbs.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
+                        res.window,
+                        res.events_simulated,
+                    )
+                })
+            })
+            .collect();
+        format!(
+            "{:?} {:?} {:?} {} {} {:?}",
+            r.per_stream_mbs.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
+            r.node_stream_ids,
+            r.migrations,
+            r.requests_completed,
+            r.events_simulated,
+            per_node,
+        )
+    }
+
+    #[test]
+    fn barriers_at_degradation_changes_match_a_barrier_at_every_boundary() {
+        for case in panel() {
+            for frontend in [Frontend::Direct, Frontend::stream_scheduler_with_readahead(512 * KIB)]
+            {
+                let c = panel_cluster(&case, frontend);
+                let barriers =
+                    c.rebalance.as_ref().unwrap().barriers(c.node_faults.iter().flatten());
+                let reference = ClusterExperiment { jobs: Some(1), ..c.clone() };
+                let every = every_boundary(&c);
+                assert!(barriers.len() < every.len() / 10, "{}: {barriers:?}", case.name);
+                let got = c.run().unwrap();
+                let want = reference.run_at(&every).unwrap();
+                assert_eq!(fingerprint(&got), fingerprint(&want), "{}", case.name);
+                assert_eq!(!got.migrations.is_empty(), case.moves, "{}", case.name);
+                assert!(got.migrations.iter().all(|m| barriers.contains(&m.at)), "{}", case.name);
+            }
+        }
     }
 
     #[test]

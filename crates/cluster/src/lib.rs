@@ -11,10 +11,11 @@
 //! straggler-aware steering driven by per-node [`NodeHealth`] derived
 //! from fault plans). The node [`driver`](seqio_node::driver) then runs
 //! every node on a single simulated clock: independently to completion,
-//! or — with a [`RebalanceConfig`] — in
-//! deterministic lockstep epochs, where the planner [`plan`] reads each
-//! node's health and migrates live streams off degraded nodes, carrying
-//! each stream's exact remainder to its new home. Per-node results merge
+//! or — with a [`RebalanceConfig`] — meeting only at the first epoch
+//! boundary after each degradation change, the only instants a
+//! migration can happen. There the planner [`plan`] reads each node's
+//! health and migrates live streams off degraded nodes, carrying each
+//! stream's exact remainder to its new home. Per-node results merge
 //! into a [`ClusterResult`] over the cluster **makespan** (exactly, per
 //! global stream, when migrations occurred).
 //!
@@ -41,8 +42,8 @@
 //!     .nodes(2)
 //!     .policy(ShardPolicy::HashByStream)
 //!     .base_seed(7)
-//!     // Node 1's only disk slows down 8x mid-run; check health every
-//!     // 50 ms of simulated time and migrate its live streams away.
+//!     // Node 1's only disk slows down 8x mid-run; at the first 50 ms
+//!     // boundary after the onset, migrate its live streams away.
 //!     .node_fault(1, FaultPlan::new().straggler(0, 8.0, SimDuration::from_millis(300), None))
 //!     .rebalance(RebalanceConfig::new(SimDuration::from_millis(50)))
 //!     .run()

@@ -1,8 +1,10 @@
 //! Mid-run stream rebalancing for the shared-clock co-simulation.
 //!
-//! At every epoch boundary the cluster driver snapshots each live node's
-//! health ([`seqio_node::HealthSnapshot`], assembled purely from model
-//! state) and hands [`plan`] a list of [`NodeView`]s. The planner returns
+//! At each barrier — the first epoch boundary after a fault plan starts
+//! or ends a degraded window ([`RebalanceConfig::barriers`]) — the
+//! cluster driver snapshots each live node's health
+//! ([`seqio_node::HealthSnapshot`], assembled purely from model state)
+//! and hands [`plan`] a list of [`NodeView`]s. The planner returns
 //! [`MoveDecision`]s — which global streams to migrate off disks degraded
 //! past the rotate threshold, and to which node. It is pure: decisions
 //! depend only on the views (which are themselves deterministic functions
@@ -10,7 +12,7 @@
 //! time, or recorder state — so a rebalanced run is bit-identical at any
 //! `SEQIO_JOBS` count.
 
-use seqio_simcore::{SeqioError, SimDuration, SimTime};
+use seqio_simcore::{FaultPlan, SeqioError, SimDuration, SimTime};
 
 use crate::router::degraded_threshold;
 
@@ -20,8 +22,11 @@ use crate::router::degraded_threshold;
 /// candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceConfig {
-    /// Epoch length: how often all nodes synchronize on the shared clock
-    /// and the rebalancer looks for streams to migrate.
+    /// Epoch length: the boundaries `k * check_interval` (`k >= 1`) at
+    /// which the rebalancer may look for streams to migrate. The nodes
+    /// meet only at the first boundary at or after an instant a fault
+    /// plan starts or ends a degraded window, since at every other
+    /// boundary the planner would move nothing.
     pub check_interval: SimDuration,
 }
 
@@ -42,9 +47,42 @@ impl RebalanceConfig {
         }
         Ok(())
     }
+
+    /// The boundaries at which the nodes meet, strictly ascending: the
+    /// first boundary `k * check_interval` (`k >= 1`) at or after each
+    /// instant one of `plans` starts or ends a window whose factor reaches
+    /// [`degraded_threshold`]. A boundary past `SimTime::MAX` is dropped.
+    ///
+    /// At any other boundary [`plan`] would move nothing. It moves a
+    /// stream only while a live stream sits on a degraded disk and
+    /// another node has no degraded disk; both change only at those
+    /// window edges, streams enter a node only at a barrier, and a
+    /// barrier moves every stream that has a target. So a boundary with
+    /// no edge since the previous one finds either no candidate or no
+    /// target, exactly as the previous one left it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `check_interval` ([`validate`](Self::validate)
+    /// refuses it).
+    pub(crate) fn barriers<'a>(
+        &self,
+        plans: impl IntoIterator<Item = &'a FaultPlan>,
+    ) -> Vec<SimTime> {
+        let every = self.check_interval.as_nanos();
+        let mut barriers: Vec<SimTime> = plans
+            .into_iter()
+            .flat_map(|p| p.threshold_crossings(degraded_threshold()))
+            .filter_map(|c| c.as_nanos().div_ceil(every).max(1).checked_mul(every))
+            .map(SimTime::from_nanos)
+            .collect();
+        barriers.sort_unstable();
+        barriers.dedup();
+        barriers
+    }
 }
 
-/// One live node as the rebalancer sees it at an epoch boundary.
+/// One live node as the rebalancer sees it at a barrier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeView {
     /// Node index.
@@ -81,7 +119,7 @@ pub struct MoveDecision {
 /// One executed migration, recorded in the [`ClusterResult`](crate::ClusterResult).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationRecord {
-    /// Shared-clock instant of the migration (an epoch boundary).
+    /// Shared-clock instant of the migration (a barrier).
     pub at: SimTime,
     /// Global stream id that moved.
     pub stream: usize,
@@ -184,6 +222,63 @@ mod tests {
         // A lone node has nowhere to go.
         let views = vec![view(0, 5, 8.0, &[(1, 8.0)])];
         assert!(plan(&views).is_empty());
+    }
+
+    fn secs(s: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs_f64(s)
+    }
+
+    #[test]
+    fn the_straggler_batch_meets_once_at_the_onset() {
+        // Two nodes, a factor-8 straggler on node 1 from 24 s, 2.4 s
+        // checks: the onset is the tenth boundary.
+        let cfg = RebalanceConfig::new(SimDuration::from_millis(2_400));
+        let straggler = FaultPlan::new().straggler(0, 8.0, SimDuration::from_secs(24), None);
+        assert_eq!(cfg.barriers([&straggler]), [secs(24.0)]);
+        assert_eq!(cfg.barriers([]), []);
+        assert_eq!(cfg.barriers([&FaultPlan::new(), &FaultPlan::new().read_errors(0, 0.5)]), []);
+    }
+
+    #[test]
+    fn each_crossing_maps_to_the_first_boundary_at_or_after_it() {
+        let cfg = RebalanceConfig::new(SimDuration::from_secs(1));
+        let window = |from: f64, len: Option<f64>| {
+            FaultPlan::new().straggler(
+                0,
+                4.0,
+                SimDuration::from_secs_f64(from),
+                len.map(SimDuration::from_secs_f64),
+            )
+        };
+        // On a boundary: that boundary; between two: the later one.
+        assert_eq!(cfg.barriers([&window(3.0, None)]), [secs(3.0)]);
+        assert_eq!(cfg.barriers([&window(2.5, None)]), [secs(3.0)]);
+        // At 0: the first boundary, never 0 itself.
+        assert_eq!(cfg.barriers([&window(0.0, None)]), [secs(1.0)]);
+        // A bounded window meets at both edges, even inside one epoch.
+        assert_eq!(cfg.barriers([&window(2.5, Some(4.0))]), [secs(3.0), secs(7.0)]);
+        assert_eq!(cfg.barriers([&window(2.2, Some(0.5))]), [secs(3.0)]);
+        // Several plans: sorted, each boundary once; a factor below the
+        // threshold is no crossing.
+        let mild = FaultPlan::new().straggler(0, 1.5, SimDuration::from_secs(1), None);
+        assert_eq!(
+            cfg.barriers([&window(5.0, None), &mild, &window(2.5, Some(1.0))]),
+            [secs(3.0), secs(4.0), secs(5.0)]
+        );
+    }
+
+    #[test]
+    fn a_boundary_past_the_end_of_the_clock_is_dropped() {
+        let cfg = RebalanceConfig::new(SimDuration::from_secs(1));
+        let late = SimDuration::from_nanos(u64::MAX - 5);
+        let plan = FaultPlan::new()
+            .straggler(0, 8.0, SimDuration::from_secs(2), None)
+            .straggler(1, 8.0, late, None);
+        assert_eq!(cfg.barriers([&plan]), [secs(2.0)]);
+        // A boundary that lands exactly on the last instant stays.
+        let cfg = RebalanceConfig::new(SimDuration::from_nanos(5));
+        let plan = FaultPlan::new().straggler(0, 8.0, SimDuration::from_nanos(u64::MAX - 1), None);
+        assert_eq!(cfg.barriers([&plan]), [SimTime::MAX]);
     }
 
     proptest! {

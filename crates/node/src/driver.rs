@@ -5,12 +5,15 @@
 //! and returns the results in input order. [`NodeDrive`] is one node's
 //! loop: it applies a sorted timeline of stream injects and retires
 //! through [`StreamHandoff`], and polls an optional [`NodeController`] at
-//! fixed epoch ticks. [`run`] drives nodes independently to completion;
-//! [`run_lockstep`] pauses every node at each cross-node epoch boundary
-//! and calls a hook there.
+//! fixed epoch ticks. [`run_lockstep`] pauses every node at each instant
+//! of a barrier list fixed before the run and calls a hook there, then
+//! drives each node to completion on its worker; [`run`] is the case
+//! with no barriers. The cluster's barriers are the first epoch boundary
+//! after each degradation change, the only instants its planner can
+//! move a stream, so nodes meet only where a migration can happen.
 //!
 //! Results are bit-identical at any worker count:
-//! - each node is advanced by exactly one worker per epoch;
+//! - each node is advanced by exactly one worker between barriers;
 //! - each node's op and tick order is fixed before it runs, and an op
 //!   applies before a same-instant tick, so a controller sees the state
 //!   that already includes it;
@@ -120,7 +123,7 @@ pub struct NodeDrive<I: Iterator<Item = NodeOp>, C> {
     sim: NodeSim,
     ops: Peekable<I>,
     controller: Option<C>,
-    every: SimDuration,
+    period: SimDuration,
     until: SimTime,
     next_tick: SimTime,
     /// Timeline stream id -> local slot.
@@ -151,7 +154,7 @@ impl<I: Iterator<Item = NodeOp>, C: NodeController> NodeDrive<I, C> {
             sim,
             ops: ops.into_iter().peekable(),
             controller: None,
-            every: SimDuration::ZERO,
+            period: SimDuration::ZERO,
             until: SimTime::ZERO,
             next_tick: SimTime::ZERO,
             slots: HashMap::new(),
@@ -160,13 +163,13 @@ impl<I: Iterator<Item = NodeOp>, C: NodeController> NodeDrive<I, C> {
         })
     }
 
-    /// Polls `controller` at `every`, `2 * every`, ... while before
+    /// Polls `controller` at `period`, `2 * period`, ... while before
     /// `until`.
-    pub fn control(&mut self, controller: C, every: SimDuration, until: SimTime) {
+    pub fn control(&mut self, controller: C, period: SimDuration, until: SimTime) {
         self.controller = Some(controller);
-        self.every = every;
+        self.period = period;
         self.until = until;
-        self.next_tick = SimTime::ZERO + every;
+        self.next_tick = SimTime::ZERO + period;
     }
 
     /// The node's simulation.
@@ -195,7 +198,7 @@ impl<I: Iterator<Item = NodeOp>, C: NodeController> NodeDrive<I, C> {
                 self.sim.advance_to(op.at);
                 self.apply(op);
             } else if let Some(at) = tick {
-                self.next_tick += self.every;
+                self.next_tick += self.period;
                 self.sim.advance_to(at);
                 if let Some(c) = self.controller.as_mut() {
                     c.tick(at, &mut self.sim);
@@ -258,40 +261,45 @@ pub struct NodeRun<C> {
 }
 
 /// Drives every node to completion on up to `jobs` workers, each node
-/// independently. A node is finished on its worker as soon as it drains,
-/// so drained nodes do not stay in memory.
+/// independently: [`run_lockstep`] with no barriers.
 pub fn run<I, C>(nodes: Vec<NodeDrive<I, C>>, jobs: usize) -> Vec<NodeRun<C>>
 where
     I: Iterator<Item = NodeOp> + Send,
     C: NodeController + Send,
 {
-    pool_map(nodes, jobs, |_, mut node| {
-        node.run_until(SimTime::MAX);
-        node.finish()
-    })
+    run_lockstep(nodes, jobs, &[], |_, _| {})
 }
 
-/// Drives every node in lockstep epochs of `every` on up to `jobs`
-/// workers. All nodes pause at each boundary `t` and `hook(t, nodes)`
-/// runs on the calling thread, until every node has drained.
+/// Drives every node to completion on up to `jobs` workers, pausing them
+/// all at each instant of `barriers` (strictly ascending): the nodes
+/// advance to barrier `t`, then `hook(t, nodes)` runs on the calling
+/// thread. Once every node has drained no hook runs. After the last
+/// barrier each node runs to the end and is finished on its worker, so
+/// drained nodes do not stay in memory.
+///
+/// # Panics
+///
+/// Panics if `barriers` is not strictly ascending.
 pub fn run_lockstep<I, C>(
     mut nodes: Vec<NodeDrive<I, C>>,
     jobs: usize,
-    every: SimDuration,
+    barriers: &[SimTime],
     mut hook: impl FnMut(SimTime, &mut [NodeDrive<I, C>]),
 ) -> Vec<NodeRun<C>>
 where
     I: Iterator<Item = NodeOp> + Send,
     C: NodeController + Send,
 {
-    let mut t = SimTime::ZERO;
-    loop {
-        t += every;
+    assert!(barriers.is_sorted_by(|a, b| a < b), "barriers must be strictly ascending");
+    for &t in barriers {
         pool_map(nodes.iter_mut().collect(), jobs, |_, node| node.run_until(t));
         if nodes.iter_mut().all(NodeDrive::drained) {
             break;
         }
         hook(t, &mut nodes);
     }
-    nodes.into_iter().map(NodeDrive::finish).collect()
+    pool_map(nodes, jobs, |_, mut node| {
+        node.run_until(SimTime::MAX);
+        node.finish()
+    })
 }

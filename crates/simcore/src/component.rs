@@ -11,8 +11,8 @@
 //! reorders it.
 //!
 //! The storage-node engine implements this trait (as `NodeSim` in
-//! `seqio-node`) and the cluster layer drives K nodes in lockstep epochs on
-//! top of it.
+//! `seqio-node`) and the cluster layer drives K nodes on top of it,
+//! meeting only at the epoch boundaries where a migration can happen.
 
 use crate::time::SimTime;
 

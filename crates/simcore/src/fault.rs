@@ -245,6 +245,20 @@ impl FaultPlan {
         self.disk(disk).map_or(1.0, |f| f.straggler_factor(t))
     }
 
+    /// The instants at which some disk's straggler factor may cross
+    /// `threshold`: the start and the end of every window whose factor
+    /// reaches it, unsorted. Between two consecutive instants, whether
+    /// each disk's [`straggler_factor`](Self::straggler_factor) is at or
+    /// above `threshold` does not change.
+    pub fn threshold_crossings(&self, threshold: f64) -> impl Iterator<Item = SimTime> + '_ {
+        self.disks
+            .iter()
+            .flat_map(|(_, f)| &f.stragglers)
+            .filter(move |s| s.factor >= threshold)
+            .flat_map(|s| [Some(s.from), s.duration.and_then(|d| s.from.checked_add(d))])
+            .flatten()
+    }
+
     /// Checks every scheduled fault for internal consistency.
     ///
     /// # Errors
@@ -416,6 +430,26 @@ mod tests {
         assert_eq!(plan.straggler_factor(0, at(0)), 2.0);
         assert_eq!(plan.straggler_factor(0, at(1)), 8.0);
         assert_eq!(plan.straggler_factor(0, at(3)), 2.0);
+    }
+
+    #[test]
+    fn threshold_crossings_are_the_edges_of_windows_that_reach_it() {
+        let plan = FaultPlan::new()
+            .straggler(0, 1.5, SimDuration::ZERO, None)
+            .straggler(0, 8.0, SimDuration::from_secs(1), Some(SimDuration::from_secs(2)))
+            .straggler(3, 2.0, SimDuration::from_secs(5), None)
+            .read_errors(1, 0.5);
+        let crossings: Vec<SimTime> = plan.threshold_crossings(2.0).collect();
+        assert_eq!(crossings, [at(1), at(3), at(5)]);
+        // Between the edges, whether each disk sits at or above the
+        // threshold stays put.
+        let degraded =
+            |t| -> Vec<bool> { (0..4).map(|d| plan.straggler_factor(d, at(t)) >= 2.0).collect() };
+        for t in (1..8).filter(|&t| !crossings.contains(&at(t))) {
+            assert_eq!(degraded(t), degraded(t - 1), "changed at {t} s");
+        }
+        assert_eq!(plan.threshold_crossings(16.0).count(), 0);
+        assert_eq!(FaultPlan::new().threshold_crossings(2.0).count(), 0);
     }
 
     #[test]
